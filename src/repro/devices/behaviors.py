@@ -414,11 +414,18 @@ class DeviceNode(Node):
 
 
 def _mdns_responder(node: DeviceNode, packet: DecodedPacket) -> None:
+    payload = packet.udp.payload
+    # Only queries are answered.  Every stack on the LAN receives each
+    # multicast, so drop what cannot be one before decoding it: a
+    # payload shorter than the 12-byte DNS header, or one whose QR bit
+    # (top bit of the flags word) marks a response.
+    if len(payload) < 12 or payload[2] & 0x80:
+        return
     try:
-        message = DnsMessage.decode(packet.udp.payload)
+        message = DnsMessage.decode(payload)
     except ValueError:
         return
-    if message.is_response or not message.questions:
+    if not message.questions:
         return
     config = node.profile.mdns
     advertisements = node.mdns_advertisements()

@@ -9,12 +9,12 @@ collecting MAC addresses that act as persistent identifiers.
 from __future__ import annotations
 
 import enum
-import ipaddress
 import struct
 from dataclasses import dataclass
 
-from repro.net.mac import MacAddress
 from repro.net.guard import guarded_decode
+from repro.net.ipv4 import ipv4_packed, ipv4_text
+from repro.net.mac import MacAddress
 
 
 class ArpOp(enum.IntEnum):
@@ -39,8 +39,8 @@ class ArpPacket:
         self.op = ArpOp(self.op)
         self.sender_mac = MacAddress(self.sender_mac)
         self.target_mac = MacAddress(self.target_mac)
-        self.sender_ip = str(ipaddress.IPv4Address(self.sender_ip))
-        self.target_ip = str(ipaddress.IPv4Address(self.target_ip))
+        self.sender_ip = ipv4_text(self.sender_ip)
+        self.target_ip = ipv4_text(self.target_ip)
 
     def encode(self) -> bytes:
         return _HEADER.pack(
@@ -50,9 +50,9 @@ class ArpPacket:
             4,  # protocol address length
             int(self.op),
             self.sender_mac.packed,
-            ipaddress.IPv4Address(self.sender_ip).packed,
+            ipv4_packed(self.sender_ip),
             self.target_mac.packed,
-            ipaddress.IPv4Address(self.target_ip).packed,
+            ipv4_packed(self.target_ip),
         )
 
     @classmethod
@@ -68,9 +68,9 @@ class ArpPacket:
         return cls(
             op=ArpOp(op),
             sender_mac=MacAddress(smac),
-            sender_ip=str(ipaddress.IPv4Address(sip)),
+            sender_ip=sip,  # packed; __post_init__ makes it text
             target_mac=MacAddress(tmac),
-            target_ip=str(ipaddress.IPv4Address(tip)),
+            target_ip=tip,
         )
 
     @property

@@ -8,11 +8,10 @@ the reports themselves reveal which discovery protocols a device runs.
 from __future__ import annotations
 
 import enum
-import ipaddress
 import struct
 from dataclasses import dataclass
 
-from repro.net.ipv4 import internet_checksum
+from repro.net.ipv4 import internet_checksum, ipv4_packed, ipv4_text
 from repro.net.guard import guarded_decode
 
 
@@ -39,7 +38,7 @@ class IgmpMessage:
             self.igmp_type,
             self.max_resp_time,
             0,
-            ipaddress.IPv4Address(self.group).packed,
+            ipv4_packed(self.group),
         )
         checksum = internet_checksum(msg)
         return msg[:2] + struct.pack("!H", checksum) + msg[4:]
@@ -52,7 +51,7 @@ class IgmpMessage:
         igmp_type, max_resp, _checksum, group = _HEADER.unpack_from(data)
         return cls(
             igmp_type=igmp_type,
-            group=str(ipaddress.IPv4Address(group)),
+            group=ipv4_text(group),
             max_resp_time=max_resp,
         )
 

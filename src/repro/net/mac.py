@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from functools import total_ordering
 
+from repro.net.ipv4 import ipv4_is_multicast, ipv4_packed
+
 _MAC_RE = re.compile(
     r"^([0-9A-Fa-f]{2})[:-]([0-9A-Fa-f]{2})[:-]([0-9A-Fa-f]{2})"
     r"[:-]([0-9A-Fa-f]{2})[:-]([0-9A-Fa-f]{2})[:-]([0-9A-Fa-f]{2})$"
@@ -127,13 +129,10 @@ SSDP_V4_MAC = MacAddress("01:00:5e:7f:ff:fa")
 
 def ipv4_multicast_mac(group: str) -> MacAddress:
     """Map an IPv4 multicast group to its Ethernet multicast MAC (RFC 1112)."""
-    import ipaddress
-
-    addr = ipaddress.IPv4Address(group)
-    if not addr.is_multicast:
+    if not ipv4_is_multicast(group):
         raise ValueError(f"{group} is not an IPv4 multicast group")
-    low23 = int(addr) & 0x7FFFFF
-    return MacAddress(bytes([0x01, 0x00, 0x5E]) + low23.to_bytes(3, "big"))
+    packed = ipv4_packed(group)
+    return MacAddress(bytes([0x01, 0x00, 0x5E, packed[1] & 0x7F]) + packed[2:])
 
 
 def ipv6_multicast_mac(group: str) -> MacAddress:

@@ -192,9 +192,7 @@ class Lan:
     def _is_link_local_group(group: str) -> bool:
         if group.startswith("224.0.0."):
             return True
-        if group.lower().startswith("ff02::1") and not group.lower().startswith("ff02::1:"):
-            return True
-        return group.lower() in ("ff02::fb", "ff02::2")
+        return group.lower() in ("ff02::1", "ff02::fb", "ff02::2")
 
     # -- composite behaviours ------------------------------------------------------
 

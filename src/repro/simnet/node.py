@@ -19,7 +19,7 @@ from repro.net.eapol import EapolFrame
 from repro.net.ether import EthernetFrame, EtherType
 from repro.net.icmp import IcmpMessage, Icmpv6Message, IcmpType, Icmpv6Type
 from repro.net.igmp import IgmpMessage
-from repro.net.ipv4 import IpProtocol, Ipv4Packet
+from repro.net.ipv4 import IpProtocol, Ipv4Packet, ipv4_is_multicast
 from repro.net.ipv6 import Ipv6Packet, link_local_from_mac
 from repro.net.mac import (
     BROADCAST_MAC,
@@ -123,10 +123,9 @@ class Node:
         lan = self._require_lan()
         src_port = src_port if src_port is not None else self.ephemeral_port()
         datagram = UdpDatagram(src_port, dst_port, payload)
-        address = ipaddress.IPv4Address(dst_ip)
         packet = Ipv4Packet(self.ip, dst_ip, IpProtocol.UDP, datagram.encode(self.ip, dst_ip))
         if dst_mac is None:
-            if address.is_multicast:
+            if ipv4_is_multicast(dst_ip):
                 dst_mac = ipv4_multicast_mac(dst_ip)
             elif dst_ip == "255.255.255.255" or dst_ip == lan.broadcast_address:
                 dst_mac = BROADCAST_MAC

@@ -7,6 +7,7 @@ dataset) are session-scoped so the suite builds them once.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,26 @@ def full_testbed_run():
     testbed = build_testbed(seed=7)
     testbed.run(1200.0)
     return testbed, testbed.lan.capture.decoded()
+
+
+@pytest.fixture(scope="session")
+def lab_records():
+    """Raw ``(timestamp, frame_bytes)`` records of a 2-minute seed-7 lab run."""
+    testbed = build_testbed(seed=7)
+    testbed.run(120.0)
+    return list(testbed.lan.capture.records)
+
+
+@pytest.fixture(scope="session")
+def chaos_records():
+    """The same lab run recorded under ``examples/fault_plans/chaos.json``."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    plan = FaultPlan.load(Path(__file__).parent.parent / "examples" / "fault_plans" / "chaos.json")
+    testbed = build_testbed(seed=7)
+    FaultInjector(plan, seed=7).install(testbed.lan)
+    testbed.run(120.0)
+    return list(testbed.lan.capture.records)
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,13 @@
-"""Shared monitor fixtures: one lab capture, built once per session."""
+"""Shared monitor fixtures: the session lab capture as an index."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.devices.behaviors import build_testbed
-
-
-@pytest.fixture(scope="session")
-def lab_records():
-    """Raw ``(timestamp, frame_bytes)`` records of a 2-minute lab run."""
-    testbed = build_testbed(seed=7)
-    testbed.run(120.0)
-    return list(testbed.lan.capture.records)
-
 
 @pytest.fixture(scope="session")
 def lab_index(lab_records):
-    """The same capture as a built :class:`CaptureIndex`."""
+    """``lab_records`` as a built :class:`CaptureIndex`."""
     from repro.net.columnar import PacketTable
     from repro.net.decode import DecodeErrorLog
     from repro.net.index import CaptureIndex

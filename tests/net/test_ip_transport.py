@@ -48,8 +48,6 @@ class TestIpv4:
 
     def test_multicast_and_local_flags(self):
         assert Ipv4Packet("192.168.10.5", "224.0.0.251", 17).is_multicast
-        assert Ipv4Packet("192.168.10.5", "192.168.10.60", 17).is_local
-        assert not Ipv4Packet("192.168.10.5", "8.8.8.8", 17).is_local
 
     def test_rejects_ipv6_bytes(self):
         v6 = Ipv6Packet("fe80::1", "fe80::2", 17, b"")

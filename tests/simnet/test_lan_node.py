@@ -51,6 +51,28 @@ class TestDelivery:
         a.send_udp("224.0.0.251", 5353, b"mdns")  # 224.0.0.x: all stacks
         assert len(b_in) == 1
 
+    @pytest.mark.parametrize("group,link_local", [
+        ("224.0.0.251", True),
+        ("239.255.255.250", False),
+        ("ff02::1", True),
+        ("ff02::16", False),  # all MLDv2-capable routers
+        ("ff02::1a", False),
+        ("ff02::1:2", False),  # all DHCPv6 relay agents and servers
+        ("ff02::fb", True),
+    ])
+    def test_link_local_groups(self, group, link_local):
+        assert Lan._is_link_local_group(group) is link_local
+
+    def test_ipv6_group_reaches_members_only(self, lan):
+        a = lan.attach(Node("a", "02:00:00:00:00:11", "192.168.10.11"))
+        b = lan.attach(Node("b", "02:00:00:00:00:12", "192.168.10.12"))
+        b_in = _inbox(b)
+        a.send_udp6("ff02::16", 9, b"mld")
+        assert b_in == []
+        b.multicast_groups.add("ff02::16")
+        a.send_udp6("ff02::16", 9, b"mld")
+        assert len(b_in) == 1
+
     def test_capture_sees_everything(self, lan):
         a = lan.attach(Node("a", "02:00:00:00:00:11", "192.168.10.11"))
         b = lan.attach(Node("b", "02:00:00:00:00:12", "192.168.10.12"))
