@@ -429,14 +429,17 @@ class StudyPipeline:
                 # shares this CaptureIndex (and its memoized labels).
                 with obs.tracer.span("capture.decode_index"):
                     index = self.testbed.lan.capture.index()
+                # The census is the capture's first reader of the labels,
+                # so its span carries the classification pass.
+                with obs.tracer.span("capture.classify"):
+                    census = census_from_capture(
+                        index, maps["macs"], total_devices=len(self.testbed.devices))
                 if span is not None:
                     span.set_attr("packets", len(index))
                 self._count_artifact("capture_packets", len(index))
 
             with ExitStack() as stack:
                 span = self._stage(stack, "scans")
-                census = census_from_capture(
-                    index, maps["macs"], total_devices=len(self.testbed.devices))
                 scan_report = self.run_scans()
                 add_scan_results(census, scan_report)
                 if span is not None:

@@ -28,7 +28,7 @@ from repro.faults.mutators import (
     udp_ports_of,
 )
 from repro.faults.plan import EMPTY_PLAN, FaultPlan, LinkFaults
-from repro.net.decode import DecodedPacket, decode_frame
+from repro.net.decode import DecodedPacket
 from repro.obs import get_obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -163,18 +163,18 @@ class FaultInjector:
 
     # -- the transmit hook ------------------------------------------------------------
 
-    def transmit(self, sender: "Node", frame_bytes: bytes) -> DecodedPacket:
+    def transmit(self, sender: "Node", frame_bytes: bytes) -> None:
         """Roll the plan for one frame; deliver whatever survives.
 
-        Returns the decoded view of the frame as transmitted (dropped
-        frames decode but never reach the capture or any receiver).
+        A dropped frame never reaches the capture or any receiver, and
+        nothing decodes it.
         """
         lan = self.lan
         now = lan.simulator.now
         if self.is_down(sender, now):
             # A crashed device emits nothing: the frame never airs.
             self._count("flap_drop_tx")
-            return decode_frame(frame_bytes, now)
+            return
 
         data = frame_bytes
         rng = self.rng
@@ -185,7 +185,7 @@ class FaultInjector:
         if link is not None and not link.is_noop:
             if link.loss and rng.random() < link.loss:
                 self._count("loss")
-                return decode_frame(data, now)
+                return
             if link.truncate and rng.random() < link.truncate:
                 data = truncate_bytes(rng, data)
                 self._count("truncate")
@@ -218,11 +218,10 @@ class FaultInjector:
             lan.simulator.schedule(delay, lambda: lan._deliver(sender, data))
             if duplicate:
                 lan.simulator.schedule(delay, lambda: lan._deliver(sender, data))
-            return decode_frame(data, now)
-        packet = lan._deliver(sender, data)
+            return
+        lan._deliver(sender, data)
         if duplicate:
             lan._deliver(sender, data)
-        return packet
 
     # -- the delivery hook ------------------------------------------------------------
 

@@ -28,13 +28,12 @@ class EtherType(enum.IntEnum):
 
     @classmethod
     def classify(cls, value: int) -> "EtherType":
-        if value < 0x0600:
-            return cls.LLC
-        try:
-            return cls(value)
-        except ValueError:
-            return cls.LLC
+        return _ETHERTYPES.get(value, cls.LLC)
 
+
+#: Every EtherType member by value; any other value (an 802.3 length
+#: below 0x600 or an unknown type) classifies as LLC.
+_ETHERTYPES = {member.value: member for member in EtherType}
 
 _HEADER = struct.Struct("!6s6sH")
 
@@ -49,8 +48,10 @@ class EthernetFrame:
     payload: bytes = b""
 
     def __post_init__(self):
-        self.dst = MacAddress(self.dst)
-        self.src = MacAddress(self.src)
+        if not isinstance(self.dst, MacAddress):
+            self.dst = MacAddress(self.dst)
+        if not isinstance(self.src, MacAddress):
+            self.src = MacAddress(self.src)
 
     @property
     def kind(self) -> EtherType:

@@ -86,15 +86,19 @@ class IpProtocol(enum.IntEnum):
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 16-bit one's-complement checksum."""
+    """RFC 1071 16-bit one's-complement checksum.
+
+    Since 2**16 is 1 modulo 0xFFFF, the one's-complement sum of the
+    16-bit words is the whole input, read as one big-endian integer,
+    modulo 0xFFFF, except that a nonzero sum folds to 0xFFFF where the
+    residue is 0.  An odd trailing byte is padded with a zero byte.
+    """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        value <<= 8
+    if not value:
+        return 0xFFFF
+    return 0xFFFF - (value % 0xFFFF or 0xFFFF)
 
 
 _HEADER = struct.Struct("!BBHHHBBH4s4s")

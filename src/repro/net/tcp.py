@@ -24,6 +24,14 @@ class TcpFlags(enum.IntFlag):
     URG = 0x20
 
 
+#: ``TcpFlags(b)`` for every flag byte, so that decoding a segment does
+#: not run the enum constructor.
+_FLAGS_BY_BYTE = tuple(TcpFlags(value) for value in range(256))
+
+#: Plain-int masks: ``&`` on a ``TcpFlags`` runs the enum constructor.
+_SYN, _ACK, _RST = int(TcpFlags.SYN), int(TcpFlags.ACK), int(TcpFlags.RST)
+_SYN_ACK = _SYN | _ACK
+
 _HEADER = struct.Struct("!HHIIBBHHH")
 
 
@@ -40,22 +48,23 @@ class TcpSegment:
     payload: bytes = b""
 
     def __post_init__(self):
-        self.flags = TcpFlags(self.flags)
+        if not isinstance(self.flags, TcpFlags):
+            self.flags = TcpFlags(self.flags)
         for name, port in (("src_port", self.src_port), ("dst_port", self.dst_port)):
             if not 0 <= port <= 0xFFFF:
                 raise ValueError(f"{name} out of range: {port}")
 
     @property
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not (self.flags & TcpFlags.ACK)
+        return int(self.flags) & _SYN_ACK == _SYN
 
     @property
     def is_synack(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and bool(self.flags & TcpFlags.ACK)
+        return int(self.flags) & _SYN_ACK == _SYN_ACK
 
     @property
     def is_rst(self) -> bool:
-        return bool(self.flags & TcpFlags.RST)
+        return bool(int(self.flags) & _RST)
 
     def encode(self, src_ip: str = None, dst_ip: str = None) -> bytes:
         segment = (
@@ -93,7 +102,7 @@ class TcpSegment:
             dst_port=dst_port,
             seq=seq,
             ack=ack,
-            flags=TcpFlags(flags),
+            flags=_FLAGS_BY_BYTE[flags],
             window=window,
             payload=data[header_len:],
         )

@@ -169,7 +169,7 @@ class PortScanner(Node):
         self.retry_backoff = retry_backoff
         self.wait_for_replies = wait_for_replies
         self.silent_target_threshold = silent_target_threshold
-        self._silence_streaks: Dict[str, int] = {}
+        self._silence_streaks: Dict[MacAddress, int] = {}
         obs = get_obs()
         self._obs = obs
         if obs.enabled:
@@ -211,11 +211,11 @@ class PortScanner(Node):
         """False once a target has looked dead for too many ports in a row."""
         if self.max_retries <= 0:
             return False
-        streak = self._silence_streaks.get(str(target.mac), 0)
+        streak = self._silence_streaks.get(target.mac, 0)
         return streak < self.silent_target_threshold
 
     def _note_outcome(self, target: Node, silent: bool) -> None:
-        key = str(target.mac)
+        key = target.mac
         if silent:
             self._silence_streaks[key] = self._silence_streaks.get(key, 0) + 1
         else:

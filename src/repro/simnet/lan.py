@@ -132,14 +132,15 @@ class Lan:
 
     # -- delivery ----------------------------------------------------------------
 
-    def transmit(self, sender: Node, frame_bytes: bytes) -> DecodedPacket:
+    def transmit(self, sender: Node, frame_bytes: bytes) -> None:
         """Put a frame on the air; the fault layer may drop or damage it."""
         injector = self.injector
         if injector is not None and injector.active:
-            return injector.transmit(sender, frame_bytes)
-        return self._deliver(sender, frame_bytes)
+            injector.transmit(sender, frame_bytes)
+        else:
+            self._deliver(sender, frame_bytes)
 
-    def _deliver(self, sender: Node, frame_bytes: bytes) -> DecodedPacket:
+    def _deliver(self, sender: Node, frame_bytes: bytes) -> None:
         """Deliver a frame: capture it at the AP, then fan out to receivers."""
         timestamp = self.simulator.now
         self.capture.observe(timestamp, frame_bytes)
@@ -165,7 +166,6 @@ class Lan:
                 self._frames_delivered_total.inc(protocol=protocol)
             else:
                 self._frames_dropped_total.inc(protocol=protocol)
-        return packet
 
     def _receivers_of(self, sender: Node, packet: DecodedPacket) -> List[Node]:
         dst = packet.frame.dst

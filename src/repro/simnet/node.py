@@ -108,7 +108,7 @@ class Node:
         return self.lan
 
     def send_frame(self, dst_mac, ethertype: int, payload: bytes) -> None:
-        frame = EthernetFrame(MacAddress(dst_mac), self.mac, ethertype, payload)
+        frame = EthernetFrame(dst_mac, self.mac, ethertype, payload)
         self._require_lan().transmit(self, frame.encode())
 
     def send_udp(

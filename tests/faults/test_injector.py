@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import EMPTY_PLAN, FaultInjector, FaultPlan
+from repro.net.ether import EthernetFrame
 from repro.simnet.lan import Lan
 from repro.simnet.node import Node
 from repro.simnet.services import ServiceInfo, ServiceTable
@@ -212,3 +213,37 @@ class TestReceiverFaults:
         assert result is None
         # Only the half-open SYN aired: no handshake, data, or FIN.
         assert lan.capture.packet_count == before + 1
+
+
+class TestDecodeOnce:
+    def test_each_delivery_decodes_its_frame_exactly_once(self, monkeypatch):
+        """Lost, off-air and delayed frames are not decoded on transmit:
+        every decode is the one ``Lan._deliver`` makes for an aired frame."""
+        decoded, delivered = [], []
+        decode = EthernetFrame.decode
+        deliver = Lan._deliver
+
+        def counting_decode(cls, data):
+            decoded.append(data)
+            return decode(data)
+
+        def counting_deliver(lan, sender, frame_bytes):
+            delivered.append(frame_bytes)
+            deliver(lan, sender, frame_bytes)
+
+        # Every decode_frame call starts with EthernetFrame.decode,
+        # whichever module calls it.
+        monkeypatch.setattr(EthernetFrame, "decode", classmethod(counting_decode))
+        monkeypatch.setattr(Lan, "_deliver", counting_deliver)
+        simulator, lan, client, server = _pair()
+        plan = FaultPlan.from_dict({
+            "links": [{"loss": 0.2, "duplicate": 0.1, "truncate": 0.1,
+                       "delay": {"probability": 0.2}}],
+            "flaps": [{"device": "client", "start": 1.0, "duration": 0.5}],
+        })
+        injector = FaultInjector(plan, seed=7).install(lan)
+        _chatter(lan, client, server)
+        for kind in ("loss", "flap_drop_tx", "delay", "duplicate"):
+            assert injector.counts[kind] > 0, (kind, injector.counts)
+        assert decoded == delivered
+        assert len(delivered) == lan.capture.packet_count

@@ -115,6 +115,13 @@ class TestDecodeOnceTelemetry:
         assert len(spans) == 1
         assert spans[0].parent.name == "pipeline.passive_capture"
 
+    def test_classify_span_nests_under_passive(self, observed_run):
+        """The census's label pass is billed to the capture, not the scans."""
+        obs, _ = observed_run
+        spans = obs.tracer.find("capture.classify")
+        assert len(spans) == 1
+        assert spans[0].parent.name == "pipeline.passive_capture"
+
     def test_analysis_spans_nest_under_analysis_stage(self, observed_run):
         obs, _ = observed_run
         stage = obs.tracer.find("pipeline.analysis")[0]

@@ -62,6 +62,52 @@ class TestTcpSynScan:
         assert opens == [] and responded
 
 
+class TestGiveUpPolicy:
+    """Retries stop once a target has been silent on too many ports in a row."""
+
+    PORTS = list(range(1, 21))
+
+    @staticmethod
+    def _ghost(lan, services=()):
+        ghost = lan.attach(Node("ghost", "02:00:00:00:00:78", "192.168.10.78",
+                                services=ServiceTable(services)))
+        ghost.responds_to_tcp_scan = False
+        return ghost
+
+    @staticmethod
+    def _scanner(lan):
+        return lan.attach(PortScanner(max_retries=2, silent_target_threshold=8))
+
+    def test_silent_target_costs_full_attempts_until_the_threshold(self, lan):
+        ghost = self._ghost(lan)
+        scanner = self._scanner(lan)
+        opens, responded = scanner.tcp_syn_scan(ghost, self.PORTS)
+        assert opens == [] and not responded
+        # Eight ports at three attempts each, then one attempt per port.
+        assert scanner.probes_sent == 24 + (len(self.PORTS) - 8)
+        assert scanner.retries_used == 16
+
+    def test_an_answer_resets_the_streak(self, lan):
+        ghost = self._ghost(lan, [ServiceInfo(7, "tcp", "echo")])
+        scanner = self._scanner(lan)
+        opens, responded = scanner.tcp_syn_scan(ghost, self.PORTS)
+        assert opens == [7] and responded
+        # Ports 1-6 silent (3 attempts each), port 7 answers at once,
+        # ports 8-15 silent at 3 attempts each, then one attempt per port.
+        assert scanner.probes_sent == 6 * 3 + 1 + 8 * 3 + (len(self.PORTS) - 15)
+        assert scanner.retries_used == 6 * 2 + 8 * 2
+
+    def test_streaks_are_kept_per_target(self, lan):
+        ghost = self._ghost(lan)
+        other = lan.attach(Node("other", "02:00:00:00:00:79", "192.168.10.79"))
+        other.responds_to_tcp_scan = False
+        scanner = self._scanner(lan)
+        scanner.tcp_syn_scan(ghost, self.PORTS)
+        before = scanner.probes_sent
+        scanner.tcp_syn_scan(other, self.PORTS)
+        assert scanner.probes_sent - before == 24 + (len(self.PORTS) - 8)
+
+
 class TestUdpScan:
     def test_icmp_unreachable_is_response(self, scanned_lan):
         lan, scanner, target = scanned_lan
