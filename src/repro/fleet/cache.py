@@ -8,8 +8,9 @@ or foreign entry simply never matches.
 
 Writes are atomic (temp file + ``os.replace``), so a shard is either
 fully checkpointed or absent; a killed run never leaves a torn entry.
-Corrupt files (truncated by hand, bad JSON) are treated as misses and
-quietly replaced on the next store.  A run killed *mid-write* (SIGKILL,
+Corrupt files (truncated by hand, bad JSON, or a payload the caller's
+``valid`` predicate rejects) are treated as misses and quietly replaced
+on the next store.  A run killed *mid-write* (SIGKILL,
 OOM, watchdog reap) can strand ``.tmp-*`` spool files; opening the
 cache sweeps any older than :data:`STALE_TMP_SECONDS` so an
 interrupt/resume cycle cannot slowly fill the cache dir with litter.
@@ -22,7 +23,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 #: Age (seconds) after which an orphaned ``.tmp-*`` spool file in the
 #: cache directory is deleted on open.  Generous: a live writer holds a
@@ -64,8 +65,13 @@ class ShardCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"shard-{key}.json"
 
-    def load(self, key: str) -> Optional[dict]:
-        """The cached result for ``key``, or ``None`` (counted as miss)."""
+    def load(self, key: str,
+             valid: Optional[Callable[[dict], bool]] = None) -> Optional[dict]:
+        """The cached result for ``key``, or ``None`` (counted as miss).
+
+        An entry that is not a JSON object, or that ``valid`` rejects, is
+        counted as corrupt and as a miss.
+        """
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -77,7 +83,7 @@ class ShardCache:
             self.corrupt += 1
             self.misses += 1
             return None
-        if not isinstance(payload, dict):
+        if not isinstance(payload, dict) or (valid is not None and not valid(payload)):
             self.corrupt += 1
             self.misses += 1
             return None
@@ -90,7 +96,9 @@ class ShardCache:
         fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix=".tmp-shard-", suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+                # ``dumps``, not ``dump``: only ``dumps`` without ``indent``
+                # runs the C encoder.
+                handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

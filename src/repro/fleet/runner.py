@@ -44,6 +44,7 @@ histogram, and — only when supervision acts —
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -63,7 +64,7 @@ from repro.faults.injector import faults_injected_counter
 from repro.faults.plan import FaultPlan
 from repro.fleet.cache import ShardCache
 from repro.fleet.merge import merge_shard_results
-from repro.fleet.shard import run_shard
+from repro.fleet.shard import is_shard_payload, run_shard
 from repro.fleet.spec import FleetSpec, ShardRange, code_version, default_workers, shard_key
 from repro.fleet.supervisor import (
     DEFAULT_RETRY_BACKOFF,
@@ -298,9 +299,10 @@ class FleetRunner:
             return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+                manifest = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
+        return manifest if isinstance(manifest, dict) else None
 
     def _check_resume(self) -> bool:
         """Validate the previous run's manifest; returns True when resuming."""
@@ -346,7 +348,9 @@ class FleetRunner:
                                    suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
+                # Compact, through the C encoder: the manifest is rewritten
+                # after every shard, so its encoding cost grows with the run.
+                handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -499,7 +503,10 @@ class FleetRunner:
             for shard in shards:
                 key = shard_key(self.spec, shard) if self.cache is not None else None
                 keys[shard.index] = key
-                payload = self.cache.load(key) if self.cache is not None else None
+                payload = None
+                if self.cache is not None:
+                    payload = self.cache.load(key, functools.partial(
+                        is_shard_payload, start=shard.start, stop=shard.stop))
                 if payload is not None:
                     results[shard.index] = payload
                     states[shard.index] = ShardState(

@@ -33,17 +33,46 @@ fleet's shard payloads stay byte-identical to earlier builds:
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, List, Optional
 
 from repro.fleet.supervisor import WorkerClaim
 from repro.inspector.entropy import analyze_dataset
-from repro.inspector.generate import build_context, generate_households
+from repro.inspector.generate import GenerationContext, build_context, generate_households
 from repro.inspector.schema import InspectorDataset
 from repro.obs import MetricsRegistry, Observability, ObsSnapshot, Tracer, use_obs
 from repro.obs.events import NULL_EVENT_BUS, open_event_stream
 from repro.obs.logging import NullLogManager
 from repro.obs.profile import NULL_PROFILER, SamplingProfiler, SpanResourceProbe
+
+
+#: The payload keys :func:`~repro.fleet.merge.merge_shard_results` reads.
+_MERGE_KEYS = ("start", "stop", "device_count", "household_device_counts",
+               "vendor_counts", "product_counts", "analysis")
+
+
+def is_shard_payload(payload: object, start: int, stop: int) -> bool:
+    """True when ``payload`` has the shape of :func:`run_shard`'s result
+    for households ``[start, stop)``: a dict holding every key the merge
+    reads.  A cache entry that fails this check is corrupt."""
+    return (isinstance(payload, dict)
+            and all(key in payload for key in _MERGE_KEYS)
+            and payload["start"] == start and payload["stop"] == stop)
+
+
+@functools.lru_cache(maxsize=1)
+def population_context(seed: int, households: int, target_devices: int,
+                       vendor_count: int, product_count: int) -> GenerationContext:
+    """:func:`build_context`, built once per process for the run's spec.
+
+    Every shard of a run passes the same five values, so an inline run
+    builds the context once and each pool worker builds it once.  The
+    context is shared between shards, so nothing may mutate it.
+    """
+    return build_context(seed=seed, households=households,
+                         target_devices=target_devices,
+                         vendor_count=vendor_count, product_count=product_count)
 
 
 class ShardFaultInjected(RuntimeError):
@@ -133,12 +162,12 @@ def run_shard(
                              start=start, stop=stop, phase="generate")
             claim.touch()
             with obs.tracer.span("worker.generate"):
-                context = build_context(
-                    seed=int(spec_dict["seed"]),
-                    households=int(spec_dict["households"]),
-                    target_devices=int(spec_dict["target_devices"]),
-                    vendor_count=int(spec_dict["vendor_count"]),
-                    product_count=int(spec_dict["product_count"]),
+                context = population_context(
+                    int(spec_dict["seed"]),
+                    int(spec_dict["households"]),
+                    int(spec_dict["target_devices"]),
+                    int(spec_dict["vendor_count"]),
+                    int(spec_dict["product_count"]),
                 )
                 households = generate_households(context, start, stop)
                 dataset = InspectorDataset(households=households)

@@ -37,6 +37,8 @@ MAC_BARE_RE = re.compile(r"\b[0-9a-fA-F]{12}\b")
 
 def extract_names(text: str) -> Set[str]:
     """First-name identifiers ("Alex's Room" -> "Alex")."""
+    if "'s" not in text:  # NAME_RE needs this literal; most payloads lack it
+        return set()
     return {match.group(1) for match in NAME_RE.finditer(text)}
 
 
@@ -48,17 +50,25 @@ def extract_macs(text: str, oui: Optional[str] = None, validate_oui: bool = True
     """MAC-address identifiers, OUI-validated to cut false positives.
 
     The §6.3 method compares each candidate with the OUI IoT Inspector
-    collected for the device and filters mismatches.
+    collected for the device and filters mismatches.  A kept candidate,
+    separated or bare, puts the OUI's hex digits into the lower-cased
+    text with ``:`` and ``-`` removed, so a text without them is not
+    scanned.
     """
+    prefix = None
+    if validate_oui and oui is not None:
+        prefix = oui.lower().replace("-", ":")
+        digits = prefix.replace(":", "")
+        if digits not in text.lower().replace(":", "").replace("-", ""):
+            return set()
     candidates: Set[str] = set()
     for match in MAC_SEPARATED_RE.finditer(text):
         candidates.add(match.group(0).lower().replace("-", ":"))
     for match in MAC_BARE_RE.finditer(text):
         raw = match.group(0).lower()
         candidates.add(":".join(raw[i : i + 2] for i in range(0, 12, 2)))
-    if not validate_oui or oui is None:
+    if prefix is None:
         return candidates
-    prefix = oui.lower().replace("-", ":")
     return {mac for mac in candidates if mac.startswith(prefix)}
 
 

@@ -248,21 +248,23 @@ def _build_device(
     oui_map: Dict[str, str],
 ) -> InspectedDevice:
     oui = oui_map[spec.vendor]
-    mac = MacAddress(bytes(int(part, 16) for part in oui.split(":")) + bytes(rng.randrange(256) for _ in range(3)))
+    oui_hex = oui.replace(":", "")
+    mac = MacAddress(bytes.fromhex(oui_hex) + bytes(rng.randrange(256) for _ in range(3)))
+    mac_text = str(mac)
     exposure = spec.exposure.types
     owner = rng.choice(FIRST_NAMES)
     device_uuid = spec.constant_uuid or str(uuid_module.UUID(int=rng.getrandbits(128)))
     if spec.constant_mac_suffix is not None:
-        exposed_mac = str(MacAddress(oui.replace(":", "") + spec.constant_mac_suffix))
+        exposed_mac = str(MacAddress(oui_hex + spec.constant_mac_suffix))
     else:
-        exposed_mac = str(mac)
+        exposed_mac = mac_text
 
     device = InspectedDevice(
-        device_id=hashed_device_id(str(mac), user_salt),
+        device_id=hashed_device_id(mac_text, user_salt),
         oui=oui,
         truth_vendor=spec.vendor,
         truth_category=spec.category,
-        truth_mac=str(mac),
+        truth_mac=mac_text,
     )
     # DHCP hostname: vendor-flavoured, used by the Appendix E labeler.
     device.dhcp_hostname = f"{spec.vendor.lower()}-{spec.category}-{mac.compact()[-4:]}"

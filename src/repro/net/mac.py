@@ -94,7 +94,7 @@ class MacAddress:
         return self._octets.hex()
 
     def __str__(self) -> str:
-        return ":".join(f"{byte:02x}" for byte in self._octets)
+        return self._octets.hex(":")
 
     def __repr__(self) -> str:
         return f"MacAddress({str(self)!r})"

@@ -12,7 +12,9 @@ import enum
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
 from repro.net.guard import guarded_decode
+from repro.net.ipv4 import ipv4_packed
 
 
 class DnsType(enum.IntEnum):
@@ -34,21 +36,22 @@ def encode_name(name: str, compression: Dict[str, int] = None, offset: int = 0) 
     """Encode a dotted name as DNS labels, optionally using compression."""
     if name in ("", "."):
         return b"\x00"
-    labels = name.rstrip(".").split(".")
+    suffix = name.rstrip(".")
     out = bytearray()
-    for index in range(len(labels)):
-        suffix = ".".join(labels[index:])
+    for text in suffix.split("."):
+        # ``suffix`` is this label and every label after it.
         if compression is not None and suffix in compression:
             pointer = compression[suffix]
             out += struct.pack("!H", 0xC000 | pointer)
             return bytes(out)
         if compression is not None and offset + len(out) < 0x3FFF:
             compression[suffix] = offset + len(out)
-        label = labels[index].encode("utf-8")
+        label = text.encode("utf-8")
         if len(label) > 63:
-            raise ValueError(f"DNS label too long: {labels[index]!r}")
+            raise ValueError(f"DNS label too long: {text!r}")
         out.append(len(label))
         out += label
+        suffix = suffix[len(text) + 1:]
     out.append(0)
     return bytes(out)
 
@@ -119,9 +122,7 @@ class DnsRecord:
 
     @classmethod
     def a(cls, name: str, address: str, ttl: int = 120, flush: bool = True) -> "DnsRecord":
-        import ipaddress
-
-        return cls(name, DnsType.A, ipaddress.IPv4Address(address).packed, ttl, cache_flush=flush)
+        return cls(name, DnsType.A, ipv4_packed(address), ttl, cache_flush=flush)
 
     @classmethod
     def aaaa(cls, name: str, address: str, ttl: int = 120, flush: bool = True) -> "DnsRecord":

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.fleet import FleetSpec, ShardCache, run_fleet
-from repro.fleet.runner import MANIFEST_NAME
+from repro.fleet.runner import MANIFEST_NAME, FleetRunner
 
 
 class TestColdWarm:
@@ -63,6 +63,38 @@ class TestRobustness:
         assert result.cache_writes == 1
         assert result.report.to_json() == small_serial_report.to_json()
 
+    @pytest.mark.parametrize("damage", ["empty", "no_analysis", "other_range"])
+    def test_wrong_shape_entry_is_recomputed(self, tmp_path, small_spec,
+                                             small_serial_report, damage):
+        """Valid JSON that is not this shard's payload is corrupt: a miss,
+        recomputed and overwritten, never merged."""
+        first = run_fleet(small_spec, workers=1, cache_dir=tmp_path)
+        cache = ShardCache(tmp_path)
+        victim = cache.path_for(first.shard_states[0].key)
+        if damage == "empty":
+            payload = {}
+        elif damage == "no_analysis":
+            payload = json.loads(victim.read_text(encoding="utf-8"))
+            del payload["analysis"]
+        else:  # shard 1's payload, copied under shard 0's key
+            payload = json.loads(cache.path_for(first.shard_states[1].key)
+                                 .read_text(encoding="utf-8"))
+        victim.write_text(json.dumps(payload), encoding="utf-8")
+
+        runner = FleetRunner(small_spec, workers=1, cache_dir=tmp_path)
+        result = runner.run()
+        shard_count = len(small_spec.shards())
+        assert runner.cache.corrupt == 1
+        assert result.cache_hits == shard_count - 1
+        assert result.cache_misses == 1
+        assert result.cache_writes == 1
+        assert [s.state for s in result.shard_states] == (
+            ["completed"] + ["cached"] * (shard_count - 1))
+        assert result.report.to_json() == small_serial_report.to_json()
+        stored = json.loads(victim.read_text(encoding="utf-8"))
+        assert (stored["start"], stored["stop"]) == (0, 32)
+        assert run_fleet(small_spec, workers=1, cache_dir=tmp_path).cache_hits == shard_count
+
     def test_cache_creates_directory(self, tmp_path, small_spec):
         nested = tmp_path / "a" / "b"
         result = run_fleet(small_spec, workers=1, cache_dir=nested)
@@ -77,6 +109,13 @@ class TestRobustness:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["writes"] == 1
 
+    def test_rejected_payload_is_a_corrupt_miss(self, tmp_path):
+        cache = ShardCache(tmp_path)
+        cache.store("0" * 32, {"x": 1})
+        assert cache.load("0" * 32, valid=lambda payload: "y" in payload) is None
+        assert cache.load("0" * 32, valid=lambda payload: "x" in payload) == {"x": 1}
+        assert cache.stats() == {"hits": 1, "misses": 1, "writes": 1, "corrupt": 1}
+
 
 class TestManifest:
     def test_manifest_records_every_shard(self, tmp_path, small_spec):
@@ -86,6 +125,12 @@ class TestManifest:
         assert len(manifest["shards"]) == len(small_spec.shards())
         assert all(entry["state"] in ("cached", "completed")
                    for entry in manifest["shards"].values())
+
+    def test_manifest_is_compact_json(self, tmp_path, small_spec):
+        run_fleet(small_spec, workers=1, cache_dir=tmp_path)
+        raw = (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8")
+        assert raw == json.dumps(json.loads(raw), sort_keys=True,
+                                 separators=(",", ":"))
 
     def test_no_cache_dir_means_no_manifest_or_stats(self, small_spec):
         result = run_fleet(small_spec, workers=1)

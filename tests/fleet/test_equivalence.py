@@ -1,8 +1,11 @@
 """The fleet's core guarantee: byte-identical to the serial path."""
 
+import pytest
+
 from repro.core.fingerprint import fingerprint_households
 from repro.fleet import FleetSpec, merge_shard_results, run_fleet, run_shard
-from repro.inspector.generate import generate_dataset
+from repro.fleet.shard import population_context
+from repro.inspector.generate import build_context, generate_dataset
 
 
 class TestSerialEquivalence:
@@ -59,3 +62,36 @@ class TestMerge:
         assert payload["start"] == shard.start
         assert payload["stop"] == shard.stop
         assert payload["device_count"] > 0
+
+
+CONTEXT_FIELDS = ("seed", "households", "target_devices", "vendor_count",
+                  "product_count")
+
+
+class TestPopulationContext:
+    def test_fleet_run_builds_the_context_once(self, small_spec, monkeypatch):
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(kwargs)
+            return build_context(**kwargs)
+
+        monkeypatch.setattr("repro.fleet.shard.build_context", counting)
+        population_context.cache_clear()
+        try:
+            result = run_fleet(small_spec, workers=1)
+        finally:
+            population_context.cache_clear()
+        assert result.complete and result.shards_total == 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", CONTEXT_FIELDS)
+    def test_specs_differing_in_one_field_get_different_contexts(
+            self, small_spec, field):
+        base = {name: getattr(small_spec, name) for name in CONTEXT_FIELDS}
+        changed = {**base, field: base[field] - 1}
+        first = population_context(**base)
+        second = population_context(**changed)
+        assert second != first
+        assert second == build_context(**changed)
+        assert population_context(**base) == build_context(**base)

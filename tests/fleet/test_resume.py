@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.fleet import FleetConfigError, FleetSpec, run_fleet
-from repro.fleet.runner import FleetRunner
+from repro.fleet.runner import MANIFEST_NAME, FleetRunner
 
 KILL_MIDDLE = FaultPlan.from_dict({"shards": {"fail": [1]}})
 
@@ -42,6 +42,13 @@ class TestResumeValidation:
             FleetRunner(small_spec, resume=True)
 
     def test_resume_without_manifest_rejected(self, tmp_path, small_spec):
+        with pytest.raises(FleetConfigError, match="no readable manifest"):
+            run_fleet(small_spec, workers=1, cache_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("manifest", ["[]", '"x"', "1"])
+    def test_resume_with_non_object_manifest_rejected(self, tmp_path,
+                                                      small_spec, manifest):
+        (tmp_path / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
         with pytest.raises(FleetConfigError, match="no readable manifest"):
             run_fleet(small_spec, workers=1, cache_dir=tmp_path, resume=True)
 

@@ -1,5 +1,7 @@
 """Unit tests for the MAC address type."""
 
+import random
+
 import pytest
 
 from repro.net.mac import (
@@ -28,6 +30,12 @@ class TestParsing:
 
     def test_from_int(self):
         assert str(MacAddress(0x9C8ECD0A331B)) == "9c:8e:cd:0a:33:1b"
+
+    def test_str_matches_per_byte_format(self):
+        rng = random.Random(48)
+        values = [bytes(6), b"\xff" * 6] + [rng.randbytes(6) for _ in range(5000)]
+        for value in values:
+            assert str(MacAddress(value)) == ":".join(f"{byte:02x}" for byte in value)
 
     def test_from_mac(self):
         original = MacAddress("9c:8e:cd:0a:33:1b")

@@ -1,5 +1,7 @@
 """Unit tests for the DNS wire codec and mDNS helpers."""
 
+import struct
+
 import pytest
 
 from repro.protocols.dns import (
@@ -55,6 +57,72 @@ class TestNameCodec:
     def test_truncated(self):
         with pytest.raises(ValueError):
             decode_name(b"\x05ab", 0)
+
+
+def reference_encode_name(name, compression=None, offset=0):
+    """``encode_name`` as it was: each suffix joined from its labels."""
+    if name in ("", "."):
+        return b"\x00"
+    labels = name.rstrip(".").split(".")
+    out = bytearray()
+    for index in range(len(labels)):
+        suffix = ".".join(labels[index:])
+        if compression is not None and suffix in compression:
+            pointer = compression[suffix]
+            out += struct.pack("!H", 0xC000 | pointer)
+            return bytes(out)
+        if compression is not None and offset + len(out) < 0x3FFF:
+            compression[suffix] = offset + len(out)
+        label = labels[index].encode("utf-8")
+        if len(label) > 63:
+            raise ValueError(f"DNS label too long: {labels[index]!r}")
+        out.append(len(label))
+        out += label
+    out.append(0)
+    return bytes(out)
+
+
+ENCODE_NAMES = [
+    "", ".", "..", "...", "local", "local.", "local..", "device.local",
+    "device.local.", "a..b", ".a", ".a.", "a.b.c.d.e.f", "café.local",
+    "Jordan's Roku Express._roku._tcp.local", "_roku._tcp.local",
+    "x" * 63 + ".local", "x" * 64, "a." + "x" * 64 + ".local",
+    "a.b." + "é" * 32 + ".local",
+]
+
+
+def _encode_outcome(encoder, name, compression, offset):
+    try:
+        return encoder(name, compression, offset), compression
+    except ValueError as error:
+        return str(error), compression
+
+
+class TestEncodeNameReference:
+    """``encode_name`` slices each suffix off the previous one; the
+    bytes, errors and compression entries match the joining original."""
+
+    @pytest.mark.parametrize("offset", [0, 12, 0x3FF0, 0x3FFB, 0x3FFE, 0x3FFF, 0x4000])
+    def test_single_names(self, offset):
+        for name in ENCODE_NAMES:
+            assert (_encode_outcome(encode_name, name, None, offset)
+                    == _encode_outcome(reference_encode_name, name, None, offset))
+            assert (_encode_outcome(encode_name, name, {}, offset)
+                    == _encode_outcome(reference_encode_name, name, {}, offset))
+
+    @pytest.mark.parametrize("start", [0, 0x3FC0, 0x3FF8])
+    def test_shared_compression_table(self, start):
+        ours, theirs = {}, {}
+        offset = start
+        for name in ENCODE_NAMES * 2:
+            mine = _encode_outcome(encode_name, name, ours, offset)
+            assert mine == _encode_outcome(reference_encode_name, name, theirs, offset)
+            if isinstance(mine[0], bytes):
+                offset += len(mine[0])
+
+    def test_label_too_long_message(self):
+        with pytest.raises(ValueError, match=r"DNS label too long: 'x{64}'"):
+            encode_name("a." + "x" * 64 + ".local", {})
 
 
 class TestRecords:

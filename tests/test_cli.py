@@ -275,6 +275,13 @@ class TestFleet:
         assert main(self.ARGS + ["--cache-dir", str(tmp_path), "--resume"]) == 2
         assert "no readable manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", ["[]", '"x"', "1"])
+    def test_resume_with_non_object_manifest_exits_2(self, tmp_path, capsys,
+                                                     manifest):
+        (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8")
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path), "--resume"]) == 2
+        assert "no readable manifest" in capsys.readouterr().err
+
     def test_resume_without_cache_dir_exits_2(self, capsys):
         assert main(self.ARGS + ["--resume"]) == 2
         assert "cache" in capsys.readouterr().err
