@@ -5,10 +5,10 @@ directly: how many packets/second the store sustains on a cold
 ingest+index scan (the primary ``packets_per_second`` metric — what the
 pipeline pays before analyses start), on a raw columnar ingest
 (``columnar_packets_per_second``), and when the backlog materializes to
-full ``DecodedPacket`` objects serially, via the thread pool in
-order-preserving chunks, or from the memoized cache.  Timings land in
-``STAGE_TIMINGS`` (attached to the bench JSON under ``stage_timings``)
-so the decode trajectory is tracked next to the pipeline stages.
+full ``DecodedPacket`` objects or is served from the memoized cache.
+Timings land in ``STAGE_TIMINGS`` (attached to the bench JSON under
+``stage_timings``) so the decode trajectory is tracked next to the
+pipeline stages.
 
 Also runnable standalone as the CI perf smoke::
 
@@ -16,8 +16,8 @@ Also runnable standalone as the CI perf smoke::
     PYTHONPATH=src python benchmarks/bench_decode_throughput.py --smoke --profile
 
 which builds a small capture, checks that the cached path is not slower
-than the cold path and that parallel chunking is byte-identical to the
-serial decode, and prints the numbers as JSON.  ``--profile`` adds the
+than the cold path and that the columnar index agrees with an eager
+per-packet decode, and prints the numbers as JSON.  ``--profile`` adds the
 profiler overhead gate: the same decode with a
 :class:`repro.obs.profile.SamplingProfiler` running must stay within
 :data:`DEFAULT_PROFILE_OVERHEAD_MAX` (override via
@@ -30,10 +30,6 @@ from __future__ import annotations
 import time
 
 from repro.simnet.capture import ApCapture
-
-#: Force-parallel knobs used by the chunked measurements: threshold 1
-#: always takes the pool path, modest chunks exercise the chunking.
-PARALLEL_KWARGS = dict(parallel_threshold=1, decode_chunk_size=2048)
 
 
 def _feed(capture: ApCapture, records) -> ApCapture:
@@ -55,29 +51,13 @@ def bench_decode_serial_cold(benchmark, lab_run, stage_timings):
     records = list(testbed.lan.capture.records)
 
     def cold():
-        return _feed(ApCapture(parallel_threshold=0), records).decoded()
+        return _feed(ApCapture(), records).decoded()
 
     started = time.perf_counter()
     packets = benchmark.pedantic(cold, rounds=1, iterations=1)
     stage_timings["decode_serial_cold"] = time.perf_counter() - started
     print(f"\nserial cold: {len(packets)} packets")
     assert len(packets) == len(records)
-
-
-def bench_decode_parallel_cold(benchmark, lab_run, stage_timings):
-    """Cold chunked-parallel decode; must reproduce capture order."""
-    testbed, packets_ref, _ = lab_run
-    records = list(testbed.lan.capture.records)
-
-    def cold():
-        return _feed(ApCapture(**PARALLEL_KWARGS), records).decoded()
-
-    started = time.perf_counter()
-    packets = benchmark.pedantic(cold, rounds=1, iterations=1)
-    stage_timings["decode_parallel_cold"] = time.perf_counter() - started
-    assert len(packets) == len(records)
-    # Order preservation: chunk concatenation is the capture order.
-    assert [p.timestamp for p in packets] == [p.timestamp for p in packets_ref]
 
 
 def bench_decode_cached(benchmark, lab_run, stage_timings):
@@ -98,7 +78,7 @@ def bench_columnar_index_cold(benchmark, lab_run, stage_timings):
     records = list(testbed.lan.capture.records)
 
     def cold():
-        return _feed(ApCapture(parallel_threshold=0), records).index()
+        return _feed(ApCapture(), records).index()
 
     started = time.perf_counter()
     index = benchmark.pedantic(cold, rounds=1, iterations=1)
@@ -125,9 +105,8 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
     Measures the tentpole legs — cold columnar ingest+index scan (the
     ``packets_per_second`` primary metric), raw columnar ingest
     (``columnar_packets_per_second``), full materialization, cached
-    re-read, parallel materialization — and gates the invariants: the
-    cached path returns the identical list, parallel chunking preserves
-    capture order, and the columnar index is equivalent to an eager
+    re-read — and gates the invariants: the cached path returns the
+    identical list, and the columnar index is equivalent to an eager
     per-packet decode.  Returns the measured numbers; raises
     ``SystemExit`` on regression.
     """
@@ -147,7 +126,7 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
 
     # The primary metric: cold ingest + zero-copy index build — what the
     # pipeline actually pays before the analyses start scanning.
-    cold_capture = _feed(ApCapture(parallel_threshold=0), records)
+    cold_capture = _feed(ApCapture(), records)
     started = time.perf_counter()
     cold_index = cold_capture.index()
     cold_seconds = time.perf_counter() - started
@@ -159,11 +138,6 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
     started = time.perf_counter()
     cached_packets = cold_capture.decoded()
     cached_seconds = time.perf_counter() - started
-
-    parallel_capture = _feed(ApCapture(**PARALLEL_KWARGS), records)
-    started = time.perf_counter()
-    parallel_packets = parallel_capture.decoded()
-    parallel_seconds = time.perf_counter() - started
 
     # Equivalence gate: the columnar fast path must agree with an eager
     # per-packet decode, bucket for bucket.
@@ -186,22 +160,15 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
         "cold_seconds": cold_seconds,
         "materialize_seconds": materialize_seconds,
         "cached_seconds": cached_seconds,
-        "parallel_seconds": parallel_seconds,
         "cold_pps": len(records) / cold_seconds if cold_seconds else None,
         "columnar_pps": (
             len(records) / columnar_seconds if columnar_seconds else None
         ),
         "cached_not_slower": cached_seconds <= cold_seconds,
-        "parallel_order_ok": (
-            [p.timestamp for p in parallel_packets]
-            == [p.timestamp for p in cold_packets]
-        ),
         "equivalence_ok": equivalence_ok,
     }
     if cached_packets is not cold_packets:
         raise SystemExit("decode cache returned a different object on re-read")
-    if not results["parallel_order_ok"]:
-        raise SystemExit("parallel chunked decode broke capture order")
     if not results["equivalence_ok"]:
         raise SystemExit(
             "columnar index diverged from the eager per-packet decode")
@@ -243,7 +210,7 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
     records = list(testbed.lan.capture.records)
 
     def decode_once():
-        return _feed(ApCapture(parallel_threshold=0), records).decoded()
+        return _feed(ApCapture(), records).decoded()
 
     profiler = SamplingProfiler()
     obs = enable_observability(profiler=profiler)

@@ -8,11 +8,9 @@ sample of the app dataset on the instrumented phone, and produces a
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import traceback as _traceback
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -44,13 +42,6 @@ from repro.obs import NULL_OBS, Observability, use_obs
 from repro.honeypot.farm import HoneypotFarm
 from repro.scan.portscan import PortScanner, ScanReport
 from repro.scan.vulnscan import VulnerabilityScanner
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 @dataclass
@@ -274,30 +265,25 @@ class StudyPipeline:
             out["profile"] = profile
         return out
 
-    # -- the analysis fan-out -----------------------------------------------------------
+    # -- the analysis stage ------------------------------------------------------------
 
     def _run_analyses(
         self,
         index: CaptureIndex,
         maps: Dict[str, Dict[str, str]],
         findings,
-        parent_span,
     ) -> Tuple[Dict[str, object], List[AnalysisFailure]]:
-        """Build the six independent capture analyses, concurrently.
+        """Build the six independent capture analyses, one after another.
 
-        Each analysis reads the shared (immutable once labelled)
-        :class:`CaptureIndex`, so they are embarrassingly parallel; set
-        ``REPRO_ANALYSIS_PARALLEL=0`` to force the serial path.  Every
-        analysis runs in its own ``analysis.<name>`` span, attached to
-        the analysis stage span via ``_parent`` so worker-thread spans
-        nest correctly.  All metric writes stay on the main thread.
+        Every analysis reads the shared :class:`CaptureIndex` (and its
+        memoized labels) inside its own ``analysis.<name>`` span, which
+        nests under the open ``pipeline.analysis`` stage span.
 
-        A raising analysis no longer abandons its siblings: every task
+        A raising analysis does not abandon its siblings: every task
         runs to completion, failures come back as
         :class:`AnalysisFailure` entries with the failed slot ``None``.
         In fail-fast mode (``keep_going=False``) the first failure is
-        re-raised — after the siblings finished, so no work is torn
-        down mid-flight.
+        re-raised once the siblings have finished.
         """
         obs = self.obs
         tasks: Dict[str, Callable[[], object]] = {
@@ -311,49 +297,16 @@ class StudyPipeline:
             "threat": lambda: build_threat_report(index, maps["macs"], findings),
         }
 
-        def run_one(name: str, task: Callable[[], object]) -> object:
-            with obs.tracer.span(f"analysis.{name}", _parent=parent_span,
-                                 analysis=name):
-                return task()
-
         results: Dict[str, object] = {}
         failures: List[AnalysisFailure] = []
         errors: Dict[str, BaseException] = {}
-
-        if not _env_flag("REPRO_ANALYSIS_PARALLEL", True):
-            for name, task in tasks.items():
-                try:
-                    results[name] = run_one(name, task)
-                except Exception as exc:  # noqa: BLE001 - isolated below
-                    results[name] = None
-                    errors[name] = exc
-        else:
-            # Classify (and assemble flows) once on the main thread so
-            # the workers only read the memoized columns.
-            index.ensure_labels()
-            workers = max(1, min(len(tasks), os.cpu_count() or 1))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    name: pool.submit(run_one, name, task)
-                    for name, task in tasks.items()
-                }
-                for name, future in futures.items():
-                    try:
-                        results[name] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - isolated below
-                        results[name] = None
-                        errors[name] = exc
-                    else:
-                        if obs.enabled:
-                            obs.metrics.counter(
-                                "pipeline_analysis_tasks_total",
-                                "capture analyses completed by the fan-out pool",
-                            ).inc(analysis=name)
-            if obs.enabled:
-                obs.metrics.gauge(
-                    "pipeline_analysis_pool_workers",
-                    "thread-pool width of the analysis fan-out",
-                ).set(workers)
+        for name, task in tasks.items():
+            try:
+                with obs.tracer.span(f"analysis.{name}", analysis=name):
+                    results[name] = task()
+            except Exception as exc:  # noqa: BLE001 - isolated below
+                results[name] = None
+                errors[name] = exc
 
         for name, exc in errors.items():
             failures.append(AnalysisFailure(
@@ -463,9 +416,8 @@ class StudyPipeline:
                 self._count_artifact("vuln_findings", len(findings))
 
             with ExitStack() as stack:
-                analysis_span = self._stage(stack, "analysis")
-                analyses, failures = self._run_analyses(
-                    index, maps, findings, analysis_span)
+                self._stage(stack, "analysis")
+                analyses, failures = self._run_analyses(index, maps, findings)
                 report = StudyReport(
                     census=census,
                     device_graph=analyses["device_graph"],

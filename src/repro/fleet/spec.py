@@ -102,7 +102,11 @@ class FleetSpec:
 
 
 #: Modules whose source participates in the cache-key code version:
-#: anything that changes the bytes a shard produces.
+#: anything that changes the bytes a shard produces.  That is the
+#: generator, the analysis, the shard and merge code, and everything
+#: inside ``repro`` they import (the codecs the generator encodes
+#: discovery responses with); ``tests/fleet/test_spec.py`` recomputes
+#: that import closure and fails when a module is missing here.
 _VERSIONED_MODULES = (
     "repro.inspector.generate",
     "repro.inspector.entropy",
@@ -110,6 +114,14 @@ _VERSIONED_MODULES = (
     "repro.core.fingerprint",
     "repro.fleet.shard",
     "repro.fleet.merge",
+    "repro.fleet.spec",
+    "repro.net.guard",
+    "repro.net.ipv4",
+    "repro.net.ipv6",
+    "repro.net.mac",
+    "repro.protocols.dns",
+    "repro.protocols.mdns",
+    "repro.protocols.ssdp",
 )
 
 _code_version: Optional[str] = None

@@ -214,10 +214,9 @@ def decode_frame(
 def decode_records(records, errors: Optional[DecodeErrorLog] = None) -> "list[DecodedPacket]":
     """Decode an ordered batch of ``(timestamp, frame_bytes)`` records.
 
-    This is the unit of work the capture layer hands to worker threads
-    when a large backlog is decoded in parallel chunks; decoding is pure
-    (the shared ``errors`` quarantine log is internally locked), so
-    chunk results concatenate back into capture order.
+    The eager per-packet reference decode: one ``DecodedPacket`` per
+    record, in record order, with malformed frames quarantined into
+    ``errors``.
     """
     return [decode_frame(data, timestamp, errors) for timestamp, data in records]
 

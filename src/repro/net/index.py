@@ -209,7 +209,6 @@ class CaptureIndex:
         self.by_protocol: Dict[str, RowIdView] = {}
         self._classifier = classifier
         self._flows: Optional[FlowTable] = None
-        self._packets: Optional[List[DecodedPacket]] = None
         self._labels: List = [_UNSET] * n
 
         flags_col = table.flags
@@ -276,18 +275,6 @@ class CaptureIndex:
     def __len__(self) -> int:
         return self._row_count
 
-    # -- materialized packets (back-compat) -----------------------------------------
-
-    @property
-    def packets(self) -> List[DecodedPacket]:
-        """Every packet as a full ``DecodedPacket`` (materialized once).
-
-        Raw-list consumers only; the analyses read columns instead.
-        """
-        if self._packets is None:
-            self._packets = self.table.packets()
-        return self._packets
-
     # -- classification (memoized) --------------------------------------------------
 
     @property
@@ -310,24 +297,16 @@ class CaptureIndex:
             return classifier.classify_packet(self.table.packet(rid))
         label = self._labels[rid]
         if label is _UNSET:
-            # Classification is pure, so a concurrent duplicate compute
-            # writes the same value — benign under the GIL.
             label = self._labels[rid] = self.classifier.classify_packet(
                 self.table.packet(rid))
         return label
 
-    def label_of(self, row: PacketRow, classifier=None):
-        """The corrected-classifier label of one row, computed once."""
-        if classifier is not None and classifier is not self._classifier:
-            return classifier.classify_packet(row.packet)
-        return self.label_at(row.rid)
-
     def ensure_labels(self) -> None:
-        """Classify every row eagerly (one pass, main thread).
+        """Classify every row not labelled yet, in one pass.
 
-        ``StudyPipeline`` calls this before fanning analyses out to a
-        thread pool so workers read memoized labels instead of racing
-        to compute them.
+        The analyses never need this — :meth:`label_at` fills the memo
+        for exactly the rows they read — so it is for callers that want
+        every label up front.
         """
         classify = self.classifier.classify_packet
         labels = self._labels
@@ -346,11 +325,6 @@ class CaptureIndex:
         return self._flows
 
     # -- convenience queries ----------------------------------------------------------
-
-    def rows_from(self, mac: str) -> Union[RowIdView, List[PacketRow]]:
-        """Chronological rows whose source MAC is ``mac`` (string form)."""
-        view = self.by_src_mac.get(mac)
-        return [] if view is None else view
 
     def protocol_counts(self) -> Dict[str, int]:
         """Packet counts per quick-protocol tag (telemetry/benchmarks)."""

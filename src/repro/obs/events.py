@@ -94,8 +94,7 @@ def process_stats() -> Dict[str, float]:
 class EventBus:
     """Emits schema-versioned progress records to a sink + subscribers.
 
-    Thread-safe: the fleet's completion callbacks and the pipeline's
-    analysis fan-out may emit concurrently; ``seq`` is totally ordered
+    Thread-safe: whichever thread emits, ``seq`` is totally ordered
     and each NDJSON line is written atomically under the bus lock.
     """
 

@@ -101,11 +101,12 @@ class Span:
 class Tracer:
     """Records a forest of spans; one instance per observed run.
 
-    Thread-aware: the open-span stack is thread-local, so concurrent
-    workers (e.g. ``StudyPipeline``'s analysis fan-out) can each open
-    spans without corrupting one another's nesting.  A worker span nests
-    under a span owned by another thread by passing it explicitly as
-    ``_parent``.
+    Thread-aware: each thread has its own open-span stack, so spans
+    opened on different threads never nest under one another, and the
+    sampling profiler reads any thread's innermost span
+    (:meth:`active_span_name`).  A span nests under one that is not the
+    innermost open span — the fleet's per-shard spans under
+    ``fleet.run`` — by passing that span explicitly as ``_parent``.
     """
 
     enabled = True
@@ -169,8 +170,8 @@ class Tracer:
              **attrs: object) -> Iterator[Span]:
         """Open a span nested under the calling thread's current span.
 
-        ``_parent`` overrides the implicit nesting — used by worker
-        threads to attach their spans under a coordinator-owned span.
+        ``_parent`` overrides the implicit nesting, attaching the span
+        under a given span instead of the innermost open one.
         """
         parent = _parent if _parent is not None else self.current
         record = Span(name, dict(attrs), parent, self._sim_now(), self._wall_clock())

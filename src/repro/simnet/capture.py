@@ -16,17 +16,12 @@ returns the memoized list of fully materialized packets for raw-list
 consumers, extending incrementally as new frames are observed and
 invalidating on :meth:`ApCapture.clear`; ``per_mac``/``packets_of``
 read the table's columns and reuse the same materialized objects.
-Large materialization backlogs fan out over a thread pool in
-order-preserving chunks — except on small machines, where the pool is
-a measured pessimization and auto-disables (see ``docs/performance.md``
-for thresholds and env knobs).
+Materialization is one serial pass over the backlog.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -36,28 +31,6 @@ from repro.net.index import CaptureIndex
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapWriter
 from repro.obs import get_obs
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-#: Backlogs below the threshold materialize serially — thread-pool
-#: dispatch has a fixed cost that small test captures should never pay.
-DEFAULT_PARALLEL_THRESHOLD = 50_000
-#: Records per worker-chunk when materializing in parallel.
-DEFAULT_DECODE_CHUNK = 8_192
-#: With this many CPUs or fewer, the thread pool cannot win: chunk
-#: dispatch overhead on top of GIL-serialized decode makes the parallel
-#: path strictly slower (seed BENCH_decode.json shows it).  Unless the
-#: caller opted in explicitly, such machines decode serially.
-MIN_PARALLEL_CPUS = 3
 
 
 class RecordsView(Sequence):
@@ -102,36 +75,8 @@ class RecordsView(Sequence):
 class ApCapture:
     """Collects every frame crossing the AP, with per-MAC indexing."""
 
-    def __init__(
-        self,
-        keep_bytes: bool = True,
-        parallel_threshold: Optional[int] = None,
-        decode_chunk_size: Optional[int] = None,
-        decode_workers: Optional[int] = None,
-    ):
+    def __init__(self, keep_bytes: bool = True):
         self.keep_bytes = keep_bytes
-        #: True when the caller (ctor arg or env) chose the parallel
-        #: threshold explicitly — the small-machine auto-disable only
-        #: applies to the built-in default.
-        self._parallel_explicit = (
-            parallel_threshold is not None
-            or "REPRO_DECODE_PARALLEL_THRESHOLD" in os.environ
-        )
-        #: Minimum materialization backlog before the thread pool is used.
-        self.parallel_threshold = (
-            parallel_threshold if parallel_threshold is not None
-            else _env_int("REPRO_DECODE_PARALLEL_THRESHOLD", DEFAULT_PARALLEL_THRESHOLD)
-        )
-        #: Records per chunk when materializing in parallel.
-        self.decode_chunk_size = (
-            decode_chunk_size if decode_chunk_size is not None
-            else _env_int("REPRO_DECODE_CHUNK", DEFAULT_DECODE_CHUNK)
-        )
-        #: Worker count for parallel materialization; 0 means ``os.cpu_count()``.
-        self.decode_workers = (
-            decode_workers if decode_workers is not None
-            else _env_int("REPRO_DECODE_WORKERS", 0)
-        )
         self._records: List[Tuple[float, bytes]] = []
         self._table = PacketTable()
         self._decoded: List[DecodedPacket] = []
@@ -166,12 +111,6 @@ class ApCapture:
             self._decode_quarantined_total = metrics.counter(
                 "decode_quarantined_total",
                 "malformed frames quarantined by the decode layer, per reason")
-            self._decode_pool_workers = metrics.gauge(
-                "decode_pool_workers",
-                "thread-pool width of the most recent parallel decode")
-            self._decode_parallel_disabled = metrics.counter(
-                "decode_parallel_disabled_total",
-                "parallel decode auto-disabled on a small machine")
 
     def observe(self, timestamp: float, frame_bytes: bytes) -> None:
         self.packet_count += 1
@@ -232,48 +171,13 @@ class ApCapture:
         cached = self._decoded_upto
         total = len(table)
         if cached < total:
-            self._decoded.extend(self._materialize_backlog(table, cached, total))
+            self._decoded.extend(map(table.packet, range(cached, total)))
             self._decoded_upto = total
+            if self._obs.enabled:
+                self._decode_chunks_total.inc(mode="serial")
         if self._obs.enabled and cached:
             self._decode_cache_hits.inc(cached)
         return self._decoded
-
-    def _materialize_backlog(self, table: PacketTable,
-                             start: int, stop: int) -> List[DecodedPacket]:
-        """Materialize rows ``[start, stop)`` serially or in parallel chunks."""
-        count = stop - start
-        threshold = self.parallel_threshold
-        use_pool = 0 < threshold <= count
-        if (use_pool and not self._parallel_explicit
-                and (os.cpu_count() or 1) < MIN_PARALLEL_CPUS):
-            use_pool = False
-            if self._obs.enabled:
-                self._decode_parallel_disabled.inc()
-        if not use_pool:
-            if self._obs.enabled:
-                self._decode_chunks_total.inc(mode="serial")
-            packet = table.packet
-            return [packet(rid) for rid in range(start, stop)]
-        chunk_size = max(1, self.decode_chunk_size)
-        chunks = [range(i, min(i + chunk_size, stop))
-                  for i in range(start, stop, chunk_size)]
-        workers = self.decode_workers or os.cpu_count() or 1
-        workers = max(1, min(workers, len(chunks)))
-
-        def materialize_chunk(rids) -> List[DecodedPacket]:
-            packet = table.packet
-            return [packet(rid) for rid in rids]
-
-        out: List[DecodedPacket] = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Executor.map preserves submission order, so the
-            # concatenation below reproduces capture order exactly.
-            for part in pool.map(materialize_chunk, chunks):
-                out.extend(part)
-        if self._obs.enabled:
-            self._decode_chunks_total.inc(len(chunks), mode="parallel")
-            self._decode_pool_workers.set(workers)
-        return out
 
     def index(self) -> CaptureIndex:
         """The capture's :class:`CaptureIndex`, built once per snapshot.

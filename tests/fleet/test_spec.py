@@ -1,9 +1,55 @@
 """Shard planning, content-address keys, and spec validation."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.fleet import FleetSpec, ShardRange, code_version, shard_key
-from repro.fleet.spec import default_shard_size, default_workers
+from repro.fleet.spec import _VERSIONED_MODULES, default_shard_size, default_workers
+
+#: The modules that compute a shard's bytes; everything they import
+#: shapes those bytes too.
+SHARD_ROOTS = (
+    "repro.inspector.generate",
+    "repro.inspector.entropy",
+    "repro.inspector.schema",
+    "repro.core.fingerprint",
+    "repro.fleet.merge",
+)
+
+
+def _source_of(module):
+    """The source file of a ``repro`` module or package, or ``None``."""
+    path = Path(repro.__file__).parent.joinpath(*module.split(".")[1:])
+    for candidate in (path / "__init__.py", path.with_suffix(".py")):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _repro_imports(module):
+    """Every ``repro`` module named by an import anywhere in ``module``."""
+    names = set()
+    for node in ast.walk(ast.parse(_source_of(module).read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in names
+            if name.startswith("repro.") and _source_of(name) is not None}
+
+
+def import_closure(roots):
+    seen, pending = set(), list(roots)
+    while pending:
+        module = pending.pop()
+        if module not in seen:
+            seen.add(module)
+            pending.extend(_repro_imports(module))
+    return seen
 
 
 class TestShardPlanning:
@@ -63,6 +109,13 @@ class TestShardKey:
         version = code_version()
         assert version == code_version()
         int(version, 16)  # hex digest
+
+    def test_code_version_covers_the_generator_import_closure(self):
+        """An edit to any module a shard's bytes come from (a codec the
+        generator encodes with, say) must change the cache key."""
+        closure = import_closure(SHARD_ROOTS)
+        assert {"repro.protocols.dns", "repro.net.mac"} <= closure
+        assert sorted(closure - set(_VERSIONED_MODULES)) == []
 
 
 class TestEnvKnobs:

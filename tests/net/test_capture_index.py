@@ -89,20 +89,14 @@ class TestBuckets:
         assert rebuilt is not index
         assert len(rebuilt) == len(index) == len(packets)
 
-    def test_rows_from(self, indexed_capture):
-        _, _, index = indexed_capture
-        some_mac = next(iter(index.by_src_mac))
-        assert index.rows_from(some_mac) == index.by_src_mac[some_mac]
-        assert index.rows_from("ff:ff:ff:ff:ff:fe") == []
-
 
 class TestLabels:
     def test_labels_memoized_and_match_fresh_classifier(self, indexed_capture):
         _, _, index = indexed_capture
         fresh = CorrectedClassifier()
         for row in index.rows[:300]:
-            first = index.label_of(row)
-            assert index.label_of(row) is first  # memo hit
+            first = index.label_at(row.rid)
+            assert index.label_at(row.rid) is first  # memo hit
             assert first == fresh.classify_packet(row.packet)
 
     def test_custom_classifier_bypasses_memo(self, indexed_capture):
@@ -113,17 +107,17 @@ class TestLabels:
                 return "SENTINEL"
 
         row = index.rows[0]
-        baseline = index.label_of(row)
-        assert index.label_of(row, Sentinel()) == "SENTINEL"
+        baseline = index.label_at(row.rid)
+        assert index.label_at(row.rid, Sentinel()) == "SENTINEL"
         # The memoized default label is untouched.
-        assert index.label_of(row) == baseline
+        assert index.label_at(row.rid) == baseline
 
     def test_ensure_labels_fills_every_row(self, indexed_capture):
         _, _, index = indexed_capture
         index.ensure_labels()
         fresh = CorrectedClassifier()
         for row in index.rows:
-            assert index.label_of(row) == fresh.classify_packet(row.packet)
+            assert index.label_at(row.rid) == fresh.classify_packet(row.packet)
 
     def test_flows_lazy_and_equivalent(self, indexed_capture):
         _, packets, index = indexed_capture

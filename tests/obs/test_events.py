@@ -86,8 +86,8 @@ class TestEventBus:
 
 
 class TestEventBusConcurrency:
-    """The bus under concurrent emitters: the fleet's completion
-    callbacks and the pipeline's analysis fan-out share one bus."""
+    """The bus under concurrent emitters: ``seq`` stays gapless and
+    every line whole, whichever thread emits."""
 
     THREADS = 8
     PER_THREAD = 50

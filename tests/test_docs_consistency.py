@@ -1,4 +1,4 @@
-"""Docs-consistency gate: CLI coverage + markdown link integrity.
+"""Docs-consistency gate: CLI and env var coverage, markdown links.
 
 Thin wrapper over ``tools/check_docs.py`` so the gate runs inside the
 normal test suite as well as standalone in CI.
@@ -18,6 +18,10 @@ spec.loader.exec_module(check_docs)
 
 def test_every_cli_flag_is_documented():
     assert check_docs.check_cli_docs() == []
+
+
+def test_env_table_matches_the_code():
+    assert check_docs.check_env_docs() == []
 
 
 def test_every_markdown_link_resolves():
@@ -46,6 +50,33 @@ def test_checker_reports_undocumented_flags(monkeypatch):
     monkeypatch.setattr(check_docs, "CLI_DOC", FakeDoc())
     issues = check_docs.check_cli_docs()
     assert any("--cache-dir" in issue for issue in issues)
+
+
+def test_env_check_reports_stale_and_missing_rows(monkeypatch):
+    """The env gate must bite both ways: a row for a variable no code
+    uses, and a used variable whose row is gone."""
+    text = check_docs.CLI_DOC.read_text(encoding="utf-8")
+    row = "| `REPRO_HEARTBEAT_SECONDS` |"
+    assert row in text
+    edited = text.replace(row, "| `REPRO_NOT_A_KNOB` | `0` | x | y |\n"
+                          + "| `REPRO_HEARTBEAT_SECOND` |")
+
+    class FakeDoc:
+        def exists(self):
+            return True
+
+        def read_text(self, encoding=None):
+            return edited
+
+        def relative_to(self, root):
+            return Path("docs/cli.md")
+
+    monkeypatch.setattr(check_docs, "CLI_DOC", FakeDoc())
+    issues = check_docs.check_env_docs()
+    assert len(issues) == 3
+    assert any("row REPRO_NOT_A_KNOB names" in issue for issue in issues)
+    assert any("row REPRO_HEARTBEAT_SECOND names" in issue for issue in issues)
+    assert any("REPRO_HEARTBEAT_SECONDS appears" in issue for issue in issues)
 
 
 def test_readme_index_check_reports_unlinked_pages(monkeypatch):

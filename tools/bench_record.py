@@ -66,16 +66,12 @@ def _run_decode(options) -> dict:
         "packets_per_second": packets / results["cold_seconds"],
         "cold_seconds": results["cold_seconds"],
         "cached_seconds": results["cached_seconds"],
-        "parallel_seconds": results["parallel_seconds"],
         "columnar_seconds": results["columnar_seconds"],
         "materialize_seconds": results["materialize_seconds"],
     }
     if results["columnar_seconds"] > 0:
         metrics["columnar_packets_per_second"] = (
             packets / results["columnar_seconds"])
-    if results["parallel_seconds"] > 0:
-        metrics["parallel_packets_per_second"] = (
-            packets / results["parallel_seconds"])
     return metrics
 
 

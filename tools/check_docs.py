@@ -1,13 +1,17 @@
 """Docs-consistency checker (the CI `docs-check` gate).
 
-Three properties keep the documentation honest:
+Four properties keep the documentation honest:
 
 1. **CLI coverage** — every subcommand `build_parser()` registers, and
    every option string of every subcommand, appears literally in
    ``docs/cli.md``.  Adding a flag without documenting it fails CI.
-2. **Link integrity** — every relative markdown link in ``README.md``
+2. **Env var coverage** — the environment-variable table in
+   ``docs/cli.md`` lists exactly the ``REPRO_``-prefixed names that
+   appear in the Python sources under ``src/``, ``benchmarks/`` and
+   ``tools/``: a new knob needs a row, and a deleted knob loses its row.
+3. **Link integrity** — every relative markdown link in ``README.md``
    and ``docs/*.md`` resolves to an existing file (anchors stripped).
-3. **README index coverage** — every ``docs/*.md`` page is a resolved
+4. **README index coverage** — every ``docs/*.md`` page is a resolved
    link target somewhere in ``README.md``, so a new docs page cannot
    land without an entry in the README docs index.
 
@@ -33,8 +37,13 @@ DOCS_DIR = REPO_ROOT / "docs"
 
 #: Markdown docs whose relative links must resolve.
 LINKED_DOCS = ("README.md", "docs/*.md")
+#: Source trees whose env var names the docs/cli.md table must list.
+ENV_SOURCE_DIRS = ("src", "benchmarks", "tools")
+ENV_SECTION = "## Environment variables"
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]+")
+_ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`", re.MULTILINE)
 
 
 def _subcommand_parsers(parser: argparse.ArgumentParser):
@@ -74,6 +83,30 @@ def check_cli_docs() -> List[str]:
                 issues.append(
                     f"{doc}: 'repro {name}' positional '{action.dest}' "
                     "is undocumented")
+    return issues
+
+
+def check_env_docs() -> List[str]:
+    """docs/cli.md's env table lists exactly the env names the code uses."""
+    doc = CLI_DOC.relative_to(REPO_ROOT)
+    if not CLI_DOC.exists():
+        return [f"{doc}: missing"]
+    text = CLI_DOC.read_text(encoding="utf-8")
+    if ENV_SECTION not in text:
+        return [f"{doc}: no '{ENV_SECTION}' section"]
+    section = text.split(ENV_SECTION, 1)[1].split("\n## ", 1)[0]
+    documented = set(_ENV_ROW_RE.findall(section))
+    used = set()
+    for top in ENV_SOURCE_DIRS:
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            used.update(_ENV_NAME_RE.findall(path.read_text(encoding="utf-8")))
+    where = "/, ".join(ENV_SOURCE_DIRS) + "/"
+    issues = [f"{doc}: env var {name} appears under {where} but has no "
+              "row in the environment table"
+              for name in sorted(used - documented)]
+    issues += [f"{doc}: environment table row {name} names a variable "
+               f"that appears nowhere under {where}"
+               for name in sorted(documented - used)]
     return issues
 
 
@@ -122,7 +155,8 @@ def check_readme_doc_index() -> List[str]:
 
 
 def run_checks() -> List[str]:
-    return check_cli_docs() + check_links() + check_readme_doc_index()
+    return (check_cli_docs() + check_env_docs() + check_links()
+            + check_readme_doc_index())
 
 
 def main() -> int:
@@ -132,8 +166,8 @@ def main() -> int:
     if issues:
         print(f"docs-check: {len(issues)} issue(s)", file=sys.stderr)
         return 1
-    print("docs-check: CLI coverage, link integrity, and README "
-          "docs index OK")
+    print("docs-check: CLI coverage, env var coverage, link integrity, "
+          "and README docs index OK")
     return 0
 
 
