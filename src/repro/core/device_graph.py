@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.classify.labels import DISCOVERY_LABELS, Label
-from repro.classify.rules import CorrectedClassifier
 from repro.net.columnar import F_UDP, TRANSPORT_UDP
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
@@ -73,23 +72,17 @@ class DeviceGraph:
         }
 
 
-def build_device_graph(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
-    device_macs: Dict[str, str],
-    device_vendor: Dict[str, str],
-    classifier: Optional[CorrectedClassifier] = None,
-) -> DeviceGraph:
-    """Build the Fig. 1 graph from a capture.
+def conversation_edges(
+    index: CaptureIndex, device_macs: Dict[str, str]
+) -> List[Tuple[str, str, str]]:
+    """The ``(a, b, transport)`` edge keys of a capture, first-seen order.
 
-    ``device_macs``: MAC -> device name for IoT devices only (so phone
-    and gateway traffic is excluded, as the figure caption requires).
-    Consumes the index's chronological unicast-transport bucket, so
-    edge insertion order matches a full scan exactly.
+    Walks the index's chronological unicast-transport bucket; ``a <= b``
+    within each key, and each key appears once.  Rows whose source or
+    destination MAC is unmapped, and a device talking to itself, add
+    no edge.
     """
-    index = CaptureIndex.ensure(packets)
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(device_macs.values())
-    seen: Set[Tuple[str, str, str]] = set()
+    edges: Dict[Tuple[str, str, str], None] = {}
     table = index.table
     src_col, dst_col = table.src_mac, table.dst_mac
     sport_col, dport_col = table.src_port, table.dst_port
@@ -107,14 +100,29 @@ def build_device_graph(
         if flags_col[rid] & F_UDP and (
             sport_col[rid] in _DISCOVERY_PORTS or dport_col[rid] in _DISCOVERY_PORTS
         ):
-            label = index.label_at(rid, classifier)
+            label = index.label_at(rid)
             if label in DISCOVERY_LABELS or label is Label.DNS:
                 continue
         pair = (src, dst) if src <= dst else (dst, src)
         transport = "udp" if trans_col[rid] == TRANSPORT_UDP else "tcp"
-        key = (pair[0], pair[1], transport)
-        if key in seen:
-            continue
-        seen.add(key)
-        graph.add_edge(pair[0], pair[1], transport=transport)
+        edges.setdefault((pair[0], pair[1], transport))
+    return list(edges)
+
+
+def build_device_graph(
+    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    device_macs: Dict[str, str],
+    device_vendor: Dict[str, str],
+) -> DeviceGraph:
+    """Build the Fig. 1 graph from a capture.
+
+    ``device_macs``: MAC -> device name for IoT devices only (so phone
+    and gateway traffic is excluded, as the figure caption requires).
+    Edges are added in :func:`conversation_edges` order.
+    """
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(device_macs.values())
+    for a, b, transport in conversation_edges(CaptureIndex.ensure(packets),
+                                              device_macs):
+        graph.add_edge(a, b, transport=transport)
     return DeviceGraph(graph=graph, device_vendor=device_vendor)

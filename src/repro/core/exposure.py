@@ -91,8 +91,6 @@ def _is_old_client(vendor_class: str) -> bool:
 def analyze_exposure(
     packets: "Iterable[DecodedPacket] | CaptureIndex",
     device_macs: Dict[str, str],
-    arp_rids=None,
-    udp_rids=None,
     matrix: Optional[ExposureMatrix] = None,
 ) -> ExposureMatrix:
     """Mine a capture for Table 1's exposure matrix.
@@ -101,10 +99,9 @@ def analyze_exposure(
     scanning every packet; example ordering per (protocol, identifier)
     cell is unchanged because each cell draws from a single bucket.
 
-    ``arp_rids``/``udp_rids`` override the buckets with explicit row-id
-    sequences and ``matrix`` accumulates into an existing matrix — the
-    hooks :class:`repro.monitor.state.IncrementalExposure` uses to run
-    this exact mining pass chunk-by-chunk.
+    ``matrix`` accumulates into an existing matrix — the hook
+    :class:`repro.monitor.state.IncrementalExposure` uses to run this
+    exact mining pass chunk by chunk.
     """
     index = CaptureIndex.ensure(packets)
     matrix = matrix if matrix is not None else ExposureMatrix()
@@ -112,13 +109,11 @@ def analyze_exposure(
     src_col = table.src_mac
     sport_col, dport_col = table.src_port, table.dst_port
     device_of = [device_macs.get(mac) for mac in table.mac_strings]
-    arp_iter = index.arp.rids if arp_rids is None else arp_rids
-    udp_iter = index.udp.rids if udp_rids is None else udp_rids
-    for rid in arp_iter:
+    for rid in index.arp.rids:
         device = device_of[src_col[rid]]
         if device is not None:
             matrix.expose("ARP", "MAC", device, table.arp_sender_mac(rid))
-    for rid in udp_iter:
+    for rid in index.udp.rids:
         device = device_of[src_col[rid]]
         if device is None:
             continue

@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.classify.labels import DISCOVERY_LABELS
-from repro.classify.rules import CorrectedClassifier
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 
@@ -171,23 +170,18 @@ def discovery_intervals(
     }
 
 
-def analyze_periodicity(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+def event_groups(
+    index: CaptureIndex,
     device_macs: Dict[str, str],
-    classifier: Optional[CorrectedClassifier] = None,
     discovery_only: bool = True,
-    min_events: int = 4,
-    use_dft: bool = True,
-    use_autocorr: bool = True,
-) -> PeriodicityResult:
-    """Group traffic by (device, destination, protocol) and test each.
+) -> Dict[Tuple[str, str, str], List[float]]:
+    """Group traffic by (device, destination, protocol).
 
     Ports are deliberately ignored ("the randomization of port number
     is prevalent on IoT devices", Appendix D.1).  Walks the index's
-    chronological rows (group creation is first-seen ordered) with
-    memoized labels.
+    rows chronologically with memoized labels, so each group's
+    timestamps are in capture order and groups are in first-seen order.
     """
-    index = CaptureIndex.ensure(packets)
     groups: Dict[Tuple[str, str, str], List[float]] = defaultdict(list)
     table = index.table
     ts_col = table.timestamps
@@ -195,11 +189,11 @@ def analyze_periodicity(
     mac_strings, ip_strings = table.mac_strings, table.ip_strings
     device_of = [device_macs.get(mac) for mac in mac_strings]
     label_at = index.label_at
-    for rid in range(len(table)):
+    for rid in range(len(index)):
         device = device_of[src_col[rid]]
         if device is None:
             continue
-        label = label_at(rid, classifier)
+        label = label_at(rid)
         if label is None:
             continue
         if discovery_only and label not in DISCOVERY_LABELS:
@@ -207,6 +201,24 @@ def analyze_periodicity(
         dip = dip_col[rid]
         destination = ip_strings[dip] if dip >= 0 else mac_strings[dst_col[rid]]
         groups[(device, destination, str(label))].append(ts_col[rid])
+    return groups
+
+
+def analyze_periodicity(
+    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    device_macs: Dict[str, str],
+    discovery_only: bool = True,
+    min_events: int = 4,
+    use_dft: bool = True,
+    use_autocorr: bool = True,
+) -> PeriodicityResult:
+    """Group traffic by (device, destination, protocol) and test each.
+
+    :func:`event_groups` does the grouping, :func:`detect_groups` the
+    DFT + autocorrelation test.
+    """
+    groups = event_groups(CaptureIndex.ensure(packets), device_macs,
+                          discovery_only)
     return detect_groups(groups, min_events=min_events, use_dft=use_dft,
                          use_autocorr=use_autocorr)
 

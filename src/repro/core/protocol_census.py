@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.classify.labels import Label
-from repro.classify.rules import CorrectedClassifier
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 from repro.net.mac import MacAddress
@@ -115,7 +114,6 @@ _SERVICE_TO_LABEL = {
 def census_from_capture(
     packets: "Iterable[DecodedPacket] | CaptureIndex",
     device_macs: Dict[str, str],
-    classifier: Optional[CorrectedClassifier] = None,
     total_devices: Optional[int] = None,
 ) -> ProtocolCensus:
     """Build the passive part of the census from a capture.
@@ -136,7 +134,7 @@ def census_from_capture(
         if device is None:
             continue
         for rid in view.rids:
-            label = label_at(rid, classifier)
+            label = label_at(rid)
             if label is None:
                 continue
             census.passive[str(label)].add(device)

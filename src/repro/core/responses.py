@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.classify.labels import Label
-from repro.classify.rules import CorrectedClassifier
 from repro.net.columnar import F_UNICAST, TRANSPORT_UDP
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
@@ -67,7 +66,6 @@ def correlate_responses(
     device_macs: Dict[str, str],
     device_category: Dict[str, str],
     window: float = 3.0,
-    classifier: Optional[CorrectedClassifier] = None,
     include_multicast_responses: bool = False,
 ) -> ResponseCorrelation:
     """Run the Appendix D.2 correlation over a capture.
@@ -108,7 +106,7 @@ def correlate_responses(
         src = device_of[src_col[rid]]
         if src is None:
             continue
-        label = index.label_at(rid, classifier)
+        label = index.label_at(rid)
         if label not in COUNTED_DISCOVERY:
             continue
         stats = correlation.per_device[src]

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.classify.labels import Label
-from repro.classify.rules import CorrectedClassifier
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 from repro.protocols.http import HttpRequest, HttpResponse
@@ -85,7 +84,6 @@ def build_threat_report(
     packets: "Iterable[DecodedPacket] | CaptureIndex",
     device_macs: Dict[str, str],
     findings: Optional[List[Finding]] = None,
-    classifier: Optional[CorrectedClassifier] = None,
 ) -> ThreatReport:
     """Mine passive captures + scanner findings into the §5 report.
 

@@ -14,12 +14,12 @@ IncrementalPeriod\\  ``repro.core.periodicity``                    ``Periodicity
 icity
 ===================  ===========================================  =====================
 
-Each state absorbs packets via ``update(packets, row_ids=None)`` over a
-columnar :class:`~repro.net.columnar.PacketTable` (or a prebuilt
-:class:`~repro.net.index.CaptureIndex`, the fast path the monitor uses
-so classifier labels are memoized once per chunk across all four
-states), and supports the exact additive merge contract the fleet
-layer proved (PR 4/5):
+Each state's ``update(index)`` runs its analysis's ``repro.core``
+pass over one chunk-local :class:`~repro.net.index.CaptureIndex` (the
+monitor builds one per chunk, so classifier labels are memoized once
+across all four states) and folds the result in; no state walks rows
+itself.  The states merge exactly and additively, the way the fleet
+layer merges shard results:
 
 * ``absorb(other)`` folds another state of the same configuration in;
 * ``merge(states)`` (classmethod) folds a chronological sequence;
@@ -27,13 +27,13 @@ layer proved (PR 4/5):
 * ``fresh()`` returns an empty state with the same configuration.
 
 ``finalize()`` rebuilds the batch analysis object.  When the absorbed
-rows cover a capture in chronological order the result is
+chunks cover a capture in chronological order the result is
 **byte-identical** to the batch function's output through
 :mod:`repro.report.artifacts` — including insertion-order-sensitive
 pieces (exposure example lists, periodicity group order), which is why
-every update path processes rows chronologically and every merge folds
-states in pane order.  The equivalence tests under ``tests/monitor``
-pin this contract.
+the order-sensitive core passes walk rows chronologically and every
+merge folds states in pane order.  The equivalence tests under
+``tests/monitor`` pin this contract.
 
 Device attribution follows the batch analyses: an explicit
 ``device_macs`` map (MAC → device name) restricts every analysis to
@@ -50,14 +50,12 @@ any chunking.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.classify.labels import DISCOVERY_LABELS, Label
-from repro.core.device_graph import _DISCOVERY_PORTS, DeviceGraph
+from repro.core.device_graph import DeviceGraph, conversation_edges
 from repro.core.exposure import ExposureMatrix, analyze_exposure
-from repro.core.periodicity import PeriodicityResult, detect_groups
-from repro.core.protocol_census import ProtocolCensus
-from repro.net.columnar import F_ARP, F_UDP, F_UNICAST, TRANSPORT_UDP
+from repro.core.periodicity import PeriodicityResult, detect_groups, event_groups
+from repro.core.protocol_census import ProtocolCensus, census_from_capture
 from repro.net.index import CaptureIndex
 
 
@@ -76,16 +74,21 @@ class IncrementalState:
     #: Snapshot-artifact key; also the per-state name the monitor uses.
     name = "state"
 
+    def __init__(self, device_macs: Optional[Dict[str, str]] = None):
+        self.device_macs = None if device_macs is None else dict(device_macs)
+
     def config(self) -> Tuple:
         """Hashable configuration; merges require equal configs."""
-        raise NotImplementedError
+        macs = None if self.device_macs is None \
+            else tuple(sorted(self.device_macs.items()))
+        return (macs,)
 
     def fresh(self) -> "IncrementalState":
         """An empty state with this state's configuration."""
-        raise NotImplementedError
+        return type(self)(self.device_macs)
 
-    def update(self, packets, row_ids: Optional[Sequence[int]] = None) -> None:
-        """Absorb rows (all rows by default) in chronological order."""
+    def update(self, index: CaptureIndex) -> None:
+        """Absorb a chunk-local index by running the ``repro.core`` pass."""
         raise NotImplementedError
 
     def absorb(self, other: "IncrementalState") -> None:
@@ -114,9 +117,17 @@ class IncrementalState:
             merged.absorb(state)
         return merged
 
+    def _devices(self, index: CaptureIndex) -> Dict[str, str]:
+        """The device map for one chunk.
 
-def _device_map_out(device_macs: Optional[Dict[str, str]]):
-    return None if device_macs is None else dict(device_macs)
+        Identity mode maps each of the chunk's source MACs to itself.
+        The census, exposure and periodicity passes attribute rows to
+        their source MAC only, so this equals the whole capture's map
+        on every row of the chunk.
+        """
+        if self.device_macs is not None:
+            return self.device_macs
+        return {mac: mac for mac in index.by_src_mac}
 
 
 class IncrementalCensus(IncrementalState):
@@ -124,49 +135,21 @@ class IncrementalCensus(IncrementalState):
 
     name = "census"
 
-    def __init__(self, device_macs: Optional[Dict[str, str]] = None,
-                 total_devices: Optional[int] = None):
-        self.device_macs = _device_map_out(device_macs)
-        self.total_devices = total_devices
+    def __init__(self, device_macs: Optional[Dict[str, str]] = None):
+        super().__init__(device_macs)
         #: protocol label -> devices observed using it passively.
         self.passive: Dict[str, Set[str]] = {}
         #: Identity mode only: every source MAC observed (labelled or
         #: not) — the batch census counts them all as devices.
         self.observed: Set[str] = set()
 
-    def config(self) -> Tuple:
-        frozen = None if self.device_macs is None \
-            else tuple(sorted(self.device_macs.items()))
-        return (frozen, self.total_devices)
-
-    def fresh(self) -> "IncrementalCensus":
-        return IncrementalCensus(self.device_macs, self.total_devices)
-
-    def update(self, packets, row_ids: Optional[Sequence[int]] = None) -> None:
-        index = CaptureIndex.ensure(packets)
-        table = index.table
-        src_col = table.src_mac
-        mac_strings = table.mac_strings
-        identity = self.device_macs is None
-        device_of = mac_strings if identity \
-            else [self.device_macs.get(mac) for mac in mac_strings]
-        label_at = index.label_at
-        passive = self.passive
-        observed = self.observed
-        rids = index.rows.rids if row_ids is None else row_ids
-        for rid in rids:
-            device = device_of[src_col[rid]]
-            if device is None:
-                continue
-            if identity:
-                observed.add(device)
-            label = label_at(rid)
-            if label is None:
-                continue
-            bucket = passive.get(str(label))
-            if bucket is None:
-                bucket = passive.setdefault(str(label), set())
-            bucket.add(device)
+    def update(self, index: CaptureIndex) -> None:
+        device_macs = self._devices(index)
+        if self.device_macs is None:
+            self.observed.update(device_macs)
+        census = census_from_capture(index, device_macs)
+        for label, devices in census.passive.items():
+            self.passive.setdefault(label, set()).update(devices)
 
     def absorb(self, other: "IncrementalCensus") -> None:
         _ensure_compatible(self, other)
@@ -175,10 +158,8 @@ class IncrementalCensus(IncrementalState):
         self.observed.update(other.observed)
 
     def finalize(self) -> ProtocolCensus:
-        total = self.total_devices
-        if total is None:
-            total = len(self.observed) if self.device_macs is None \
-                else len(self.device_macs)
+        total = len(self.observed) if self.device_macs is None \
+            else len(self.device_macs)
         census = ProtocolCensus(total_devices=total)
         for label, devices in self.passive.items():
             census.passive[label] = set(devices)
@@ -188,7 +169,6 @@ class IncrementalCensus(IncrementalState):
         return {
             "kind": self.name,
             "device_macs": self.device_macs,
-            "total_devices": self.total_devices,
             "passive": {label: sorted(devices)
                         for label, devices in self.passive.items()},
             "observed": sorted(self.observed),
@@ -196,7 +176,7 @@ class IncrementalCensus(IncrementalState):
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "IncrementalCensus":
-        state = cls(raw.get("device_macs"), raw.get("total_devices"))
+        state = cls(raw.get("device_macs"))
         for label, devices in dict(raw.get("passive", {})).items():
             state.passive[label] = set(devices)
         state.observed = set(raw.get("observed", ()))
@@ -210,7 +190,7 @@ class IncrementalDeviceGraph(IncrementalState):
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None,
                  device_vendor: Optional[Dict[str, str]] = None):
-        self.device_macs = _device_map_out(device_macs)
+        super().__init__(device_macs)
         self.device_vendor = dict(device_vendor or {})
         #: (a, b, transport) in first-seen order (insertion-ordered
         #: dict used as a set).  Identity mode stores *candidates* —
@@ -220,48 +200,20 @@ class IncrementalDeviceGraph(IncrementalState):
         self.observed: Set[str] = set()
 
     def config(self) -> Tuple:
-        macs = None if self.device_macs is None \
-            else tuple(sorted(self.device_macs.items()))
-        return (macs, tuple(sorted(self.device_vendor.items())))
+        return super().config() + (tuple(sorted(self.device_vendor.items())),)
 
     def fresh(self) -> "IncrementalDeviceGraph":
         return IncrementalDeviceGraph(self.device_macs, self.device_vendor)
 
-    def update(self, packets, row_ids: Optional[Sequence[int]] = None) -> None:
-        index = CaptureIndex.ensure(packets)
-        table = index.table
-        src_col, dst_col = table.src_mac, table.dst_mac
-        sport_col, dport_col = table.src_port, table.dst_port
-        flags_col, trans_col = table.flags, table.transport
-        mac_strings = table.mac_strings
-        identity = self.device_macs is None
-        device_of = mac_strings if identity \
-            else [self.device_macs.get(mac) for mac in mac_strings]
-        label_at = index.label_at
-        edges = self.edges
-        observed = self.observed
-        rids = index.rows.rids if row_ids is None else row_ids
-        for rid in rids:
-            if identity:
-                observed.add(mac_strings[src_col[rid]])
-            if not trans_col[rid] or not flags_col[rid] & F_UNICAST:
-                continue
-            src = device_of[src_col[rid]]
-            dst = device_of[dst_col[rid]]
-            if src is None or dst is None or src == dst:
-                continue
-            # Same exclusion as the batch graph: unicast UDP discovery
-            # responses on well-known ports are not conversations.
-            if flags_col[rid] & F_UDP and (
-                sport_col[rid] in _DISCOVERY_PORTS
-                or dport_col[rid] in _DISCOVERY_PORTS
-            ):
-                label = label_at(rid)
-                if label in DISCOVERY_LABELS or label is Label.DNS:
-                    continue
-            pair = (src, dst) if src <= dst else (dst, src)
-            transport = "udp" if trans_col[rid] == TRANSPORT_UDP else "tcp"
-            edges.setdefault((pair[0], pair[1], transport))
+    def update(self, index: CaptureIndex) -> None:
+        device_macs = self.device_macs
+        if device_macs is None:
+            # Identity mode maps destinations too: an edge to a MAC not
+            # yet seen as a source is a candidate until finalize().
+            device_macs = {mac: mac for mac in index.table.mac_strings}
+            self.observed.update(index.by_src_mac)
+        for key in conversation_edges(index, device_macs):
+            self.edges.setdefault(key)
 
     def absorb(self, other: "IncrementalDeviceGraph") -> None:
         _ensure_compatible(self, other)
@@ -306,44 +258,19 @@ class IncrementalDeviceGraph(IncrementalState):
 class IncrementalExposure(IncrementalState):
     """Streaming Table 1: exposure cells + chronological example lists.
 
-    Each chunk runs the *batch* mining pass
-    (:func:`repro.core.exposure.analyze_exposure`) over the chunk's
-    rows into this state's matrix — one source of truth for the payload
-    miners.  Per-cell example order survives chunking because every
-    cell draws from a single bucket kind (ARP or UDP) and chunks are
-    processed chronologically.
+    Per-cell example order survives chunking because every cell draws
+    from a single bucket kind (ARP or UDP) and chunks are processed
+    chronologically.
     """
 
     name = "exposure"
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None):
-        self.device_macs = _device_map_out(device_macs)
+        super().__init__(device_macs)
         self.matrix = ExposureMatrix()
 
-    def config(self) -> Tuple:
-        macs = None if self.device_macs is None \
-            else tuple(sorted(self.device_macs.items()))
-        return (macs,)
-
-    def fresh(self) -> "IncrementalExposure":
-        return IncrementalExposure(self.device_macs)
-
-    def update(self, packets, row_ids: Optional[Sequence[int]] = None) -> None:
-        index = CaptureIndex.ensure(packets)
-        if self.device_macs is None:
-            # Identity mode: exposure only attributes *source* MACs, so
-            # the chunk-local identity map equals the global one.
-            device_macs = {mac: mac for mac in index.by_src_mac}
-        else:
-            device_macs = self.device_macs
-        if row_ids is None:
-            arp_rids = udp_rids = None
-        else:
-            flags_col = index.table.flags
-            arp_rids = [rid for rid in row_ids if flags_col[rid] & F_ARP]
-            udp_rids = [rid for rid in row_ids if flags_col[rid] & F_UDP]
-        analyze_exposure(index, device_macs, arp_rids=arp_rids,
-                         udp_rids=udp_rids, matrix=self.matrix)
+    def update(self, index: CaptureIndex) -> None:
+        analyze_exposure(index, self._devices(index), self.matrix)
 
     def absorb(self, other: "IncrementalExposure") -> None:
         _ensure_compatible(self, other)
@@ -396,60 +323,15 @@ class IncrementalPeriodicity(IncrementalState):
 
     name = "periodicity"
 
-    def __init__(self, device_macs: Optional[Dict[str, str]] = None,
-                 discovery_only: bool = True, min_events: int = 4,
-                 use_dft: bool = True, use_autocorr: bool = True):
-        self.device_macs = _device_map_out(device_macs)
-        self.discovery_only = discovery_only
-        self.min_events = min_events
-        self.use_dft = use_dft
-        self.use_autocorr = use_autocorr
+    def __init__(self, device_macs: Optional[Dict[str, str]] = None):
+        super().__init__(device_macs)
         #: (device, destination, protocol) -> chronological timestamps,
         #: keys in first-seen order.
         self.groups: Dict[Tuple[str, str, str], List[float]] = {}
 
-    def config(self) -> Tuple:
-        macs = None if self.device_macs is None \
-            else tuple(sorted(self.device_macs.items()))
-        return (macs, self.discovery_only, self.min_events,
-                self.use_dft, self.use_autocorr)
-
-    def fresh(self) -> "IncrementalPeriodicity":
-        return IncrementalPeriodicity(
-            self.device_macs, discovery_only=self.discovery_only,
-            min_events=self.min_events, use_dft=self.use_dft,
-            use_autocorr=self.use_autocorr)
-
-    def update(self, packets, row_ids: Optional[Sequence[int]] = None) -> None:
-        index = CaptureIndex.ensure(packets)
-        table = index.table
-        ts_col = table.timestamps
-        src_col, dst_col, dip_col = table.src_mac, table.dst_mac, table.dst_ip
-        mac_strings, ip_strings = table.mac_strings, table.ip_strings
-        identity = self.device_macs is None
-        device_of = mac_strings if identity \
-            else [self.device_macs.get(mac) for mac in mac_strings]
-        label_at = index.label_at
-        groups = self.groups
-        discovery_only = self.discovery_only
-        rids = index.rows.rids if row_ids is None else row_ids
-        for rid in rids:
-            device = device_of[src_col[rid]]
-            if device is None:
-                continue
-            label = label_at(rid)
-            if label is None:
-                continue
-            if discovery_only and label not in DISCOVERY_LABELS:
-                continue
-            dip = dip_col[rid]
-            destination = ip_strings[dip] if dip >= 0 \
-                else mac_strings[dst_col[rid]]
-            key = (device, destination, str(label))
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = groups.setdefault(key, [])
-            bucket.append(ts_col[rid])
+    def update(self, index: CaptureIndex) -> None:
+        for key, timestamps in event_groups(index, self._devices(index)).items():
+            self.groups.setdefault(key, []).extend(timestamps)
 
     def absorb(self, other: "IncrementalPeriodicity") -> None:
         _ensure_compatible(self, other)
@@ -457,18 +339,12 @@ class IncrementalPeriodicity(IncrementalState):
             self.groups.setdefault(key, []).extend(timestamps)
 
     def finalize(self) -> PeriodicityResult:
-        return detect_groups(self.groups, min_events=self.min_events,
-                             use_dft=self.use_dft,
-                             use_autocorr=self.use_autocorr)
+        return detect_groups(self.groups)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "kind": self.name,
             "device_macs": self.device_macs,
-            "discovery_only": self.discovery_only,
-            "min_events": self.min_events,
-            "use_dft": self.use_dft,
-            "use_autocorr": self.use_autocorr,
             "groups": [[device, destination, protocol, list(timestamps)]
                        for (device, destination, protocol), timestamps
                        in self.groups.items()],
@@ -476,11 +352,7 @@ class IncrementalPeriodicity(IncrementalState):
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "IncrementalPeriodicity":
-        state = cls(raw.get("device_macs"),
-                    discovery_only=bool(raw.get("discovery_only", True)),
-                    min_events=int(raw.get("min_events", 4)),
-                    use_dft=bool(raw.get("use_dft", True)),
-                    use_autocorr=bool(raw.get("use_autocorr", True)))
+        state = cls(raw.get("device_macs"))
         for device, destination, protocol, timestamps in raw.get("groups", ()):
             state.groups[(device, destination, protocol)] = [
                 float(ts) for ts in timestamps]

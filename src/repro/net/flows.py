@@ -99,9 +99,11 @@ class FlowTable:
         return table
 
     @classmethod
-    def from_table(cls, table: "PacketTable") -> "FlowTable":
-        """Assemble flows straight from a columnar packet table.
+    def from_table(cls, table: "PacketTable", row_count: int) -> "FlowTable":
+        """Assemble flows from the first ``row_count`` rows of a table.
 
+        ``row_count`` is the row count of the index over the table: a
+        capture's shared table can grow after that index was built.
         Grouping reads the transport/IP/port columns only; each flow's
         ``packets`` is a :class:`~repro.net.columnar.LazyPackets` view,
         so layer objects materialize only when a consumer (payload
@@ -116,7 +118,7 @@ class FlowTable:
         ips = table.ip_strings
         groups: Dict[FlowKey, List[int]] = {}
         non_flow: List[int] = []
-        for rid in range(len(table)):
+        for rid in range(row_count):
             code = transport[rid]
             sid = src_ip[rid]
             if not code or sid < 0:

@@ -321,7 +321,7 @@ class CaptureIndex:
     def flows(self) -> FlowTable:
         """The capture's flow table, assembled on first use and shared."""
         if self._flows is None:
-            self._flows = FlowTable.from_table(self.table)
+            self._flows = FlowTable.from_table(self.table, self._row_count)
         return self._flows
 
     # -- convenience queries ----------------------------------------------------------

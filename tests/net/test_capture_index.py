@@ -18,9 +18,11 @@ from repro.core.periodicity import analyze_periodicity
 from repro.core.protocol_census import census_from_capture
 from repro.core.responses import category_of_profile, correlate_responses
 from repro.core.threat_report import build_threat_report
-from repro.net.decode import quick_protocol
+from repro.net.columnar import PacketTable
+from repro.net.decode import DecodeErrorLog, quick_protocol
 from repro.net.flows import assemble_flows
 from repro.net.index import CaptureIndex
+from repro.report.artifacts import canonical_json, periodicity_artifact
 from tests.conftest import device_maps
 
 
@@ -127,6 +129,24 @@ class TestLabels:
         expected = assemble_flows(packets)
         assert len(table) == len(expected)
         assert [flow.key for flow in table] == [flow.key for flow in expected]
+
+
+class TestSharedTableGrowth:
+    """An index reads only its own rows after the capture's table grows."""
+
+    def test_analyses_ignore_rows_past_the_index(self, mini_testbed):
+        capture = mini_testbed.lan.capture
+        mini_testbed.run(60.0)
+        index = capture.index()
+        mini_testbed.run(30.0)
+        assert len(capture.table()) > len(index)  # the shared table grew
+        table = PacketTable()
+        table.extend_records(list(capture.records)[:len(index)], DecodeErrorLog())
+        fresh = CaptureIndex(table)
+        macs = {mac: mac for mac in fresh.by_src_mac}
+        assert canonical_json(periodicity_artifact(analyze_periodicity(index, macs))) \
+            == canonical_json(periodicity_artifact(analyze_periodicity(fresh, macs)))
+        assert cross_validate(index) == cross_validate(fresh)
 
 
 class TestAnalysisEquality:
