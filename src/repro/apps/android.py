@@ -10,7 +10,7 @@ only INTERNET + CHANGE_WIFI_MULTICAST_STATE — neither of which is a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Set
 
 

@@ -25,7 +25,7 @@ from repro.apps.android import (
     PermissionDenied,
     PermissionModel,
 )
-from repro.apps.appmodel import AppCategory, AppModel, Identifier, ScanProtocol
+from repro.apps.appmodel import AppModel, Identifier, ScanProtocol
 from repro.devices.behaviors import DeviceNode
 from repro.net.decode import DecodedPacket
 from repro.obs import get_obs
@@ -35,7 +35,6 @@ from repro.protocols.netbios import NetbiosNsQuery
 from repro.protocols.ssdp import SSDP_GROUP_V4, SSDP_PORT, SsdpMessage, ST_ALL, ST_IGD
 from repro.protocols.tls import TlsRecord, TlsVersion
 from repro.protocols.tplink_shp import TPLINK_SHP_PORT, TplinkShpMessage
-from repro.simnet.lan import Lan
 from repro.simnet.node import Node
 
 

@@ -17,7 +17,6 @@ from repro.classify.labels import Label
 from repro.classify.ndpi_like import NdpiLikeClassifier
 from repro.classify.tshark_like import TsharkLikeClassifier
 from repro.net.decode import DecodedPacket
-from repro.net.flows import FlowTable, assemble_flows
 from repro.net.index import CaptureIndex
 
 

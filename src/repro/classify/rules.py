@@ -12,7 +12,7 @@ cluster chatter stays UNKNOWN rather than unlabeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.classify.labels import Label

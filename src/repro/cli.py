@@ -831,8 +831,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         with interrupt_guard():
             result = runner.run()
     except KeyboardInterrupt as interrupt:
-        # SIGINT/SIGTERM: the runner already reaped its workers, marked
-        # in-flight shards "interrupted", and checkpointed the manifest;
+        # SIGINT/SIGTERM: the runner already reaped its workers and
+        # journalled the unfinished shards as "interrupted";
         # flush the telemetry artifacts and exit 128+signum so a later
         # --resume continues from the checkpoint byte-identically.
         if progress is not None:
@@ -1079,11 +1079,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--target-devices", type=int, default=12669,
                        help="population device-count target")
     fleet.add_argument("--shard-size", type=int, default=None,
-                       help="households per shard "
-                            "(default: REPRO_FLEET_SHARD_SIZE or 256)")
+                       help="households per shard (default: 256)")
     fleet.add_argument("--workers", type=int, default=None,
-                       help="worker processes "
-                            "(default: REPRO_FLEET_WORKERS or the CPU count)")
+                       help="worker processes (default: the CPU count)")
     fleet.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="content-addressed shard cache + checkpoint manifest")
     fleet.add_argument("--resume", action="store_true",
@@ -1109,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock deadline per shard attempt; a "
                             "worker silent past it is reaped and the "
                             "shard rescheduled (default: derived from "
-                            "shard size, min 60s; env REPRO_FLEET_DEADLINE)")
+                            "shard size, min 60s)")
     fleet_going = fleet.add_mutually_exclusive_group()
     fleet_going.add_argument("--keep-going", dest="fail_fast",
                              action="store_false",

@@ -7,7 +7,7 @@ responses) are excluded, as are smartphone interactions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx

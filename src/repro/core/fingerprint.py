@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.inspector.entropy import EntropyAnalysis, analyze_dataset
 from repro.inspector.generate import generate_dataset

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.fingerprint import FingerprintReport, fingerprint_households

@@ -11,10 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.classify.labels import Label
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
-from repro.net.mac import MacAddress
 
 
 @dataclass

@@ -10,11 +10,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.classify.labels import Label
 from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
-from repro.protocols.http import HttpRequest, HttpResponse
-from repro.protocols.tls import CertificateInfo, HandshakeType, TlsVersion, iter_records
+from repro.protocols.http import HttpRequest
+from repro.protocols.tls import CertificateInfo, HandshakeType, iter_records
 from repro.scan.vulnscan import Finding
 
 

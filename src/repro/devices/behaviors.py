@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import random
 import uuid as uuid_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.net.mac import MacAddress
 from repro.net.decode import DecodedPacket
 from repro.net.oui import DEFAULT_OUI_REGISTRY, OuiRegistry
 from repro.protocols.dhcp import DhcpMessage, DhcpMessageType, DHCP_CLIENT_PORT, DHCP_SERVER_PORT
-from repro.protocols.dns import DnsMessage, DnsType
+from repro.protocols.dns import DnsMessage
 from repro.protocols.http import HttpRequest, HttpResponse
 from repro.protocols.mdns import (
     MDNS_GROUP_V4,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.devices.behaviors import DeviceNode, Testbed
 from repro.protocols.http import HttpRequest, HttpResponse

@@ -40,7 +40,7 @@ plan leaves a ``repro study`` run byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: UDP ports the discovery-mutation fault targets, by protocol name.

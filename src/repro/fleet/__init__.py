@@ -18,20 +18,18 @@ guarantees, and cache/resume semantics.
 Runs are supervised (see :mod:`repro.fleet.supervisor`): per-shard
 wall-clock deadlines enforced by a heartbeat watchdog, retry budgets
 with exponential backoff, a poison quarantine for shards that exhaust
-them, and SIGINT/SIGTERM graceful shutdown that checkpoints the
-manifest so ``--resume`` merges byte-identically.
+them, and SIGINT/SIGTERM graceful shutdown that journals the unfinished
+shards so ``--resume`` merges byte-identically.
 """
 
 from repro.fleet.cache import ShardCache
+from repro.fleet.ledger import QuarantinedShard, ShardFailure, ShardState
 from repro.fleet.merge import merge_shard_results
 from repro.fleet.runner import (
     FleetConfigError,
     FleetError,
     FleetResult,
     FleetRunner,
-    QuarantinedShard,
-    ShardFailure,
-    ShardState,
     run_fleet,
 )
 from repro.fleet.shard import ShardFaultInjected, run_shard
@@ -40,7 +38,6 @@ from repro.fleet.supervisor import (
     RunInterrupted,
     ShardSupervisor,
     default_shard_deadline,
-    default_shard_retries,
     interrupt_guard,
 )
 
@@ -60,7 +57,6 @@ __all__ = [
     "ShardSupervisor",
     "code_version",
     "default_shard_deadline",
-    "default_shard_retries",
     "interrupt_guard",
     "merge_shard_results",
     "run_fleet",

@@ -1,85 +1,87 @@
-"""The fleet orchestrator: dispatch shards, cache, merge, observe, supervise.
+"""The fleet orchestrator: plan, serve from the cache, dispatch, merge.
 
 ``FleetRunner`` plans the shard partition from a
 :class:`~repro.fleet.spec.FleetSpec`, serves completed shards from the
-content-addressed cache, dispatches the rest to a
-``ProcessPoolExecutor`` (``workers=1`` runs inline — no pool, no
-process overhead), checkpoints each completion, and merges the partials
+content-addressed cache, dispatches the rest, and merges the partials
 into the population :class:`~repro.core.fingerprint.FingerprintReport`.
+Every move of a shard into a terminal state goes through the
+:class:`~repro.fleet.ledger.ShardLedger`, so the two dispatch loops
+only dispatch, watch and reap:
 
-Supervision (see :mod:`repro.fleet.supervisor`): every dispatched shard
-carries a wall-clock deadline enforced by a watchdog in the dispatch
-loop — a worker silent past its deadline (no claim-file heartbeat) is
-declared hung, its process reaped, and the shard rescheduled.  Failed
-attempts retry with exponential backoff up to ``retries`` times
+* the inline loop (``workers=1``, or one pending shard) calls
+  :func:`run_shard` in this process — no pool, no pickling;
+* the pool loop (:class:`_PoolDispatch`) runs shards in a
+  ``ProcessPoolExecutor`` when ``workers > 1``, and for any hang fault,
+  since a hung worker can only be supervised from outside its process.
+  It runs the watchdog (see :mod:`repro.fleet.supervisor`): a worker
+  silent past its shard's deadline is reaped and the shard retried.
+  A ``BrokenProcessPool`` (an OOM-killed worker) charges the victim an
+  attempt, requeues innocent in-flight siblings for free, and rebuilds
+  the pool.
+
+Failed attempts retry with exponential backoff up to ``retries`` times
 (default 0: byte-identical to the unsupervised path); a shard that
-exhausts its budget moves to the **poison quarantine**
-(:attr:`FleetResult.quarantined`, manifest state ``"quarantined"``) so
-a keep-going run still completes.  SIGINT/SIGTERM stop dispatch, flush
-the cache/manifest/telemetry, mark in-flight shards ``"interrupted"``
-in the manifest, and re-raise
-:class:`~repro.fleet.supervisor.RunInterrupted` so the CLI can exit
-``128 + signum``; a subsequent ``--resume`` merges byte-identically to
-an uninterrupted run.
-
-Failure contract (mirrors the analysis fan-out of
+exhausts its budget is quarantined, so a keep-going run still
+completes.  Failure contract (mirrors the analysis stage of
 :class:`~repro.core.pipeline.StudyPipeline`): every shard runs to
-completion regardless of sibling failures; in keep-going mode failures
-are isolated into :class:`ShardFailure` entries and the merge covers
-the completed shards (a partial report), in fail-fast mode the first
-failure is re-raised as :class:`FleetError` — after the in-flight
-siblings finished, so their results still reached the cache.  A
-``BrokenProcessPool`` (an OOM-killed or crashed worker process) no
-longer aborts the run: the victim's shard consumes an attempt, innocent
-in-flight siblings are rescheduled for free, and the pool is rebuilt.
+completion regardless of sibling failures; keep-going isolates failures
+into :class:`ShardFailure` entries and merges the completed shards,
+fail-fast re-raises the first as :class:`FleetError` after the
+in-flight siblings finished, so their results still reached the cache.
+SIGINT/SIGTERM stop dispatch, reap the workers, journal every
+unfinished shard as ``"interrupted"``, flush the telemetry, and
+re-raise :class:`~repro.fleet.supervisor.RunInterrupted` so the CLI
+exits ``128 + signum``; a later ``--resume`` merges byte-identically.
 
-Observability: one ``fleet.run`` span, one ``fleet.shard`` span per
-shard (state + worker-measured seconds in attrs),
-``fleet_shards_total{state=cached|completed|failed|quarantined|interrupted}``,
-``fleet_cache_{hits,misses,writes}_total``, the ``fleet_shard_seconds``
-histogram, and — only when supervision acts —
-``fleet_shard_retries_total``, ``fleet_shards_quarantined_total``,
-``fleet_watchdog_timeouts_total``.
+Observability: a ``fleet.run`` span, a ``fleet.shard`` span per shard,
+a ``fleet.merge`` span, ``fleet_shards_total{state}``,
+``fleet_cache_{hits,misses,writes}_total``, ``fleet_shard_seconds``,
+and — only when supervision acts — ``fleet_shard_retries_total``,
+``fleet_shards_quarantined_total`` and ``fleet_watchdog_timeouts_total``.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
 import shutil
 import tempfile
 import time
 import traceback as _traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.fingerprint import FingerprintReport
-from repro.faults.injector import faults_injected_counter
 from repro.faults.plan import FaultPlan
 from repro.fleet.cache import ShardCache
+from repro.fleet.ledger import (
+    MANIFEST_NAME,
+    ManifestJournal,
+    QuarantinedShard,
+    ShardFailure,
+    ShardLedger,
+    ShardState,
+    read_header,
+)
 from repro.fleet.merge import merge_shard_results
 from repro.fleet.shard import is_shard_payload, run_shard
-from repro.fleet.spec import FleetSpec, ShardRange, code_version, default_workers, shard_key
+from repro.fleet.spec import FleetSpec, ShardRange, code_version
 from repro.fleet.supervisor import (
     DEFAULT_RETRY_BACKOFF,
     WATCHDOG_POLL_SECONDS,
     RunInterrupted,
     ShardSupervisor,
     ShardTask,
-    default_shard_retries,
     read_claim_pid,
     reap,
 )
 from repro.inspector.generate import derive_rng
 from repro.obs import Observability, ObsSnapshot, ObsSnapshotError, get_obs
-
-MANIFEST_NAME = "manifest.json"
 
 
 class FleetError(RuntimeError):
@@ -92,44 +94,6 @@ class FleetConfigError(FleetError):
     Separate from :class:`FleetError` so the CLI can map configuration
     mistakes to exit 2 and genuine shard failures to exit 1.
     """
-
-
-@dataclass
-class ShardFailure:
-    """One shard whose worker raised and was isolated (keep-going mode)."""
-
-    shard: int
-    start: int
-    stop: int
-    error: str
-    traceback: str = ""
-
-
-@dataclass
-class QuarantinedShard:
-    """One poison shard that exhausted its retry budget."""
-
-    shard: int
-    start: int
-    stop: int
-    attempts: int
-    error: str
-
-
-@dataclass
-class ShardState:
-    """Where one shard's result came from, and how long it took."""
-
-    index: int
-    start: int
-    stop: int
-    state: str  # "cached" | "completed" | "failed" | "quarantined" | "interrupted"
-    key: Optional[str] = None
-    seconds: float = 0.0
-    #: Worker attempts consumed (0 for cached shards, 1 for a clean compute).
-    attempts: int = 0
-    #: Last error, for failed/quarantined shards.
-    error: str = ""
 
 
 @dataclass
@@ -218,6 +182,12 @@ def _planned_worker_faults(spec: FleetSpec, plan: Optional[FaultPlan],
     return planned
 
 
+def _describe(exc: BaseException) -> Tuple[str, str]:
+    """A failed attempt's error line and full traceback."""
+    return (f"{type(exc).__name__}: {exc}",
+            "".join(_traceback.format_exception(type(exc), exc, exc.__traceback__)))
+
+
 def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Force a pool down without joining its children.
 
@@ -236,16 +206,175 @@ def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
         reap(pid)
 
 
+class _PoolDispatch:
+    """The pool loop: dispatch as backoff gates open, reap, watch, rebuild."""
+
+    def __init__(self, runner: "FleetRunner", ledger: ShardLedger,
+                 tasks: List[ShardTask]) -> None:
+        self.runner = runner
+        self.ledger = ledger
+        self.supervisor = ledger.supervisor
+        self.queue = deque(tasks)
+        self.width = min(runner.workers, len(tasks))
+        self.max_rebuilds = len(tasks) * (self.supervisor.retries + 2) + 4
+        self.rebuilds = 0
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.inflight: Dict[Future, ShardTask] = {}
+        #: Futures whose shard was already charged (watchdog verdicts).
+        self.abandoned: set = set()
+        #: The watchdog reaped a worker, so the next pool break is ours.
+        self.expected_break = False
+        #: A worker hung before claiming; the pool cannot be joined.
+        self.zombies = False
+        self.claim_dir = tempfile.mkdtemp(prefix="repro-fleet-claims-")
+        for task in tasks:
+            task.claim_path = os.path.join(self.claim_dir, f"shard-{task.index}.claim")
+
+    def run(self) -> None:
+        try:
+            self._loop()
+            if self.zombies:
+                _teardown_pool(self.pool)
+            elif self.pool is not None:
+                self.pool.shutdown(wait=True)
+        except BaseException:
+            # Interrupted or failed: kill claimed workers, never join them.
+            for task in self.inflight.values():
+                reap(read_claim_pid(task.claim_path))
+            _teardown_pool(self.pool)
+            raise
+        finally:
+            shutil.rmtree(self.claim_dir, ignore_errors=True)
+
+    def _loop(self) -> None:
+        self.pool = ProcessPoolExecutor(max_workers=self.width)
+        while self.queue or self.inflight:
+            now = self.supervisor.clock()
+            for task in [t for t in self.queue if t.not_before <= now]:
+                self.queue.remove(task)
+                if not self._submit(task):
+                    break
+            if not self.inflight:
+                pause = min(t.not_before for t in self.queue) - self.supervisor.clock()
+                if pause > 0:
+                    time.sleep(min(pause, 0.25))
+                continue
+            done, _ = wait(set(self.inflight), timeout=WATCHDOG_POLL_SECONDS,
+                           return_when=FIRST_COMPLETED)
+            broken = self._collect(done)
+            self._watchdog()
+            if broken or getattr(self.pool, "_broken", False):
+                self._rebuild(broken)
+
+    def _submit(self, task: ShardTask) -> bool:
+        self.supervisor.record_dispatch(task)
+        try:
+            future = self.pool.submit(run_shard, self.runner._spec_dict, task.start,
+                                      task.stop, **self.runner._shard_kwargs(task))
+        except BrokenProcessPool:
+            # Breakage not yet drained; retry next cycle.
+            self.queue.appendleft(task)
+            return False
+        self.inflight[future] = task
+        self.ledger.running(task)
+        return True
+
+    def _failed(self, task: ShardTask, error: str, traceback: str = "") -> None:
+        if self.ledger.attempt_failed(task, error, traceback):
+            self.queue.append(task)
+
+    def _collect(self, done) -> List[ShardTask]:
+        """Settle finished futures; returns the tasks a broken pool lost."""
+        broken: List[ShardTask] = []
+        for future in done:
+            task = self.inflight.pop(future)
+            if future in self.abandoned:
+                self.abandoned.discard(future)
+                future.exception()  # observed; already handled
+                continue
+            try:
+                payload = future.result()
+            except BrokenProcessPool:
+                broken.append(task)
+            except Exception as exc:  # noqa: BLE001 - isolated
+                self._failed(task, *_describe(exc))
+            else:
+                self.ledger.completed(task, payload)
+        return broken
+
+    def _watchdog(self) -> None:
+        """Charge and reap every in-flight worker silent past its deadline."""
+        live = {f: t for f, t in self.inflight.items() if f not in self.abandoned}
+        for verdict in self.supervisor.overdue(list(live.values())):
+            task = verdict.task
+            future = next(f for f, t in live.items() if t is task)
+            if verdict.pid is None:
+                # No claim yet: either still queued inside the pool
+                # (cancellable — requeue for free) or a worker hung before
+                # claiming (rare; give it one extra deadline, then abandon it).
+                if future.cancel():
+                    self.inflight.pop(future)
+                    task.not_before = 0.0
+                    self.queue.append(task)
+                elif verdict.silent_seconds > 2 * task.deadline:
+                    self.supervisor.note_timeout(task)
+                    self.abandoned.add(future)
+                    self.zombies = True
+                    self._failed(task, task.last_error)
+                continue
+            self.ledger.timed_out(task, verdict)
+            self.abandoned.add(future)
+            if reap(verdict.pid):
+                self.expected_break = True
+            self._failed(task, task.last_error)
+
+    def _rebuild(self, broken: List[ShardTask]) -> None:
+        """Drain a broken pool (it finishes nothing), requeue, start a new one."""
+        for future, task in self.inflight.items():
+            if future in self.abandoned:
+                continue
+            payload = None
+            if future.done() and not future.cancelled():
+                try:
+                    payload = future.result()
+                except BaseException:  # noqa: BLE001
+                    payload = None
+            if payload is not None:
+                self.ledger.completed(task, payload)
+            else:
+                broken.append(task)
+        self.inflight.clear()
+        self.abandoned.clear()
+        if self.expected_break:
+            # The watchdog reaped a worker; its shard was already charged.
+            # Innocent in-flight siblings reschedule without consuming an attempt.
+            self.expected_break = False
+            for task in broken:
+                task.not_before = 0.0
+                self.queue.append(task)
+        else:
+            for task in broken:
+                self._failed(task, "BrokenProcessPool: a worker process died unexpectedly")
+        self.rebuilds += 1
+        if self.rebuilds > self.max_rebuilds:
+            raise FleetError(f"fleet pool broke {self.rebuilds} times; giving up")
+        _teardown_pool(self.pool)
+        self.pool = None
+        if self.queue:
+            if self.ledger.obs.enabled:
+                self.ledger.logger.warning("pool_rebuilt", rebuilds=self.rebuilds,
+                                           requeued=len(broken))
+            self.pool = ProcessPoolExecutor(max_workers=self.width)
+
+
 class FleetRunner:
     """Orchestrates one sharded fingerprinting run.
 
     Parameters mirror the ``repro fleet`` CLI flags; ``workers=None``
-    resolves via ``REPRO_FLEET_WORKERS`` (default: CPU count),
-    ``retries=None`` via ``REPRO_FLEET_RETRIES`` (default: 0 — the CLI
-    passes its own default of 2), ``shard_deadline=None`` derives each
-    shard's deadline from its household count (env override:
-    ``REPRO_FLEET_DEADLINE``), and ``obs=None`` picks up the ambient
-    observability context.
+    means the CPU count, ``retries`` defaults to 0 (the CLI passes its
+    own default of 2), ``shard_deadline=None`` derives each shard's
+    deadline from its household count, and ``obs=None`` picks up the
+    ambient observability context.
     """
 
     def __init__(
@@ -258,12 +387,12 @@ class FleetRunner:
         keep_going: bool = True,
         obs: Optional[Observability] = None,
         profile_hz: float = 0.0,
-        retries: Optional[int] = None,
+        retries: int = 0,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         shard_deadline: Optional[float] = None,
     ) -> None:
         self.spec = spec if spec is not None else FleetSpec()
-        self.workers = max(1, workers if workers is not None else default_workers())
+        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self.cache = ShardCache(cache_dir) if cache_dir is not None else None
         self.resume = resume
         self.fault_plan = fault_plan
@@ -273,7 +402,7 @@ class FleetRunner:
         #: profiler; ``0.0`` (the default) keeps workers unprofiled and
         #: their payloads byte-identical to earlier builds.
         self.profile_hz = float(profile_hz)
-        self.retries = retries if retries is not None else default_shard_retries()
+        self.retries = retries
         if self.retries < 0:
             raise FleetConfigError(f"retries must be >= 0, got {self.retries}")
         self.retry_backoff = float(retry_backoff)
@@ -286,143 +415,38 @@ class FleetRunner:
                 f"shard deadline must be > 0 seconds, got {shard_deadline}")
         if resume and self.cache is None:
             raise FleetConfigError("--resume requires a cache directory")
-
-    # -- checkpoint manifest -------------------------------------------------------
+        self._spec_dict = self.spec.to_dict()
 
     @property
     def manifest_path(self) -> Optional[Path]:
         return self.cache.root / MANIFEST_NAME if self.cache is not None else None
 
-    def _load_manifest(self) -> Optional[dict]:
-        path = self.manifest_path
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
     def _check_resume(self) -> bool:
-        """Validate the previous run's manifest; returns True when resuming."""
+        """Validate the previous run's journal header; True when resuming."""
         if not self.resume:
             return False
-        manifest = self._load_manifest()
-        if manifest is None:
+        header = read_header(self.manifest_path)
+        if header is None:
             raise FleetConfigError(
                 f"--resume: no readable manifest in {self.cache.root}; "
                 "run once with --cache-dir first")
-        if manifest.get("spec") != self.spec.to_dict():
+        if header.get("spec") != self._spec_dict:
             raise FleetConfigError(
                 "--resume: cache manifest was written for a different fleet "
-                f"spec ({manifest.get('spec')} != {self.spec.to_dict()})")
-        if manifest.get("code_version") != code_version():
+                f"spec ({header.get('spec')} != {self._spec_dict})")
+        if header.get("code_version") != code_version():
             raise FleetConfigError(
                 "--resume: generator/analysis code changed since the previous "
                 "run; cached shards are stale (drop --resume to regenerate)")
         return True
 
-    def _write_manifest(self, states: Dict[int, ShardState]) -> None:
-        path = self.manifest_path
-        if path is None:
-            return
-        payload = {
-            "spec": self.spec.to_dict(),
-            "code_version": code_version(),
-            "workers": self.workers,
-            "shards": {
-                str(index): {
-                    "start": state.start,
-                    "stop": state.stop,
-                    "state": state.state,
-                    "key": state.key,
-                    "seconds": state.seconds,
-                    "attempts": state.attempts,
-                    "error": state.error,
-                }
-                for index, state in sorted(states.items())
-            },
-        }
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-manifest-",
-                                   suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # Compact, through the C encoder: the manifest is rewritten
-                # after every shard, so its encoding cost grows with the run.
-                handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- observability helpers -----------------------------------------------------
-
-    def _record_shard(self, parent_span, state: ShardState) -> None:
-        obs = self.obs
-        if not obs.enabled:
-            return
-        with obs.tracer.span("fleet.shard", _parent=parent_span,
-                             shard=state.index, state=state.state,
-                             households=state.stop - state.start,
-                             shard_seconds=state.seconds):
-            pass
-        obs.metrics.counter(
-            "fleet_shards_total", "fleet shards by terminal state",
-        ).inc(state=state.state)
-        if state.state == "completed":
-            obs.metrics.histogram(
-                "fleet_shard_seconds", "worker-measured seconds per computed shard",
-            ).observe(state.seconds)
-
-    def _absorb_snapshots(self, run_span,
-                          results: Dict[int, dict],
-                          states: Dict[int, ShardState]) -> None:
-        """Merge every shard's ``ObsSnapshot`` into the parent context.
-
-        Applied in **shard-index order** (not completion order) so the
-        merged registry is byte-identical at any worker count; shards
-        served from the cache replay their stored snapshot with the
-        ``from_cache="true"`` label on every sample and a
-        ``from_cache`` attr on their absorbed spans.
-        """
-        obs = self.obs
-        if not obs.enabled:
-            return
-        for index in sorted(results):
-            raw = results[index].get("obs")
-            if raw is None:
-                continue  # pre-snapshot cache entry or foreign payload
-            try:
-                snapshot = ObsSnapshot.from_dict(raw)
-            except ObsSnapshotError as error:
-                obs.logger("fleet").warning(
-                    "snapshot_rejected", shard=index, error=str(error))
-                continue
-            cached = states[index].state == "cached"
-            snapshot.apply(
-                obs,
-                extra_labels={"from_cache": "true"} if cached else None,
-                span_parent=run_span,
-                span_attrs={"shard": index, "from_cache": str(cached).lower()},
-            )
-
-    def _record_cache_metrics(self) -> None:
-        obs = self.obs
-        if not obs.enabled or self.cache is None:
-            return
-        obs.metrics.counter(
-            "fleet_cache_hits_total", "shard results served from the cache",
-        ).inc(self.cache.hits)
-        obs.metrics.counter(
-            "fleet_cache_misses_total", "shard results absent from the cache",
-        ).inc(self.cache.misses)
-        obs.metrics.counter(
-            "fleet_cache_writes_total", "shard results checkpointed to the cache",
-        ).inc(self.cache.writes)
+    def _shard_kwargs(self, task: ShardTask) -> Dict[str, object]:
+        """:func:`run_shard`'s keyword arguments for one attempt of ``task``."""
+        # Workers join the parent's NDJSON stream (append mode) when it
+        # is file-backed; ``-``/in-memory buses have no path to share.
+        return dict(inject_fault=task.fault, profile_hz=self.profile_hz,
+                    events_path=getattr(self.obs.events, "path", None),
+                    shard_index=task.index, claim_path=task.claim_path)
 
     # -- the run -------------------------------------------------------------------
 
@@ -447,491 +471,224 @@ class FleetRunner:
                                      complete=False, outcome="failed")
             raise
 
-    def _run(self) -> FleetResult:  # noqa: C901 - the dispatch engine
+    def _run(self) -> FleetResult:
+        """Plan → cache scan → dispatch → merge."""
         obs = self.obs
         started = time.perf_counter()
         resumed = self._check_resume()
         shards = self.spec.shards()
-        faults = _planned_worker_faults(self.spec, self.fault_plan, shards)
-        spec_dict = self.spec.to_dict()
-        # Workers join the parent's NDJSON stream (append mode) when it
-        # is file-backed; ``-``/in-memory buses have no path to share.
-        events_path = getattr(obs.events, "path", None)
-
-        states: Dict[int, ShardState] = {}
-        results: Dict[int, dict] = {}
-        failures: List[ShardFailure] = []
-        quarantined: List[QuarantinedShard] = []
-        supervisor = ShardSupervisor(retries=self.retries,
-                                     backoff=self.retry_backoff,
+        supervisor = ShardSupervisor(retries=self.retries, backoff=self.retry_backoff,
                                      deadline=self.shard_deadline)
-        logger = obs.logger("fleet")
-        events = obs.events
-        events.emit("run_start", kind="fleet", seed=self.spec.seed,
-                    households=self.spec.households, shards=len(shards),
-                    workers=self.workers, resumed=resumed)
-
-        def progress() -> Dict[str, int]:
-            tally = {"done": 0, "cached": 0, "failed": 0, "quarantined": 0}
-            for state in states.values():
-                if state.state == "completed":
-                    tally["done"] += 1
-                elif state.state == "cached":
-                    tally["cached"] += 1
-                elif state.state == "quarantined":
-                    tally["quarantined"] += 1
-                else:
-                    tally["failed"] += 1
-            tally["total"] = len(shards)
-            return tally
-
+        obs.events.emit("run_start", kind="fleet", seed=self.spec.seed,
+                        households=self.spec.households, shards=len(shards),
+                        workers=self.workers, resumed=resumed)
         with ExitStack() as stack:
             run_span = None
             if obs.enabled:
                 run_span = stack.enter_context(obs.tracer.span(
-                    "fleet.run", seed=self.spec.seed,
-                    households=self.spec.households,
+                    "fleet.run", seed=self.spec.seed, households=self.spec.households,
                     shards=len(shards), workers=self.workers))
-            if obs.enabled:
                 obs.metrics.gauge(
                     "fleet_workers", "process-pool width of the fleet run",
                 ).set(self.workers)
-
-            # Phase 1: serve every shard the cache already has.
-            pending: List[ShardRange] = []
-            keys: Dict[int, str] = {}
-            for shard in shards:
-                key = shard_key(self.spec, shard) if self.cache is not None else None
-                keys[shard.index] = key
-                payload = None
-                if self.cache is not None:
-                    payload = self.cache.load(key, functools.partial(
-                        is_shard_payload, start=shard.start, stop=shard.stop))
-                if payload is not None:
-                    results[shard.index] = payload
-                    states[shard.index] = ShardState(
-                        index=shard.index, start=shard.start, stop=shard.stop,
-                        state="cached", key=key,
-                        seconds=float(payload.get("seconds", 0.0)))
-                    self._record_shard(run_span, states[shard.index])
-                    events.emit("shard_cached", shard=shard.index,
-                                start=shard.start, stop=shard.stop, **progress())
-                else:
-                    pending.append(shard)
-                    events.emit("shard_queued", shard=shard.index,
-                                start=shard.start, stop=shard.stop)
-            if obs.enabled and self.cache is not None:
-                logger.info("cache_scan", hits=self.cache.hits,
-                            misses=self.cache.misses)
-
-            # Phase 2: compute the rest under supervision.
-            def record_success(task: ShardTask, payload: dict) -> None:
-                results[task.index] = payload
-                if self.cache is not None:
-                    self.cache.store(keys[task.index], payload)
-                states[task.index] = ShardState(
-                    index=task.index, start=task.start, stop=task.stop,
-                    state="completed", key=keys[task.index],
-                    seconds=float(payload.get("seconds", 0.0)),
-                    attempts=task.attempts + 1)
-                events.emit("shard_done", shard=task.index,
-                            start=task.start, stop=task.stop,
-                            seconds=states[task.index].seconds, **progress())
-                self._record_shard(run_span, states[task.index])
-                self._write_manifest(states)
-                events.heartbeat(kind="fleet", **progress())
-
-            def attempt_failed(task: ShardTask, error: str,
-                               tb: str = "") -> bool:
-                """Route one failed attempt; True when the task will retry."""
-                verdict = supervisor.on_attempt_failed(task, error, tb)
-                if verdict == "retry":
-                    backoff = supervisor.backoff_for(task.attempts)
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "fleet_shard_retries_total",
-                            "shard attempts rescheduled after a failure",
-                        ).inc()
-                        logger.warning("shard_retry", shard=task.index,
-                                       attempt=task.attempts, error=error)
-                    events.emit("shard_retry", shard=task.index,
-                                start=task.start, stop=task.stop,
-                                attempt=task.attempts,
-                                retries_left=supervisor.retries - task.attempts,
-                                backoff_seconds=round(backoff, 6),
-                                error=error, **progress())
-                    return True
-                if supervisor.retries > 0:
-                    # Budget exhausted with retries enabled: poison quarantine.
-                    quarantined.append(QuarantinedShard(
-                        shard=task.index, start=task.start, stop=task.stop,
-                        attempts=task.attempts, error=task.last_error))
-                    states[task.index] = ShardState(
-                        index=task.index, start=task.start, stop=task.stop,
-                        state="quarantined", key=keys[task.index],
-                        attempts=task.attempts, error=task.last_error)
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "fleet_shards_quarantined_total",
-                            "poison shards that exhausted their retry budget",
-                        ).inc()
-                        logger.error("shard_quarantined", shard=task.index,
-                                     attempts=task.attempts, error=task.last_error)
-                    events.emit("shard_quarantined", shard=task.index,
-                                start=task.start, stop=task.stop,
-                                attempts=task.attempts, error=task.last_error,
-                                **progress())
-                else:
-                    failures.append(ShardFailure(
-                        shard=task.index, start=task.start, stop=task.stop,
-                        error=task.last_error, traceback=task.last_traceback))
-                    states[task.index] = ShardState(
-                        index=task.index, start=task.start, stop=task.stop,
-                        state="failed", key=keys[task.index],
-                        attempts=task.attempts, error=task.last_error)
-                    if obs.enabled:
-                        logger.error("shard_failed", shard=task.index,
-                                     error=task.last_error)
-                    events.emit("shard_failed", shard=task.index,
-                                start=task.start, stop=task.stop,
-                                error=task.last_error, **progress())
-                self._record_shard(run_span, states[task.index])
-                self._write_manifest(states)
-                events.heartbeat(kind="fleet", **progress())
-                return False
-
-            def count_injected(task: ShardTask) -> None:
-                if task.fault is not None and obs.enabled:
-                    faults_injected_counter(obs).inc(
-                        kind=f"shard_{task.fault['kind']}")
-
-            tasks = [supervisor.task_for(shard, faults.get(shard.index))
-                     for shard in pending]
-            # A hung worker can only be supervised from outside its
-            # process, so hang faults force the pool even at workers=1.
-            needs_pool = any(t.fault is not None and t.fault.get("kind") == "hang"
-                             for t in tasks)
-            use_pool = bool(tasks) and (needs_pool
-                                        or (self.workers > 1 and len(tasks) > 1))
-
-            claim_dir: Optional[str] = None
-            pool_box: Dict[str, object] = {"pool": None}
-            inflight: Dict[object, ShardTask] = {}
+            journal = None
+            if self.cache is not None:
+                journal = ManifestJournal(self.manifest_path, {
+                    "spec": self._spec_dict, "code_version": code_version(),
+                    "workers": self.workers})
+                stack.callback(journal.close)
+            ledger = ShardLedger(self.spec, shards, supervisor, obs, self.cache,
+                                 journal, run_span)
             try:
-                if not use_pool:
-                    queue = deque(tasks)
-                    while queue:
-                        task = queue.popleft()
-                        delay = task.not_before - supervisor.clock()
-                        if delay > 0:
-                            time.sleep(delay)
-                        supervisor.record_dispatch(task)
-                        count_injected(task)
-                        events.emit("shard_running", shard=task.index,
-                                    start=task.start, stop=task.stop,
-                                    attempt=task.next_attempt)
-                        try:
-                            payload = run_shard(
-                                spec_dict, task.start, task.stop,
-                                inject_fault=task.fault,
-                                profile_hz=self.profile_hz,
-                                events_path=events_path,
-                                shard_index=task.index)
-                        except Exception as exc:  # noqa: BLE001 - isolated
-                            if attempt_failed(
-                                    task, f"{type(exc).__name__}: {exc}",
-                                    "".join(_traceback.format_exception(
-                                        type(exc), exc, exc.__traceback__))):
-                                queue.append(task)
-                        else:
-                            record_success(task, payload)
-                elif tasks:
-                    claim_dir = tempfile.mkdtemp(prefix="repro-fleet-claims-")
-                    for task in tasks:
-                        task.claim_path = os.path.join(
-                            claim_dir, f"shard-{task.index}.claim")
-                    width = min(self.workers, len(tasks))
-                    pool_box["pool"] = ProcessPoolExecutor(max_workers=width)
-                    queue = deque(tasks)
-                    abandoned: set = set()
-                    expected_break = False
-                    zombies = False
-                    rebuilds = 0
-                    max_rebuilds = len(tasks) * (supervisor.retries + 2) + 4
-
-                    def submit(task: ShardTask) -> bool:
-                        supervisor.record_dispatch(task)
-                        count_injected(task)
-                        try:
-                            future = pool_box["pool"].submit(
-                                run_shard, spec_dict, task.start, task.stop,
-                                inject_fault=task.fault,
-                                profile_hz=self.profile_hz,
-                                events_path=events_path,
-                                shard_index=task.index,
-                                claim_path=task.claim_path)
-                        except BrokenProcessPool:
-                            # Breakage not yet drained; retry next cycle.
-                            queue.appendleft(task)
-                            return False
-                        inflight[future] = task
-                        events.emit("shard_running", shard=task.index,
-                                    start=task.start, stop=task.stop,
-                                    attempt=task.next_attempt)
-                        return True
-
-                    while queue or inflight:
-                        now = supervisor.clock()
-                        for task in [t for t in queue if t.not_before <= now]:
-                            queue.remove(task)
-                            if not submit(task):
-                                break
-                        if inflight:
-                            done, _ = wait(set(inflight),
-                                           timeout=WATCHDOG_POLL_SECONDS,
-                                           return_when=FIRST_COMPLETED)
-                        else:
-                            soonest = min(t.not_before for t in queue)
-                            pause = soonest - supervisor.clock()
-                            if pause > 0:
-                                time.sleep(min(pause, 0.25))
-                            continue
-
-                        pool_broke = False
-                        broken_tasks: List[ShardTask] = []
-                        for future in done:
-                            task = inflight.pop(future)
-                            if future in abandoned:
-                                abandoned.discard(future)
-                                future.exception()  # observed; already handled
-                                continue
-                            try:
-                                payload = future.result()
-                            except BrokenProcessPool:
-                                pool_broke = True
-                                broken_tasks.append(task)
-                            except Exception as exc:  # noqa: BLE001
-                                if attempt_failed(
-                                        task, f"{type(exc).__name__}: {exc}",
-                                        "".join(_traceback.format_exception(
-                                            type(exc), exc, exc.__traceback__))):
-                                    queue.append(task)
-                            else:
-                                record_success(task, payload)
-
-                        # Watchdog scan over what is still in flight.
-                        live = {f: t for f, t in inflight.items()
-                                if f not in abandoned}
-                        for verdict in supervisor.overdue(list(live.values())):
-                            task = verdict.task
-                            future = next(f for f, t in live.items() if t is task)
-                            if verdict.pid is None:
-                                # No claim yet: either still queued inside the
-                                # pool (cancellable — requeue for free) or a
-                                # worker hung before claiming (rare; give it
-                                # one extra deadline, then abandon it).
-                                if future.cancel():
-                                    inflight.pop(future)
-                                    task.not_before = 0.0
-                                    queue.append(task)
-                                elif verdict.silent_seconds > 2 * task.deadline:
-                                    supervisor.note_timeout(task)
-                                    abandoned.add(future)
-                                    zombies = True
-                                    if attempt_failed(task, task.last_error):
-                                        queue.append(task)
-                                continue
-                            supervisor.note_timeout(task)
-                            if obs.enabled:
-                                obs.metrics.counter(
-                                    "fleet_watchdog_timeouts_total",
-                                    "hung workers reaped by the shard watchdog",
-                                ).inc()
-                                logger.error(
-                                    "watchdog_timeout", shard=task.index,
-                                    pid=verdict.pid,
-                                    silent_seconds=round(verdict.silent_seconds, 3))
-                            events.emit(
-                                "watchdog_timeout", shard=task.index,
-                                start=task.start, stop=task.stop,
-                                pid=verdict.pid,
-                                silent_seconds=round(verdict.silent_seconds, 3),
-                                deadline=task.deadline)
-                            abandoned.add(future)
-                            if reap(verdict.pid):
-                                expected_break = True
-                            if attempt_failed(task, task.last_error):
-                                queue.append(task)
-
-                        broken = getattr(pool_box["pool"], "_broken", False)
-                        if pool_broke or broken:
-                            # Drain everything: a broken pool finishes nothing.
-                            for future, task in list(inflight.items()):
-                                if future in abandoned:
-                                    abandoned.discard(future)
-                                    continue
-                                payload = None
-                                if future.done() and not future.cancelled():
-                                    try:
-                                        payload = future.result()
-                                    except BaseException:  # noqa: BLE001
-                                        payload = None
-                                if payload is not None:
-                                    record_success(task, payload)
-                                else:
-                                    broken_tasks.append(task)
-                            inflight.clear()
-                            abandoned.clear()
-                            if expected_break:
-                                # The watchdog reaped a worker; its shard was
-                                # already charged. Innocent in-flight siblings
-                                # reschedule without consuming an attempt.
-                                expected_break = False
-                                for task in broken_tasks:
-                                    task.not_before = 0.0
-                                    queue.append(task)
-                            else:
-                                for task in broken_tasks:
-                                    if attempt_failed(
-                                            task,
-                                            "BrokenProcessPool: a worker "
-                                            "process died unexpectedly"):
-                                        queue.append(task)
-                            rebuilds += 1
-                            if rebuilds > max_rebuilds:
-                                raise FleetError(
-                                    f"fleet pool broke {rebuilds} times; "
-                                    "giving up")
-                            _teardown_pool(pool_box["pool"])
-                            pool_box["pool"] = None
-                            if queue:
-                                if obs.enabled:
-                                    logger.warning("pool_rebuilt",
-                                                   rebuilds=rebuilds,
-                                                   requeued=len(broken_tasks))
-                                pool_box["pool"] = ProcessPoolExecutor(
-                                    max_workers=width)
-
-                    if zombies:
-                        _teardown_pool(pool_box["pool"])
-                    elif pool_box["pool"] is not None:
-                        pool_box["pool"].shutdown(wait=True)
-                    pool_box["pool"] = None
+                self._dispatch(ledger, self._scan_cache(ledger))
             except (RunInterrupted, KeyboardInterrupt) as interrupt:
-                self._flush_interrupted(
-                    interrupt, pool_box, inflight, shards, keys, states,
-                    results, failures, quarantined, supervisor, run_span,
-                    progress)
+                self._interrupted(ledger, getattr(interrupt, "signum", 2))
                 raise
-            finally:
-                if claim_dir is not None:
-                    shutil.rmtree(claim_dir, ignore_errors=True)
-
             self._record_cache_metrics()
             # Fold worker telemetry into this context in shard order,
             # so the merged registry is independent of completion order.
-            self._absorb_snapshots(run_span, results, states)
+            self._absorb_snapshots(ledger)
+            return self._finish(ledger, self._merge(ledger), started, resumed)
 
-            # Phase 3: merge in household order.
-            report: Optional[FingerprintReport] = None
-            if results:
-                merged = [results[index] for index in sorted(results)]
-                if obs.enabled:
-                    with obs.tracer.span("fleet.merge", _parent=run_span,
-                                         shards=len(merged)):
-                        report = merge_shard_results(self.spec, merged)
-                else:
-                    report = merge_shard_results(self.spec, merged)
+    def _scan_cache(self, ledger: ShardLedger) -> List[ShardTask]:
+        """Serve every shard the cache already has; returns tasks for the rest."""
+        faults = _planned_worker_faults(self.spec, self.fault_plan, ledger.shards)
+        tasks: List[ShardTask] = []
+        for shard in ledger.shards:
+            payload = None
+            if self.cache is not None:
+                payload = self.cache.load(ledger.keys[shard.index], functools.partial(
+                    is_shard_payload, start=shard.start, stop=shard.stop))
+            if payload is not None:
+                ledger.cached(shard, payload)
+            else:
+                ledger.queued(shard)
+                tasks.append(ledger.supervisor.task_for(shard, faults.get(shard.index)))
+        if self.obs.enabled and self.cache is not None:
+            ledger.logger.info("cache_scan", hits=self.cache.hits,
+                               misses=self.cache.misses)
+        return tasks
 
-            if (failures or quarantined) and not self.keep_going:
-                events.emit("run_end", kind="fleet", shards=len(shards),
-                            failed=len(failures), quarantined=len(quarantined),
-                            complete=False, outcome="failed")
-                self._run_end_emitted = True
-                if failures:
-                    first = failures[0]
-                    raise FleetError(
-                        f"shard {first.shard} (households [{first.start}, "
-                        f"{first.stop})) failed: {first.error}")
-                poison = quarantined[0]
-                raise FleetError(
-                    f"shard {poison.shard} (households [{poison.start}, "
-                    f"{poison.stop})) quarantined after {poison.attempts} "
-                    f"attempts: {poison.error}")
+    def _dispatch(self, ledger: ShardLedger, tasks: List[ShardTask]) -> None:
+        """Compute ``tasks`` in the pool loop, or else in the inline loop below."""
+        # A hung worker can only be supervised from outside its
+        # process, so hang faults force the pool even at workers=1.
+        needs_pool = any(t.fault is not None and t.fault.get("kind") == "hang"
+                         for t in tasks)
+        if tasks and (needs_pool or (self.workers > 1 and len(tasks) > 1)):
+            _PoolDispatch(self, ledger, tasks).run()
+            return
+        queue = deque(tasks)
+        supervisor = ledger.supervisor
+        while queue:
+            task = queue.popleft()
+            delay = task.not_before - supervisor.clock()
+            if delay > 0:
+                time.sleep(delay)
+            supervisor.record_dispatch(task)
+            ledger.running(task)
+            try:
+                payload = run_shard(self._spec_dict, task.start, task.stop,
+                                    **self._shard_kwargs(task))
+            except Exception as exc:  # noqa: BLE001 - isolated
+                if ledger.attempt_failed(task, *_describe(exc)):
+                    queue.append(task)
+            else:
+                ledger.completed(task, payload)
 
-            result = FleetResult(
-                spec=self.spec,
-                workers=self.workers,
-                report=report,
-                shard_states=[states[index] for index in sorted(states)],
-                failures=failures,
-                quarantined=quarantined,
-                cache_hits=self.cache.hits if self.cache is not None else 0,
-                cache_misses=self.cache.misses if self.cache is not None else 0,
-                cache_writes=self.cache.writes if self.cache is not None else 0,
-                retries_total=supervisor.retries_used,
-                watchdog_timeouts=supervisor.watchdog_timeouts,
-                wall_seconds=time.perf_counter() - started,
-                resumed=resumed,
-            )
-            if run_span is not None:
-                run_span.set_attr("failed_shards", len(failures))
-                run_span.set_attr("cache_hits", result.cache_hits)
-                if quarantined:
-                    run_span.set_attr("quarantined_shards", len(quarantined))
-            if obs.enabled:
-                logger.info("run_complete", shards=result.shards_total,
-                            failed=len(failures), cache_hits=result.cache_hits,
-                            wall_seconds=result.wall_seconds)
-            events.emit("run_end", kind="fleet", shards=result.shards_total,
-                        failed=len(failures), cache_hits=result.cache_hits,
-                        quarantined=len(quarantined),
-                        wall_seconds=round(result.wall_seconds, 6),
-                        complete=result.complete, outcome="ok")
+    def _merge(self, ledger: ShardLedger) -> Optional[FingerprintReport]:
+        """Merge the results in household order; ``None`` when there are none."""
+        if not ledger.results:
+            return None
+        merged = [ledger.results[index] for index in sorted(ledger.results)]
+        if not self.obs.enabled:
+            return merge_shard_results(self.spec, merged)
+        with self.obs.tracer.span("fleet.merge", _parent=ledger.run_span,
+                                  shards=len(merged)):
+            return merge_shard_results(self.spec, merged)
+
+    def _finish(self, ledger: ShardLedger, report: Optional[FingerprintReport],
+                started: float, resumed: bool) -> FleetResult:
+        obs, events = self.obs, self.obs.events
+        failures, quarantined = ledger.failures, ledger.quarantined
+        if (failures or quarantined) and not self.keep_going:
+            events.emit("run_end", kind="fleet", shards=len(ledger.shards),
+                        failed=len(failures), quarantined=len(quarantined),
+                        complete=False, outcome="failed")
             self._run_end_emitted = True
-            return result
-
-    def _flush_interrupted(self, interrupt, pool_box, inflight, shards, keys,
-                           states, results, failures, quarantined, supervisor,
-                           run_span, progress) -> None:
-        """Graceful-shutdown path: checkpoint everything, then unwind.
-
-        Reaps claimed workers (their pool would otherwise be joined at
-        interpreter exit), marks every shard without a terminal state
-        ``"interrupted"`` in the manifest, flushes cache metrics and the
-        absorbed worker telemetry, and emits ``run_interrupted`` plus
-        the terminal ``run_end`` with ``outcome="interrupted"`` — so
-        ``--metrics-out``/``--events-out`` artifacts from an interrupted
-        run are complete, and ``--resume`` picks up from the last
-        checkpoint byte-identically.
-        """
-        obs = self.obs
-        events = obs.events
-        signum = getattr(interrupt, "signum", 2)
-        for task in inflight.values():
-            reap(read_claim_pid(task.claim_path))
-        _teardown_pool(pool_box.get("pool"))
-        pool_box["pool"] = None
-        for shard in shards:
-            if shard.index not in states:
-                states[shard.index] = ShardState(
-                    index=shard.index, start=shard.start, stop=shard.stop,
-                    state="interrupted", key=keys.get(shard.index))
-                self._record_shard(run_span, states[shard.index])
-        self._write_manifest(states)
-        self._record_cache_metrics()
-        self._absorb_snapshots(run_span, results, states)
+            if failures:
+                first = failures[0]
+                raise FleetError(
+                    f"shard {first.shard} (households [{first.start}, "
+                    f"{first.stop})) failed: {first.error}")
+            poison = quarantined[0]
+            raise FleetError(
+                f"shard {poison.shard} (households [{poison.start}, "
+                f"{poison.stop})) quarantined after {poison.attempts} "
+                f"attempts: {poison.error}")
+        cache = self.cache
+        result = FleetResult(
+            spec=self.spec,
+            workers=self.workers,
+            report=report,
+            shard_states=[ledger.states[index] for index in sorted(ledger.states)],
+            failures=failures,
+            quarantined=quarantined,
+            cache_hits=cache.hits if cache is not None else 0,
+            cache_misses=cache.misses if cache is not None else 0,
+            cache_writes=cache.writes if cache is not None else 0,
+            retries_total=ledger.supervisor.retries_used,
+            watchdog_timeouts=ledger.supervisor.watchdog_timeouts,
+            wall_seconds=time.perf_counter() - started,
+            resumed=resumed,
+        )
+        if ledger.run_span is not None:
+            ledger.run_span.set_attr("failed_shards", len(failures))
+            ledger.run_span.set_attr("cache_hits", result.cache_hits)
+            if quarantined:
+                ledger.run_span.set_attr("quarantined_shards", len(quarantined))
         if obs.enabled:
-            obs.logger("fleet").warning(
+            ledger.logger.info("run_complete", shards=result.shards_total,
+                               failed=len(failures), cache_hits=result.cache_hits,
+                               wall_seconds=result.wall_seconds)
+        events.emit("run_end", kind="fleet", shards=result.shards_total,
+                    failed=len(failures), cache_hits=result.cache_hits,
+                    quarantined=len(quarantined),
+                    wall_seconds=round(result.wall_seconds, 6),
+                    complete=result.complete, outcome="ok")
+        self._run_end_emitted = True
+        return result
+
+    def _interrupted(self, ledger: ShardLedger, signum: int) -> None:
+        """Graceful shutdown after the dispatch loop reaped its workers.
+
+        Journals every unfinished shard as ``"interrupted"``, flushes
+        the cache metrics and the absorbed worker telemetry, and emits
+        ``run_interrupted`` plus the terminal ``run_end`` with
+        ``outcome="interrupted"`` — so ``--metrics-out``/``--events-out``
+        artifacts from an interrupted run are complete, and ``--resume``
+        picks up from the last checkpoint byte-identically.
+        """
+        ledger.interrupted()
+        self._record_cache_metrics()
+        self._absorb_snapshots(ledger)
+        if self.obs.enabled:
+            ledger.logger.warning(
                 "run_interrupted", signum=signum,
-                done=sum(1 for s in states.values()
+                done=sum(1 for s in ledger.states.values()
                          if s.state in ("cached", "completed")),
-                shards=len(shards))
-        events.emit("run_interrupted", kind="fleet", signum=signum, **progress())
-        events.emit("run_end", kind="fleet", shards=len(shards),
-                    failed=len(failures), quarantined=len(quarantined),
+                shards=len(ledger.shards))
+        events = self.obs.events
+        events.emit("run_interrupted", kind="fleet", signum=signum, **ledger.progress())
+        events.emit("run_end", kind="fleet", shards=len(ledger.shards),
+                    failed=len(ledger.failures), quarantined=len(ledger.quarantined),
                     complete=False, outcome="interrupted")
         self._run_end_emitted = True
+
+    # -- observability helpers -----------------------------------------------------
+
+    def _absorb_snapshots(self, ledger: ShardLedger) -> None:
+        """Merge every shard's ``ObsSnapshot`` into the parent context.
+
+        Applied in **shard-index order** (not completion order) so the
+        merged registry is byte-identical at any worker count; shards
+        served from the cache replay their stored snapshot with the
+        ``from_cache="true"`` label on every sample and a
+        ``from_cache`` attr on their absorbed spans.
+        """
+        obs = self.obs
+        if not obs.enabled:
+            return
+        for index in sorted(ledger.results):
+            raw = ledger.results[index].get("obs")
+            if raw is None:
+                continue  # pre-snapshot cache entry or foreign payload
+            try:
+                snapshot = ObsSnapshot.from_dict(raw)
+            except ObsSnapshotError as error:
+                ledger.logger.warning("snapshot_rejected", shard=index, error=str(error))
+                continue
+            cached = ledger.states[index].state == "cached"
+            snapshot.apply(
+                obs,
+                extra_labels={"from_cache": "true"} if cached else None,
+                span_parent=ledger.run_span,
+                span_attrs={"shard": index, "from_cache": str(cached).lower()},
+            )
+
+    def _record_cache_metrics(self) -> None:
+        obs = self.obs
+        if not obs.enabled or self.cache is None:
+            return
+        obs.metrics.counter(
+            "fleet_cache_hits_total", "shard results served from the cache",
+        ).inc(self.cache.hits)
+        obs.metrics.counter(
+            "fleet_cache_misses_total", "shard results absent from the cache",
+        ).inc(self.cache.misses)
+        obs.metrics.counter(
+            "fleet_cache_writes_total", "shard results checkpointed to the cache",
+        ).inc(self.cache.writes)
 
 
 def run_fleet(
@@ -943,7 +700,7 @@ def run_fleet(
     keep_going: bool = True,
     obs: Optional[Observability] = None,
     profile_hz: float = 0.0,
-    retries: Optional[int] = None,
+    retries: int = 0,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     shard_deadline: Optional[float] = None,
 ) -> FleetResult:

@@ -10,12 +10,6 @@ The shard cache key hashes the spec subset that determines a shard's
 bytes **plus the code version** — a digest of the generator/analysis
 sources — so editing the generator invalidates every cached shard
 instead of silently serving stale results.
-
-Env knobs resolved here: ``REPRO_FLEET_SHARD_SIZE`` (households per
-shard) and ``REPRO_FLEET_WORKERS`` (pool width).  The supervision
-defaults — ``REPRO_FLEET_RETRIES`` and ``REPRO_FLEET_DEADLINE`` — live
-in :mod:`repro.fleet.supervisor`, which derives each shard's watchdog
-deadline from :attr:`ShardRange.households` when no override is given.
 """
 
 from __future__ import annotations
@@ -23,31 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-#: Default households per shard; override via ``REPRO_FLEET_SHARD_SIZE``.
+#: Default households per shard.
 DEFAULT_SHARD_SIZE = 256
-
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(minimum, value)
-
-
-def default_shard_size() -> int:
-    return _env_int("REPRO_FLEET_SHARD_SIZE", DEFAULT_SHARD_SIZE)
-
-
-def default_workers() -> int:
-    """Worker-count default: ``REPRO_FLEET_WORKERS`` or the CPU count."""
-    return _env_int("REPRO_FLEET_WORKERS", max(1, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -73,7 +47,7 @@ class FleetSpec:
     vendor_count: int = 165
     product_count: int = 264
     validate_oui: bool = True
-    shard_size: int = field(default_factory=default_shard_size)
+    shard_size: int = DEFAULT_SHARD_SIZE
 
     def __post_init__(self) -> None:
         if self.households < 1:

@@ -24,9 +24,9 @@ Three cooperating pieces:
 * :class:`RunInterrupted` / :func:`interrupt_guard` — SIGINT/SIGTERM
   become a typed exception (a :class:`KeyboardInterrupt` subclass, so
   unaware code still treats it as an interrupt) carrying the signal
-  number, which the runner catches to flush the manifest, mark
-  in-flight shards ``interrupted``, and exit ``128 + signum``
-  (130 for SIGINT, 143 for SIGTERM).
+  number, which the runner catches to journal in-flight shards as
+  ``interrupted`` and exit ``128 + signum`` (130 for SIGINT, 143 for
+  SIGTERM).
 
 Nothing here runs on the zero-fault, zero-retry path beyond a cheap
 deadline computation — the supervised run's merged report stays
@@ -41,7 +41,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 #: Seconds of budget per household when deriving a shard's deadline.
@@ -58,43 +58,9 @@ DEFAULT_RETRY_BACKOFF = 0.5
 WATCHDOG_POLL_SECONDS = 0.05
 
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def default_shard_retries() -> int:
-    """Programmatic retry default: ``REPRO_FLEET_RETRIES`` or 0.
-
-    Zero keeps :func:`repro.fleet.run_fleet` byte- and
-    behaviour-identical to the pre-supervision builds; the ``repro
-    fleet`` CLI opts into 2 retries by default (``--shard-retries``).
-    """
-    raw = os.environ.get("REPRO_FLEET_RETRIES")
-    if raw is None:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def default_shard_deadline(households: int) -> float:
-    """Deadline for a shard of ``households``: env override or derived.
-
-    ``REPRO_FLEET_DEADLINE`` (seconds) wins when set; otherwise the
-    deadline scales with shard size so a re-partition does not silently
-    tighten the watchdog.
-    """
-    override = _env_float("REPRO_FLEET_DEADLINE")
-    if override is not None:
-        return override
+    """Deadline for a shard of ``households``, scaled with its size so a
+    re-partition does not silently tighten the watchdog."""
     return max(MIN_SHARD_DEADLINE,
                DEADLINE_SECONDS_PER_HOUSEHOLD * max(1, households))
 
@@ -229,10 +195,6 @@ class ShardTask:
     last_traceback: str = ""
 
     @property
-    def households(self) -> int:
-        return self.stop - self.start
-
-    @property
     def next_attempt(self) -> int:
         """1-based number of the attempt that would run next."""
         return self.attempts + 1
@@ -266,18 +228,15 @@ class ShardSupervisor:
     clock: object = time.monotonic
     retries_used: int = 0
     watchdog_timeouts: int = 0
-    _tasks: List[ShardTask] = field(default_factory=list)
 
     def task_for(self, shard, fault: Optional[Dict[str, object]] = None,
                  claim_path: Optional[str] = None) -> ShardTask:
-        task = ShardTask(
+        return ShardTask(
             index=shard.index, start=shard.start, stop=shard.stop,
             fault=fault, claim_path=claim_path,
             deadline=(self.deadline if self.deadline is not None
                       else default_shard_deadline(shard.stop - shard.start)),
         )
-        self._tasks.append(task)
-        return task
 
     def record_dispatch(self, task: ShardTask) -> None:
         task.dispatched_at = self.clock()

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.net.decode import DecodedPacket
 from repro.obs import get_obs
 from repro.simnet.node import Node
-from repro.simnet.services import ServiceTable
 
 
 @dataclass

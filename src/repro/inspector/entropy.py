@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.inspector.schema import Household, InspectedDevice, InspectorDataset
+from repro.inspector.schema import InspectedDevice, InspectorDataset
 
 #: "an English word... followed by an apostrophe, 's', space, another word"
 NAME_RE = re.compile(r"\b([A-Z][A-Za-z]+)'s\s+(\w+)")

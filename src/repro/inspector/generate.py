@@ -26,7 +26,7 @@ import enum
 import hashlib
 import random
 import uuid as uuid_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.inspector.schema import (

@@ -11,7 +11,7 @@ validated against the generator's ground truth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.inspector.schema import InspectedDevice, InspectorDataset

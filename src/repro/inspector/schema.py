@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 def hashed_device_id(mac: str, user_salt: bytes) -> str:

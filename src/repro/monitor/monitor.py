@@ -24,7 +24,7 @@ Metrics land on the ambient observability context under the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.monitor.state import (
     IncrementalCensus,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 import time
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from repro.net.ingest import DEFAULT_CHUNK_RECORDS
 from repro.net.pcap import PCAP_MAGIC, PCAP_MAGIC_SWAPPED

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.net.arp import ArpPacket
 from repro.net.eapol import EapolFrame

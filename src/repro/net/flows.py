@@ -10,7 +10,7 @@ of the periodicity analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.net.decode import DecodedPacket
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.ipv4 import internet_checksum
 from repro.net.mac import MacAddress

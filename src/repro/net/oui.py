@@ -12,7 +12,7 @@ representative allocations fixed per vendor for determinism.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.mac import MacAddress
 

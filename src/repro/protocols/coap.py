@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 from repro.net.guard import guarded_decode
 
 COAP_PORT = 5683

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.mac import MacAddress
 from repro.net.guard import guarded_decode

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 from repro.net.guard import guarded_decode
 

@@ -7,7 +7,7 @@ the paper's figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 _SHADES = " .:-=+*#%@"
 

@@ -6,7 +6,7 @@ can compare shapes at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:

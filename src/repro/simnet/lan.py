@@ -13,7 +13,6 @@ import ipaddress
 from typing import Dict, List, Optional
 
 from repro.net.decode import DecodedPacket, decode_frame, quick_protocol
-from repro.net.ether import EtherType
 from repro.net.mac import MacAddress
 from repro.net.tcp import TcpFlags, TcpSegment
 from repro.obs import get_obs

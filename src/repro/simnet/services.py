@@ -8,7 +8,7 @@ scanner interrogate it exactly as nmap/Nessus interrogate real stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 

@@ -120,17 +120,20 @@ class TestRobustness:
 class TestManifest:
     def test_manifest_records_every_shard(self, tmp_path, small_spec):
         run_fleet(small_spec, workers=1, cache_dir=tmp_path)
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["spec"] == small_spec.to_dict()
-        assert len(manifest["shards"]) == len(small_spec.shards())
+        lines = (tmp_path / MANIFEST_NAME).read_text().splitlines()
+        header, *shards = map(json.loads, lines)
+        assert header["spec"] == small_spec.to_dict()
+        assert len(shards) == len(small_spec.shards())
         assert all(entry["state"] in ("cached", "completed")
-                   for entry in manifest["shards"].values())
+                   for entry in shards)
 
     def test_manifest_is_compact_json(self, tmp_path, small_spec):
         run_fleet(small_spec, workers=1, cache_dir=tmp_path)
         raw = (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8")
-        assert raw == json.dumps(json.loads(raw), sort_keys=True,
-                                 separators=(",", ":"))
+        assert raw.endswith("\n")
+        for line in raw.splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":"))
 
     def test_no_cache_dir_means_no_manifest_or_stats(self, small_spec):
         result = run_fleet(small_spec, workers=1)

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.fleet import FleetSpec, ShardRange, code_version, shard_key
-from repro.fleet.spec import _VERSIONED_MODULES, default_shard_size, default_workers
+from repro.fleet.spec import _VERSIONED_MODULES
 
 #: The modules that compute a shard's bytes; everything they import
 #: shapes those bytes too.
@@ -116,20 +116,3 @@ class TestShardKey:
         closure = import_closure(SHARD_ROOTS)
         assert {"repro.protocols.dns", "repro.net.mac"} <= closure
         assert sorted(closure - set(_VERSIONED_MODULES)) == []
-
-
-class TestEnvKnobs:
-    def test_shard_size_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_SHARD_SIZE", "17")
-        assert default_shard_size() == 17
-        assert FleetSpec(seed=1, households=40).shard_size == 17
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "6")
-        assert default_workers() == 6
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_SHARD_SIZE", "many")
-        assert default_shard_size() == 256
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "-3")
-        assert default_workers() == 1

@@ -4,7 +4,7 @@ Unit coverage for :mod:`repro.fleet.supervisor` (policy objects, the
 claim-file heartbeat channel, signal conversion) plus the integration
 contracts from the runner: transient failures retry to a byte-identical
 report, poison shards quarantine, hung workers are reaped within their
-deadline, a SIGTERM'd CLI run exits 143 with a flushed manifest, and a
+deadline, a SIGTERM'd CLI run exits 143 with a flushed journal, and a
 ``--resume`` after any interruption merges byte-identically.
 """
 
@@ -29,11 +29,10 @@ from repro.fleet import (
     FleetSpec,
     RunInterrupted,
     default_shard_deadline,
-    default_shard_retries,
     interrupt_guard,
     run_fleet,
 )
-from repro.fleet.runner import FleetConfigError, FleetRunner
+from repro.fleet.runner import MANIFEST_NAME, FleetConfigError, FleetRunner
 from repro.fleet.spec import ShardRange
 from repro.fleet.supervisor import (
     MIN_SHARD_DEADLINE,
@@ -49,6 +48,12 @@ from repro.obs.events import EventBus
 from repro.obs.logging import NullLogManager
 
 
+def _journal_states(path: Path) -> dict:
+    """Shard index -> state, from a manifest journal's shard lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {entry["index"]: entry["state"] for entry in map(json.loads, lines)}
+
+
 def _obs_with_bus() -> Observability:
     return Observability(metrics=MetricsRegistry(), tracer=Tracer(),
                          logs=NullLogManager(), enabled=True,
@@ -59,25 +64,6 @@ class TestDeadlinePolicy:
     def test_derived_deadline_scales_with_households(self):
         assert default_shard_deadline(1000) == 500.0
         assert default_shard_deadline(10) == MIN_SHARD_DEADLINE
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_DEADLINE", "7.5")
-        assert default_shard_deadline(100000) == 7.5
-
-    def test_bad_env_override_falls_back_to_derived(self, monkeypatch):
-        for bad in ("banana", "0", "-3"):
-            monkeypatch.setenv("REPRO_FLEET_DEADLINE", bad)
-            assert default_shard_deadline(10) == MIN_SHARD_DEADLINE
-
-    def test_retry_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_RETRIES", raising=False)
-        assert default_shard_retries() == 0
-        monkeypatch.setenv("REPRO_FLEET_RETRIES", "3")
-        assert default_shard_retries() == 3
-        monkeypatch.setenv("REPRO_FLEET_RETRIES", "-2")
-        assert default_shard_retries() == 0
-        monkeypatch.setenv("REPRO_FLEET_RETRIES", "nope")
-        assert default_shard_retries() == 0
 
     def test_runner_rejects_bad_supervision_config(self, small_spec):
         with pytest.raises(FleetConfigError):
@@ -359,7 +345,7 @@ class TestGracefulShutdown:
     def test_interrupt_during_retry_never_marks_shard_done(
             self, tmp_path, small_spec, small_serial_report):
         """Kill the run between attempt 1 and attempt 2 of a retrying
-        shard: the manifest must record it as interrupted — never done —
+        shard: the journal must record it as interrupted — never done —
         and a plain ``--resume`` reproduces the clean report exactly."""
         plan = FaultPlan.from_dict({"shards": {"fail": [1]}})
         records = []
@@ -377,9 +363,9 @@ class TestGracefulShutdown:
                       obs=obs)
         assert excinfo.value.exit_code == 143
 
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["shards"]["1"]["state"] == "interrupted"
-        assert manifest["shards"]["0"]["state"] == "completed"
+        states = _journal_states(tmp_path / MANIFEST_NAME)
+        assert states[1] == "interrupted"
+        assert states[0] == "completed"
         names = [record["event"] for record in records]
         assert names[-2:] == ["run_interrupted", "run_end"]
         assert records[-1]["outcome"] == "interrupted"
@@ -394,7 +380,7 @@ class TestGracefulShutdown:
     def test_sigterm_cli_run_exits_143_and_resumes_byte_identically(
             self, tmp_path):
         """The acceptance path end to end: SIGTERM a live ``repro
-        fleet`` process, observe exit 143 + a flushed manifest + the
+        fleet`` process, observe exit 143 + a flushed journal + the
         terminal NDJSON records, then resume to the clean bytes."""
         spec = FleetSpec(seed=5, households=288, target_devices=900,
                          shard_size=16)
@@ -432,8 +418,7 @@ class TestGracefulShutdown:
         assert child.returncode == 143
         assert "interrupted (exit 143)" in stderr
 
-        manifest = json.loads((cache / "manifest.json").read_text())
-        states = {entry["state"] for entry in manifest["shards"].values()}
+        states = set(_journal_states(cache / MANIFEST_NAME).values())
         assert "interrupted" in states  # dispatch stopped mid-run
         records = [json.loads(line) for line in
                    events_path.read_text().splitlines()]

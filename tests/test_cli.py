@@ -278,9 +278,27 @@ class TestFleet:
     @pytest.mark.parametrize("manifest", ["[]", '"x"', "1"])
     def test_resume_with_non_object_manifest_exits_2(self, tmp_path, capsys,
                                                      manifest):
-        (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8")
+        (tmp_path / "manifest.ndjson").write_text(manifest, encoding="utf-8")
         assert main(self.ARGS + ["--cache-dir", str(tmp_path), "--resume"]) == 2
         assert "no readable manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("spec", {"seed": 5}, "different fleet spec"),
+        ("code_version", "stale", "code changed"),
+    ])
+    def test_resume_with_mismatched_header_exits_2(self, tmp_path, capsys,
+                                                   field, value, message):
+        import json
+
+        from repro.fleet import FleetSpec, code_version
+
+        header = {"spec": FleetSpec(seed=5, households=96, target_devices=300,
+                                    shard_size=32).to_dict(),
+                  "code_version": code_version(), "workers": 1, field: value}
+        (tmp_path / "manifest.ndjson").write_text(json.dumps(header) + "\n",
+                                                  encoding="utf-8")
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path), "--resume"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_resume_without_cache_dir_exits_2(self, capsys):
         assert main(self.ARGS + ["--resume"]) == 2
