@@ -53,10 +53,12 @@ class ProtocolCensus:
     def rows(self) -> List[Dict[str, object]]:
         """Figure 2 as data rows (protocol, %passive, %scan, %apps)."""
         labels = set(self.passive) | set(self.scanned) | set(self.apps)
+        # Scores tie (ARP and DHCP in the reference study); the label
+        # breaks the tie, so the order never depends on set iteration.
         ordered = sorted(
             labels,
-            key=lambda label: -(len(self.passive.get(label, ())) * 3
-                                + len(self.scanned.get(label, ()))),
+            key=lambda label: (-(len(self.passive.get(label, ())) * 3
+                                 + len(self.scanned.get(label, ()))), label),
         )
         return [
             {

@@ -163,11 +163,13 @@ class FaultInjector:
 
     # -- the transmit hook ------------------------------------------------------------
 
-    def transmit(self, sender: "Node", frame_bytes: bytes) -> None:
+    def transmit(self, sender: "Node", frame_bytes: bytes, layers: Optional[dict] = None) -> None:
         """Roll the plan for one frame; deliver whatever survives.
 
         A dropped frame never reaches the capture or any receiver, and
-        nothing decodes it.
+        nothing decodes it.  The sender's ``layers`` go along only while
+        the bytes are the ones it encoded; a truncated, corrupted or
+        mutated frame is decoded on delivery.
         """
         lan = self.lan
         now = lan.simulator.now
@@ -214,14 +216,16 @@ class FaultInjector:
                     data = mutate_udp_payload(rng, data)
                     self._count("mutate_discovery")
 
+        if data is not frame_bytes:
+            layers = None
         if delay > 0.0:
-            lan.simulator.schedule(delay, lambda: lan._deliver(sender, data))
+            lan.simulator.schedule(delay, lambda: lan._deliver(sender, data, layers))
             if duplicate:
-                lan.simulator.schedule(delay, lambda: lan._deliver(sender, data))
+                lan.simulator.schedule(delay, lambda: lan._deliver(sender, data, layers))
             return
-        lan._deliver(sender, data)
+        lan._deliver(sender, data, layers)
         if duplicate:
-            lan._deliver(sender, data)
+            lan._deliver(sender, data, layers)
 
     # -- the delivery hook ------------------------------------------------------------
 

@@ -7,7 +7,6 @@ captured bytes, mirroring how the paper post-processes tcpdump output.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -30,36 +29,29 @@ class DecodeErrorLog:
     Instead the failure is recorded here — counted per reason, with a
     bounded sample of the offending bytes kept for postmortems — and
     the (partially) decoded packet flows on with ``decode_error`` set.
-    Thread-safe, because the capture layer decodes backlogs in parallel
-    chunks.
     """
 
     #: How many offending frames to retain verbatim for inspection.
     SAMPLE_LIMIT = 32
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.counts: Dict[str, int] = {}
         self.samples = deque(maxlen=self.SAMPLE_LIMIT)
 
     def record(self, timestamp: float, data: bytes, reason: str, detail: str = "") -> None:
-        with self._lock:
-            self.counts[reason] = self.counts.get(reason, 0) + 1
-            self.samples.append((timestamp, bytes(data), reason, detail))
+        self.counts[reason] = self.counts.get(reason, 0) + 1
+        self.samples.append((timestamp, bytes(data), reason, detail))
 
     @property
     def total(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
+        return sum(self.counts.values())
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self.counts)
+        return dict(self.counts)
 
     def clear(self) -> None:
-        with self._lock:
-            self.counts.clear()
-            self.samples.clear()
+        self.counts.clear()
+        self.samples.clear()
 
     def __len__(self) -> int:
         return self.total

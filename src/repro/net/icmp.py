@@ -24,6 +24,11 @@ class IcmpType(enum.IntEnum):
     ECHO_REQUEST = 8
 
 
+#: The echo builders' types as plain ``int``, which is what ``decode``
+#: reads, so a built echo equals its decode in type as well as value.
+_ECHO_REQUEST, _ECHO_REPLY = int(IcmpType.ECHO_REQUEST), int(IcmpType.ECHO_REPLY)
+
+
 class Icmpv6Type(enum.IntEnum):
     ECHO_REQUEST = 128
     ECHO_REPLY = 129
@@ -58,11 +63,11 @@ class IcmpMessage:
 
     @classmethod
     def echo_request(cls, ident: int = 1, seq: int = 1, data: bytes = b"") -> "IcmpMessage":
-        return cls(IcmpType.ECHO_REQUEST, 0, struct.pack("!HH", ident, seq) + data)
+        return cls(_ECHO_REQUEST, 0, struct.pack("!HH", ident, seq) + data)
 
     @classmethod
     def echo_reply(cls, ident: int = 1, seq: int = 1, data: bytes = b"") -> "IcmpMessage":
-        return cls(IcmpType.ECHO_REPLY, 0, struct.pack("!HH", ident, seq) + data)
+        return cls(_ECHO_REPLY, 0, struct.pack("!HH", ident, seq) + data)
 
 
 @dataclass

@@ -66,6 +66,26 @@ class TcpSegment:
     def is_rst(self) -> bool:
         return bool(int(self.flags) & _RST)
 
+    def round_trips(self) -> bool:
+        """True when ``decode(encode())`` rebuilds this segment exactly.
+
+        ``decode`` yields plain ``int`` fields, 32-bit ``seq``/``ack``
+        and an exact ``bytes`` payload; a segment holding anything else
+        (an enum port, a ``bytearray``, a sequence number ``encode``
+        masks) decodes to something unequal in type or value.
+        """
+        return (
+            type(self.payload) is bytes
+            and type(self.flags) is TcpFlags
+            and type(self.src_port) is int
+            and type(self.dst_port) is int
+            and type(self.window) is int
+            and type(self.seq) is int
+            and type(self.ack) is int
+            and 0 <= self.seq <= 0xFFFFFFFF
+            and 0 <= self.ack <= 0xFFFFFFFF
+        )
+
     def encode(self, src_ip: str = None, dst_ip: str = None) -> bytes:
         segment = (
             _HEADER.pack(

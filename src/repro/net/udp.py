@@ -40,6 +40,16 @@ class UdpDatagram:
             checksum = 0xFFFF  # RFC 768: transmitted as all ones
         return segment[:6] + struct.pack("!H", checksum) + segment[8:]
 
+    def round_trips(self) -> bool:
+        """True when ``decode(encode())`` rebuilds this datagram exactly:
+        plain ``int`` ports and an exact ``bytes`` payload, as ``decode``
+        yields them."""
+        return (
+            type(self.payload) is bytes
+            and type(self.src_port) is int
+            and type(self.dst_port) is int
+        )
+
     @classmethod
     @guarded_decode
     def decode(cls, data: bytes) -> "UdpDatagram":

@@ -35,6 +35,7 @@ same records.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -44,10 +45,22 @@ from typing import Callable, Dict, List, Optional, TextIO
 #: Bump when a record's required fields change shape.
 SCHEMA_VERSION = 1
 
+
+def _heartbeat_interval(text: str) -> float:
+    """``REPRO_HEARTBEAT_SECONDS`` as seconds: 1.0 for anything ``float``
+    rejects or that is negative or not finite, so a bad value cannot
+    stop a subcommand at import."""
+    try:
+        value = float(text)
+    except ValueError:
+        return 1.0
+    return value if math.isfinite(value) and value >= 0 else 1.0
+
+
 #: Minimum wall seconds between two heartbeat records (anti-spam: the
 #: simulator hook fires every few thousand events, which can be far
 #: more often than once a second on a fast run).
-HEARTBEAT_MIN_INTERVAL = float(os.environ.get("REPRO_HEARTBEAT_SECONDS", "1.0"))
+HEARTBEAT_MIN_INTERVAL = _heartbeat_interval(os.environ.get("REPRO_HEARTBEAT_SECONDS", "1.0"))
 
 
 def process_stats() -> Dict[str, float]:

@@ -131,22 +131,35 @@ class Lan:
 
     # -- delivery ----------------------------------------------------------------
 
-    def transmit(self, sender: Node, frame_bytes: bytes) -> None:
-        """Put a frame on the air; the fault layer may drop or damage it."""
+    def transmit(self, sender: Node, frame_bytes: bytes, layers: Optional[dict] = None) -> None:
+        """Put a frame on the air; the fault layer may drop or damage it.
+
+        ``layers`` are the :class:`DecodedPacket` fields the sender
+        encoded ``frame_bytes`` from (see :meth:`Node.send_frame`), or
+        ``None`` for raw bytes.
+        """
         injector = self.injector
         if injector is not None and injector.active:
-            injector.transmit(sender, frame_bytes)
+            injector.transmit(sender, frame_bytes, layers)
         else:
-            self._deliver(sender, frame_bytes)
+            self._deliver(sender, frame_bytes, layers)
 
-    def _deliver(self, sender: Node, frame_bytes: bytes) -> None:
-        """Deliver a frame: capture it at the AP, then fan out to receivers."""
+    def _deliver(self, sender: Node, frame_bytes: bytes, layers: Optional[dict] = None) -> None:
+        """Deliver a frame: capture it at the AP, then fan out to receivers.
+
+        The capture always records the bytes.  Receivers get a fresh
+        packet of the sender's ``layers`` stamped with this delivery's
+        time, or, for a frame without them (raw bytes, or bytes the
+        fault layer changed), the decode of the bytes.
+        """
         timestamp = self.simulator.now
         self.capture.observe(timestamp, frame_bytes)
-        # The capture's own decode pass (ApCapture.decoded) quarantines
-        # malformed frames; this live decode is total, so damaged bytes
-        # reach receivers as a stub packet rather than raising here.
-        packet = decode_frame(frame_bytes, timestamp)
+        if layers is None:
+            # Total: damaged bytes reach receivers as a stub packet
+            # rather than raising here.
+            packet = decode_frame(frame_bytes, timestamp)
+        else:
+            packet = DecodedPacket(timestamp, **layers)
         receivers = self._receivers_of(sender, packet)
         injector = self.injector
         if injector is not None and injector.active:

@@ -31,6 +31,14 @@ from repro.net.tcp import TcpFlags, TcpSegment
 from repro.net.udp import UdpDatagram
 from repro.simnet.services import ServiceTable
 
+#: Header fields as plain ``int``: ``decode_frame`` reads them that way,
+#: and a frame whose layers reach receivers as built (see
+#: :meth:`Node.send_frame`) must carry what a decode would, in type as
+#: well as value.
+_ARP, _IPV4 = int(EtherType.ARP), int(EtherType.IPV4)
+_ICMP, _TCP, _UDP = int(IpProtocol.ICMP), int(IpProtocol.TCP), int(IpProtocol.UDP)
+_DEST_UNREACHABLE = int(IcmpType.DEST_UNREACHABLE)
+
 #: signature: handler(node, packet) -> None
 UdpHandler = Callable[["Node", DecodedPacket], None]
 TcpHandler = Callable[["Node", DecodedPacket], None]
@@ -107,9 +115,21 @@ class Node:
             raise RuntimeError(f"node {self.name!r} is not attached to a LAN")
         return self.lan
 
-    def send_frame(self, dst_mac, ethertype: int, payload: bytes) -> None:
+    def send_frame(self, dst_mac, ethertype: int, payload: bytes, **layers) -> None:
+        """Put one frame on the LAN.
+
+        ``layers`` are the :class:`DecodedPacket` fields (``ipv4=``,
+        ``udp=``, ...) that ``payload`` was encoded from.  Receivers then
+        get a packet made of them instead of a decode of the bytes, so
+        each must equal what ``decode_frame`` rebuilds, field for field
+        and in type: plain ``int`` header fields, and transport layers
+        whose ``round_trips()`` holds.  Without ``layers`` the frame is
+        decoded on delivery.
+        """
         frame = EthernetFrame(dst_mac, self.mac, ethertype, payload)
-        self._require_lan().transmit(self, frame.encode())
+        if layers:
+            layers["frame"] = frame
+        self._require_lan().transmit(self, frame.encode(), layers or None)
 
     def send_udp(
         self,
@@ -123,7 +143,7 @@ class Node:
         lan = self._require_lan()
         src_port = src_port if src_port is not None else self.ephemeral_port()
         datagram = UdpDatagram(src_port, dst_port, payload)
-        packet = Ipv4Packet(self.ip, dst_ip, IpProtocol.UDP, datagram.encode(self.ip, dst_ip))
+        packet = Ipv4Packet(self.ip, dst_ip, _UDP, datagram.encode(self.ip, dst_ip))
         if dst_mac is None:
             if ipv4_is_multicast(dst_ip):
                 dst_mac = ipv4_multicast_mac(dst_ip)
@@ -131,7 +151,10 @@ class Node:
                 dst_mac = BROADCAST_MAC
             else:
                 dst_mac = lan.mac_of(dst_ip) or BROADCAST_MAC
-        self.send_frame(dst_mac, EtherType.IPV4, packet.encode())
+        if datagram.round_trips():
+            self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, udp=datagram)
+        else:
+            self.send_frame(dst_mac, _IPV4, packet.encode())
         return src_port
 
     def send_udp6(self, dst_ip6: str, dst_port: int, payload: bytes, src_port: Optional[int] = None) -> int:
@@ -149,26 +172,29 @@ class Node:
 
     def send_tcp_segment(self, dst_ip: str, segment: TcpSegment, dst_mac=None) -> None:
         lan = self._require_lan()
-        packet = Ipv4Packet(self.ip, dst_ip, IpProtocol.TCP, segment.encode(self.ip, dst_ip))
+        packet = Ipv4Packet(self.ip, dst_ip, _TCP, segment.encode(self.ip, dst_ip))
         if dst_mac is None:
             dst_mac = lan.mac_of(dst_ip) or BROADCAST_MAC
-        self.send_frame(dst_mac, EtherType.IPV4, packet.encode())
+        if segment.round_trips():
+            self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, tcp=segment)
+        else:
+            self.send_frame(dst_mac, _IPV4, packet.encode())
 
     def send_arp_request(self, target_ip: str, unicast_to=None) -> None:
         """ARP who-has: broadcast by default, targeted when ``unicast_to``."""
         arp = ArpPacket(ArpOp.REQUEST, self.mac, self.ip, "00:00:00:00:00:00", target_ip)
         dst = MacAddress(unicast_to) if unicast_to is not None else BROADCAST_MAC
-        self.send_frame(dst, EtherType.ARP, arp.encode())
+        self.send_frame(dst, _ARP, arp.encode(), arp=arp)
 
     def send_arp_reply(self, requester_mac, requester_ip: str) -> None:
         arp = ArpPacket(ArpOp.REPLY, self.mac, self.ip, requester_mac, requester_ip)
-        self.send_frame(requester_mac, EtherType.ARP, arp.encode())
+        self.send_frame(requester_mac, _ARP, arp.encode(), arp=arp)
 
     def send_icmp_echo(self, dst_ip: str, ident: int = 1, seq: int = 1) -> None:
         message = IcmpMessage.echo_request(ident, seq)
-        packet = Ipv4Packet(self.ip, dst_ip, IpProtocol.ICMP, message.encode())
+        packet = Ipv4Packet(self.ip, dst_ip, _ICMP, message.encode())
         dst_mac = self._require_lan().mac_of(dst_ip) or BROADCAST_MAC
-        self.send_frame(dst_mac, EtherType.IPV4, packet.encode())
+        self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, icmp=message)
 
     def send_eapol_handshake(self) -> None:
         """Emit the WPA2 4-way handshake toward the AP."""
@@ -238,9 +264,9 @@ class Node:
             and packet.src_ip is not None
             and packet.ipv4 is not None
         ):
-            unreachable = IcmpMessage(IcmpType.DEST_UNREACHABLE, 3, bytes(4))
-            reply = Ipv4Packet(self.ip, packet.src_ip, IpProtocol.ICMP, unreachable.encode())
-            self.send_frame(packet.frame.src, EtherType.IPV4, reply.encode())
+            unreachable = IcmpMessage(_DEST_UNREACHABLE, 3, bytes(4))
+            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, unreachable.encode())
+            self.send_frame(packet.frame.src, _IPV4, reply.encode(), ipv4=reply, icmp=unreachable)
 
     def _handle_tcp(self, packet: DecodedPacket) -> None:
         segment = packet.tcp
@@ -270,10 +296,9 @@ class Node:
 
     def _handle_icmp(self, packet: DecodedPacket) -> None:
         if packet.icmp.icmp_type == IcmpType.ECHO_REQUEST and self.responds_to_ping:
-            reply = Ipv4Packet(
-                self.ip, packet.src_ip, IpProtocol.ICMP, IcmpMessage.echo_reply().encode()
-            )
-            self.send_frame(packet.frame.src, EtherType.IPV4, reply.encode())
+            message = IcmpMessage.echo_reply()
+            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, message.encode())
+            self.send_frame(packet.frame.src, _IPV4, reply.encode(), ipv4=reply, icmp=message)
 
     def _handle_icmpv6(self, packet: DecodedPacket) -> None:
         if not self.ipv6_enabled:

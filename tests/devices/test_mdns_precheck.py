@@ -59,7 +59,9 @@ def outcome(responder, node, packet):
     The node is left as it was found."""
     sent = []
     state = node.rng.getstate()
-    node.send_frame = lambda dst_mac, ethertype, payload: sent.append(
+    # ``layers`` (what the frame was encoded from) ride beside the bytes;
+    # the bytes alone say which frame was sent.
+    node.send_frame = lambda dst_mac, ethertype, payload, **layers: sent.append(
         (str(dst_mac), ethertype, payload))
     try:
         responder(node, packet)

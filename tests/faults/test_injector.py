@@ -216,24 +216,32 @@ class TestReceiverFaults:
 
 
 class TestDecodeOnce:
-    def test_each_delivery_decodes_its_frame_exactly_once(self, monkeypatch):
-        """Lost, off-air and delayed frames are not decoded on transmit:
-        every decode is the one ``Lan._deliver`` makes for an aired frame."""
-        decoded, delivered = [], []
+    def test_only_raw_and_changed_frames_are_decoded(self, monkeypatch):
+        """Lost, off-air and delayed frames are not decoded on transmit,
+        and a frame that airs as its sender encoded it reaches receivers
+        as the layers it was built from.  So the decodes are exactly the
+        deliveries without layers: raw frames, and frames whose bytes the
+        injector changed, one decode per delivery."""
+        decoded, sent, delivered = [], set(), []
         decode = EthernetFrame.decode
-        deliver = Lan._deliver
+        transmit, deliver = Lan.transmit, Lan._deliver
 
         def counting_decode(cls, data):
             decoded.append(data)
             return decode(data)
 
-        def counting_deliver(lan, sender, frame_bytes):
-            delivered.append(frame_bytes)
-            deliver(lan, sender, frame_bytes)
+        def recording_transmit(lan, sender, frame_bytes, layers=None):
+            sent.add(frame_bytes)
+            transmit(lan, sender, frame_bytes, layers)
+
+        def counting_deliver(lan, sender, frame_bytes, layers=None):
+            delivered.append((frame_bytes, layers is not None))
+            deliver(lan, sender, frame_bytes, layers)
 
         # Every decode_frame call starts with EthernetFrame.decode,
         # whichever module calls it.
         monkeypatch.setattr(EthernetFrame, "decode", classmethod(counting_decode))
+        monkeypatch.setattr(Lan, "transmit", recording_transmit)
         monkeypatch.setattr(Lan, "_deliver", counting_deliver)
         simulator, lan, client, server = _pair()
         plan = FaultPlan.from_dict({
@@ -242,8 +250,18 @@ class TestDecodeOnce:
             "flaps": [{"device": "client", "start": 1.0, "duration": 0.5}],
         })
         injector = FaultInjector(plan, seed=7).install(lan)
+        # IPv6 frames go out raw: they carry no layers, changed or not.
+        for index in range(40):
+            simulator.schedule(0.1 * index + 0.005,
+                               lambda: server.send_udp6("ff02::fb", 5353, b"raw"))
         _chatter(lan, client, server)
-        for kind in ("loss", "flap_drop_tx", "delay", "duplicate"):
+        for kind in ("loss", "flap_drop_tx", "delay", "duplicate", "truncate"):
             assert injector.counts[kind] > 0, (kind, injector.counts)
-        assert decoded == delivered
-        assert len(delivered) == lan.capture.packet_count
+        untyped = [data for data, typed in delivered if not typed]
+        assert decoded == untyped
+        changed = [typed for data, typed in delivered if data not in sent]
+        assert changed and not any(changed)
+        # Of the frames that aired as sent, only the raw ones are decoded.
+        raw = [data for data in untyped if data in sent]
+        assert raw and all(data[12:14] == b"\x86\xdd" for data in raw)
+        assert len(untyped) < len(delivered) == lan.capture.packet_count

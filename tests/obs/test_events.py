@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import EventBus, NullEventBus, open_event_stream, process_stats
 from repro.obs.events import SCHEMA_VERSION
 
@@ -255,3 +260,29 @@ class TestProcessStats:
         assert stats["rss_bytes"] == 0.0
         assert stats["rss_peak_bytes"] > 0.0
         assert stats["cpu_seconds"] > 0.0
+
+
+class TestHeartbeatEnv:
+    """``REPRO_HEARTBEAT_SECONDS`` is read at import, so a bad value must
+    fall back to 1.0 rather than stop every subcommand."""
+
+    @staticmethod
+    def _run(value, *argv):
+        env = dict(os.environ, REPRO_HEARTBEAT_SECONDS=value,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_malformed_value_does_not_stop_a_subcommand(self):
+        done = self._run("abc", "-m", "repro.cli", "catalog")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip()
+
+    def test_interval_falls_back_for_bad_values(self):
+        script = "from repro.obs.events import HEARTBEAT_MIN_INTERVAL as h; print(h)"
+        for value, expected in (("abc", "1.0"), ("", "1.0"), ("-2", "1.0"),
+                                ("nan", "1.0"), ("inf", "1.0"), ("0", "0.0"),
+                                ("2.5", "2.5")):
+            done = self._run(value, "-c", script)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == expected, value
