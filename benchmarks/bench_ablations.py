@@ -12,14 +12,14 @@ from repro.inspector.entropy import analyze_dataset
 from repro.report.tables import render_table
 
 
-def bench_ablation_response_window(benchmark, lab_run):
-    testbed, packets, maps = lab_run
+def bench_ablation_response_window(benchmark, lab_run, lab_index):
+    testbed, _, maps = lab_run
 
     def sweep():
         rows = []
         for window in (0.5, 1.0, 3.0, 10.0):
             correlation = correlate_responses(
-                packets, maps["macs"], maps["categories"], window=window
+                lab_index, maps["macs"], maps["categories"], window=window
             )
             responders = sum(
                 len(stats.responders) for stats in correlation.per_device.values()
@@ -61,8 +61,8 @@ def bench_ablation_oui_validation(benchmark, inspector_dataset):
     assert unvalidated >= validated
 
 
-def bench_ablation_periodicity_detectors(benchmark, lab_run):
-    testbed, packets, maps = lab_run
+def bench_ablation_periodicity_detectors(benchmark, lab_run, lab_index):
+    testbed, _, maps = lab_run
 
     def compare():
         rows = []
@@ -72,7 +72,7 @@ def bench_ablation_periodicity_detectors(benchmark, lab_run):
             ("autocorrelation only", False, True),
         ):
             result = analyze_periodicity(
-                packets, maps["macs"], use_dft=use_dft, use_autocorr=use_autocorr
+                lab_index, maps["macs"], use_dft=use_dft, use_autocorr=use_autocorr
             )
             rows.append((name, f"{result.periodic_fraction:.0%}", len(result.periodic_groups)))
         return rows

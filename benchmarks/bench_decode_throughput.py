@@ -4,20 +4,22 @@ The tentpole perf claim of the columnar capture store, measured
 directly: how many packets/second the store sustains on a cold
 ingest+index scan (the primary ``packets_per_second`` metric — what the
 pipeline pays before analyses start), on a raw columnar ingest
-(``columnar_packets_per_second``), and when the backlog materializes to
-full ``DecodedPacket`` objects or is served from the memoized cache.
-Timings land in ``STAGE_TIMINGS`` (attached to the bench JSON under
-``stage_timings``) so the decode trajectory is tracked next to the
-pipeline stages.
+(``columnar_packets_per_second``), when the table materializes every
+row to a full ``DecodedPacket`` (``table().packets()``), and when the
+capture serves its already built index again.  Timings land in
+``STAGE_TIMINGS`` (attached to the bench JSON under ``stage_timings``)
+so the decode trajectory is tracked next to the pipeline stages.
 
 Also runnable standalone as the CI perf smoke::
 
     PYTHONPATH=src python benchmarks/bench_decode_throughput.py --smoke
     PYTHONPATH=src python benchmarks/bench_decode_throughput.py --smoke --profile
 
-which builds a small capture, checks that the cached path is not slower
-than the cold path and that the columnar index agrees with an eager
-per-packet decode, and prints the numbers as JSON.  ``--profile`` adds the
+which builds a small capture, checks that serving the cached index is
+the same object and not slower than the cold build, and that the
+columnar index agrees with the eager reference
+(``PacketTable.from_packets`` of a per-record decode), and prints the
+numbers as JSON.  ``--profile`` adds the
 profiler overhead gate: the same decode with a
 :class:`repro.obs.profile.SamplingProfiler` running must stay within
 :data:`DEFAULT_PROFILE_OVERHEAD_MAX` (override via
@@ -38,20 +40,18 @@ def _feed(capture: ApCapture, records) -> ApCapture:
     return capture
 
 
-def _decode_rate(capture: ApCapture) -> float:
-    started = time.perf_counter()
-    packets = capture.decoded()
-    elapsed = time.perf_counter() - started
-    return len(packets) / elapsed if elapsed > 0 else float("inf")
+def _materialize(records) -> list:
+    """Every row of a fresh capture as a ``DecodedPacket``, in order."""
+    return _feed(ApCapture(), records).table().packets()
 
 
 def bench_decode_serial_cold(benchmark, lab_run, stage_timings):
-    """Cold serial decode of the full lab capture."""
+    """Cold ingest and full materialization of the lab capture."""
     testbed, _, _ = lab_run
     records = list(testbed.lan.capture.records)
 
     def cold():
-        return _feed(ApCapture(), records).decoded()
+        return _materialize(records)
 
     started = time.perf_counter()
     packets = benchmark.pedantic(cold, rounds=1, iterations=1)
@@ -61,15 +61,15 @@ def bench_decode_serial_cold(benchmark, lab_run, stage_timings):
 
 
 def bench_decode_cached(benchmark, lab_run, stage_timings):
-    """The memoized path: every call after the first is a cache hit."""
+    """The memoized path: every ``index()`` after the first is a cache hit."""
     testbed, _, _ = lab_run
     capture = testbed.lan.capture
-    first = capture.decoded()
+    first = capture.index()
 
     started = time.perf_counter()
-    again = benchmark.pedantic(capture.decoded, rounds=1, iterations=1)
+    again = benchmark.pedantic(capture.index, rounds=1, iterations=1)
     stage_timings["decode_cached"] = time.perf_counter() - started
-    assert again is first  # same list object, zero re-decode
+    assert again is first  # same index object, zero re-decode
 
 
 def bench_columnar_index_cold(benchmark, lab_run, stage_timings):
@@ -104,10 +104,11 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
 
     Measures the tentpole legs — cold columnar ingest+index scan (the
     ``packets_per_second`` primary metric), raw columnar ingest
-    (``columnar_packets_per_second``), full materialization, cached
-    re-read — and gates the invariants: the cached path returns the
-    identical list, and the columnar index is equivalent to an eager
-    per-packet decode.  Returns the measured numbers; raises
+    (``columnar_packets_per_second``), full materialization of the cold
+    capture's table, and a second ``index()`` call — and gates the
+    invariants: the second call returns the identical index and is no
+    slower than the cold build, and the columnar index is equivalent to
+    the eager reference index.  Returns the measured numbers; raises
     ``SystemExit`` on regression.
     """
     from repro.devices.behaviors import build_testbed
@@ -132,21 +133,21 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
     cold_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    cold_packets = cold_capture.decoded()
+    cold_capture.table().packets()
     materialize_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    cached_packets = cold_capture.decoded()
+    cached_index = cold_capture.index()
     cached_seconds = time.perf_counter() - started
 
-    # Equivalence gate: the columnar fast path must agree with an eager
-    # per-packet decode, bucket for bucket.
-    eager_index = CaptureIndex(decode_records(records))
+    # Equivalence gate: the columnar fast path must agree with the eager
+    # reference index over a per-record decode, bucket for bucket.
+    eager_index = CaptureIndex(PacketTable.from_packets(decode_records(records)))
     equivalence_ok = (
         len(table) == len(records)
         and cold_index.protocol_counts() == eager_index.protocol_counts()
-        and {mac: len(view) for mac, view in cold_index.by_src_mac.items()}
-        == {mac: len(view) for mac, view in eager_index.by_src_mac.items()}
+        and {mac: len(rids) for mac, rids in cold_index.by_src_mac.items()}
+        == {mac: len(rids) for mac, rids in eager_index.by_src_mac.items()}
         and len(cold_index.arp) == len(eager_index.arp)
         and len(cold_index.udp) == len(eager_index.udp)
         and len(cold_index.tcp_payload) == len(eager_index.tcp_payload)
@@ -167,14 +168,14 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
         "cached_not_slower": cached_seconds <= cold_seconds,
         "equivalence_ok": equivalence_ok,
     }
-    if cached_packets is not cold_packets:
-        raise SystemExit("decode cache returned a different object on re-read")
+    if cached_index is not cold_index:
+        raise SystemExit("the capture rebuilt an index it had already built")
     if not results["equivalence_ok"]:
         raise SystemExit(
             "columnar index diverged from the eager per-packet decode")
     if not results["cached_not_slower"]:
         raise SystemExit(
-            f"cached decode slower than cold index scan "
+            f"cached index slower than cold index build "
             f"({cached_seconds:.6f}s > {cold_seconds:.6f}s)"
         )
     return results
@@ -190,7 +191,8 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
                       repeats: int = 5) -> dict:
     """Profiler overhead gate: sampled decode vs plain decode.
 
-    Decodes the same capture under a running
+    Ingests the same capture and materializes every row (so the
+    layered decoder in ``repro/net/decode.py`` runs) under a running
     :class:`~repro.obs.profile.SamplingProfiler` (with the
     :class:`~repro.obs.profile.SpanResourceProbe` installed, i.e. the
     full ``--profile-out`` configuration) and plain, **interleaved**
@@ -210,7 +212,7 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
     records = list(testbed.lan.capture.records)
 
     def decode_once():
-        return _feed(ApCapture(), records).decoded()
+        return _materialize(records)
 
     profiler = SamplingProfiler()
     obs = enable_observability(profiler=profiler)

@@ -9,10 +9,10 @@ from repro.core.device_graph import build_device_graph
 from repro.report.tables import render_comparison, render_table
 
 
-def bench_fig4_vendor_clusters(benchmark, lab_run):
-    testbed, packets, maps = lab_run
+def bench_fig4_vendor_clusters(benchmark, lab_run, lab_index):
+    testbed, _, maps = lab_run
     graph = benchmark.pedantic(
-        build_device_graph, args=(packets, maps["macs"], maps["vendors"]),
+        build_device_graph, args=(lab_index, maps["macs"], maps["vendors"]),
         rounds=1, iterations=1,
     )
     rows = []

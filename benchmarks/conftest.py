@@ -46,13 +46,17 @@ def _timed_stage(name: str):
 
 @pytest.fixture(scope="session")
 def lab_run():
-    """(testbed, decoded_packets, device_maps) after the passive phase."""
+    """(testbed, decoded_packets, device_maps) after the passive phase.
+
+    The packets feed the list-taking analyses (ARP, DHCP, mDNS
+    services); the seven index entry points read ``lab_index``.
+    """
     with _timed_stage("testbed_build"):
         testbed = build_testbed(seed=7)
     with _timed_stage("passive_run"):
         testbed.run(PASSIVE_DURATION)
     with _timed_stage("capture_decode"):
-        packets = testbed.lan.capture.decoded()
+        packets = testbed.lan.capture.table().packets()
     maps = {
         "macs": {str(node.mac): node.name for node in testbed.devices},
         "vendors": {node.name: node.vendor for node in testbed.devices},

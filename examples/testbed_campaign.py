@@ -17,6 +17,9 @@ from repro.core.responses import category_of_profile, correlate_responses
 from repro.core.threat_report import build_threat_report
 from repro.devices.behaviors import build_testbed
 from repro.honeypot.farm import HoneypotFarm
+from repro.net.columnar import PacketTable
+from repro.net.index import CaptureIndex
+from repro.net.ingest import ingest_pcap
 from repro.report.tables import render_table, render_table4
 from repro.scan.portscan import PortScanner
 from repro.scan.vulnscan import VulnerabilityScanner
@@ -70,24 +73,15 @@ def main() -> None:
     print("== Stage 6: threat + response analysis ==")
     macs = {str(node.mac): node.name for node in testbed.devices}
     categories = {node.name: category_of_profile(node.profile) for node in testbed.devices}
-    packets = [  # decode from the pcap artifacts, like the real pipeline
-        packet for path in (output_dir / "pcaps").glob("*.pcap")
-        for packet in _read_decoded(path)
-    ]
-    threat = build_threat_report(packets, macs, findings)
+    table = PacketTable()  # ingest the per-MAC pcap artifacts into one table
+    for path in sorted((output_dir / "pcaps").glob("*.pcap")):
+        ingest_pcap(path, table=table)
+    index = CaptureIndex(table)
+    threat = build_threat_report(index, macs, findings)
     print(f"   plaintext HTTP devices: {len(threat.plaintext_http_devices)}; "
           f"local TLS devices: {threat.tls_device_count}")
-    correlation = correlate_responses(packets, macs, categories)
+    correlation = correlate_responses(index, macs, categories)
     print(render_table4(correlation))
-
-
-def _read_decoded(path):
-    from repro.net.decode import decode_frame
-    from repro.net.pcap import PcapReader
-
-    with PcapReader(path) as reader:
-        for captured in reader:
-            yield decode_frame(captured.data, captured.timestamp)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.classify.labels import Label
 from repro.classify.ndpi_like import NdpiLikeClassifier
@@ -73,7 +73,7 @@ def _normalize(label: Optional[Label]) -> Optional[Label]:
 
 
 def cross_validate(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     tshark: Optional[TsharkLikeClassifier] = None,
     ndpi: Optional[NdpiLikeClassifier] = None,
 ) -> CrossValidation:
@@ -81,13 +81,12 @@ def cross_validate(
 
     Units of comparison are RFC 6146 flows for transport traffic plus
     individual packets for non-transport traffic (the layer-3 tail the
-    paper reports as mostly unlabeled).  With a prebuilt
-    :class:`CaptureIndex` the flow table is the index's shared, lazily
-    assembled one instead of a fresh :func:`assemble_flows` pass.
+    paper reports as mostly unlabeled).  The flow table is the index's
+    shared, lazily assembled one.
     """
     tshark = tshark or TsharkLikeClassifier()
     ndpi = ndpi or NdpiLikeClassifier()
-    table = CaptureIndex.ensure(packets).flows
+    table = index.flows
 
     pairs: List[Tuple[Optional[Label], Optional[Label]]] = []
     for flow in table:

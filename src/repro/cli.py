@@ -334,31 +334,28 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from collections import Counter
 
     from repro.classify.crossval import cross_validate
-    from repro.classify.rules import CorrectedClassifier
-    from repro.net.decode import decode_frame
-    from repro.net.pcap import PcapReader
+    from repro.net.ingest import ingest_pcap
     from repro.report.tables import render_figure3, render_table
 
     try:
-        with PcapReader(args.pcap) as reader:
-            packets = [decode_frame(captured.data, captured.timestamp) for captured in reader]
+        index = ingest_pcap(args.pcap).index
     except (OSError, ValueError) as error:
         print(f"error: cannot read {args.pcap}: {error}", file=sys.stderr)
         return 1
-    if not packets:
+    total = len(index)
+    if not total:
         print("error: capture contains no packets", file=sys.stderr)
         return 1
-    classifier = CorrectedClassifier()
-    counts = Counter(str(classifier.classify_packet(packet)) for packet in packets)
+    counts = Counter(str(index.label_at(rid)) for rid in range(total))
     print(render_table(
         ["protocol", "packets", "share"],
-        [(label, count, f"{count / len(packets):.1%}")
+        [(label, count, f"{count / total:.1%}")
          for label, count in counts.most_common()],
-        title=f"{args.pcap}: {len(packets)} packets (nDPI+manual labels)",
+        title=f"{args.pcap}: {total} packets (nDPI+manual labels)",
     ))
     if args.crossval:
         print()
-        print(render_figure3(cross_validate(packets)))
+        print(render_figure3(cross_validate(index)))
     return 0
 
 
@@ -458,7 +455,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.net.ingest import ingest_pcap
     from repro.report.tables import render_table
 
-    error = _check_output_paths(args)
+    error = (f"--chunk-records must be positive, got {args.chunk_records}"
+             if args.chunk_records <= 0 else _check_output_paths(args))
     if error:
         print(f"repro ingest: error: {error}", file=sys.stderr)
         return 2

@@ -8,13 +8,12 @@ responses) are excluded, as are smartphone interactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from repro.classify.labels import DISCOVERY_LABELS, Label
 from repro.net.columnar import F_UDP, TRANSPORT_UDP
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 
 #: Ports whose unicast traffic is a discovery response, not a
@@ -89,7 +88,7 @@ def conversation_edges(
     flags_col, trans_col = table.flags, table.transport
     # One device_macs lookup per interned MAC, not per packet.
     device_of = [device_macs.get(mac) for mac in table.mac_strings]
-    for rid in index.transport_unicast.rids:
+    for rid in index.transport_unicast:
         src = device_of[src_col[rid]]
         dst = device_of[dst_col[rid]]
         if src is None or dst is None or src == dst:
@@ -110,7 +109,7 @@ def conversation_edges(
 
 
 def build_device_graph(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     device_vendor: Dict[str, str],
 ) -> DeviceGraph:
@@ -122,7 +121,6 @@ def build_device_graph(
     """
     graph = nx.MultiGraph()
     graph.add_nodes_from(device_macs.values())
-    for a, b, transport in conversation_edges(CaptureIndex.ensure(packets),
-                                              device_macs):
+    for a, b, transport in conversation_edges(index, device_macs):
         graph.add_edge(a, b, transport=transport)
     return DeviceGraph(graph=graph, device_vendor=device_vendor)

@@ -10,9 +10,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 from repro.protocols.dhcp import DhcpMessage
 from repro.protocols.dns import DnsMessage, DnsType
@@ -89,7 +88,7 @@ def _is_old_client(vendor_class: str) -> bool:
 
 
 def analyze_exposure(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     matrix: Optional[ExposureMatrix] = None,
 ) -> ExposureMatrix:
@@ -103,17 +102,16 @@ def analyze_exposure(
     :class:`repro.monitor.state.IncrementalExposure` uses to run this
     exact mining pass chunk by chunk.
     """
-    index = CaptureIndex.ensure(packets)
     matrix = matrix if matrix is not None else ExposureMatrix()
     table = index.table
     src_col = table.src_mac
     sport_col, dport_col = table.src_port, table.dst_port
     device_of = [device_macs.get(mac) for mac in table.mac_strings]
-    for rid in index.arp.rids:
+    for rid in index.arp:
         device = device_of[src_col[rid]]
         if device is not None:
             matrix.expose("ARP", "MAC", device, table.arp_sender_mac(rid))
-    for rid in index.udp.rids:
+    for rid in index.udp:
         device = device_of[src_col[rid]]
         if device is None:
             continue

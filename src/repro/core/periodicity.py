@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.classify.labels import DISCOVERY_LABELS
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 
 
@@ -205,7 +204,7 @@ def event_groups(
 
 
 def analyze_periodicity(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     discovery_only: bool = True,
     min_events: int = 4,
@@ -217,8 +216,7 @@ def analyze_periodicity(
     :func:`event_groups` does the grouping, :func:`detect_groups` the
     DFT + autocorrelation test.
     """
-    groups = event_groups(CaptureIndex.ensure(packets), device_macs,
-                          discovery_only)
+    groups = event_groups(index, device_macs, discovery_only)
     return detect_groups(groups, min_events=min_events, use_dft=use_dft,
                          use_autocorr=use_autocorr)
 

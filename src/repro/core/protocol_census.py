@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 
 
@@ -112,7 +111,7 @@ _SERVICE_TO_LABEL = {
 
 
 def census_from_capture(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     total_devices: Optional[int] = None,
 ) -> ProtocolCensus:
@@ -120,20 +119,18 @@ def census_from_capture(
 
     ``device_macs`` maps MAC string -> device name (the per-MAC pcap
     attribution of §3.1); frames from unknown MACs are ignored.
-    Accepts a prebuilt :class:`CaptureIndex` (fast path: per-src-MAC
-    buckets, memoized labels) or any iterable of decoded packets.
+    Reads the index's per-src-MAC buckets and memoized labels.
     """
-    index = CaptureIndex.ensure(packets)
     census = ProtocolCensus(total_devices=total_devices or len(device_macs))
     # The per-device protocol sets are order-insensitive, so this walks
     # the per-src-MAC buckets: one device_macs lookup per MAC instead of
-    # one per packet, and raw row ids instead of row proxies.
+    # one per packet.
     label_at = index.label_at
-    for mac, view in index.by_src_mac.items():
+    for mac, rids in index.by_src_mac.items():
         device = device_macs.get(mac)
         if device is None:
             continue
-        for rid in view.rids:
+        for rid in rids:
             label = label_at(rid)
             if label is None:
                 continue

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.classify.labels import Label
 from repro.net.columnar import F_UNICAST, TRANSPORT_UDP
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 
 #: Discovery labels considered, excluding the near-universal ones.
@@ -62,7 +61,7 @@ class ResponseCorrelation:
 
 
 def correlate_responses(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     device_category: Dict[str, str],
     window: float = 3.0,
@@ -79,7 +78,6 @@ def correlate_responses(
     bucket and responses from the unicast bucket, so pending-list and
     responder insertion orders match a full scan exactly.
     """
-    index = CaptureIndex.ensure(packets)
     correlation = ResponseCorrelation()
     for name in device_macs.values():
         correlation.per_device[name] = DeviceResponseStats(
@@ -102,7 +100,7 @@ def correlate_responses(
         return "udp" if trans_col[rid] == TRANSPORT_UDP else "tcp"
 
     pending: Dict[Tuple[str, str, int], List[Tuple[float, str]]] = defaultdict(list)
-    for rid in index.transport_multicast.rids:
+    for rid in index.transport_multicast:
         src = device_of[src_col[rid]]
         if src is None:
             continue
@@ -127,7 +125,7 @@ def correlate_responses(
             for discovered_at, label in entries
             if label == str(Label.MDNS)
         ]
-        for rid in index.udp.rids:
+        for rid in index.udp:
             if flags_col[rid] & F_UNICAST or dport_col[rid] != 5353:
                 continue
             responder = device_of[src_col[rid]]
@@ -146,7 +144,7 @@ def correlate_responses(
 
     # Pass 2: unicast inbound traffic matching transport + port within
     # the window counts as a response.
-    for rid in index.transport_unicast.rids:
+    for rid in index.transport_unicast:
         dst = device_of[dst_col[rid]]
         if dst is None:
             continue

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.net.decode import DecodedPacket
 from repro.net.index import CaptureIndex
 from repro.protocols.http import HttpRequest
 from repro.protocols.tls import CertificateInfo, HandshakeType, iter_records
@@ -80,7 +79,7 @@ class ThreatReport:
 
 
 def build_threat_report(
-    packets: "Iterable[DecodedPacket] | CaptureIndex",
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     findings: Optional[List[Finding]] = None,
 ) -> ThreatReport:
@@ -89,14 +88,13 @@ def build_threat_report(
     Only TCP packets with payload matter here, so this walks the
     index's chronological ``tcp_payload`` bucket directly.
     """
-    index = CaptureIndex.ensure(packets)
     report = ThreatReport(findings=list(findings or []))
     http_roles: Dict[str, Set[str]] = defaultdict(set)
 
     table = index.table
     src_col = table.src_mac
     device_of = [device_macs.get(mac) for mac in table.mac_strings]
-    for rid in index.tcp_payload.rids:
+    for rid in index.tcp_payload:
         device = device_of[src_col[rid]]
         if device is None:
             continue

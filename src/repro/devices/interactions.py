@@ -241,11 +241,15 @@ class InteractionRunner:
         ]
 
     def traffic_during(self, record: InteractionRecord) -> List:
-        """Capture slice for one interaction (label-aligned extraction)."""
-        return [
-            packet for packet in self.testbed.lan.capture.decoded()
-            if record.start <= packet.timestamp <= record.end
-        ]
+        """Capture slice for one interaction (label-aligned extraction).
+
+        Filters on the table's timestamp column and materializes only
+        the rows inside the window.
+        """
+        table = self.testbed.lan.capture.table()
+        timestamps = table.timestamps
+        return [table.packet(rid) for rid in range(len(table))
+                if record.start <= timestamps[rid] <= record.end]
 
     def interaction_reached_target(self, record: InteractionRecord) -> bool:
         """Did labeled traffic actually involve the target device?"""

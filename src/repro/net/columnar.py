@@ -24,13 +24,18 @@ The columns are built by a conservative raw-byte fast path that accepts
 a frame only when the layered codecs would decode it cleanly; anything
 unusual (short headers, bad versions, ICMP/IGMP/EAPOL, quarantine
 cases) falls back to :func:`~repro.net.decode.decode_frame`, which
-records decode errors exactly as the legacy path did and caches the
-resulting packet eagerly.  Clean rows materialize a ``DecodedPacket``
+records decode errors exactly as an eager per-frame decode does and
+caches the resulting packet.  Clean rows materialize a ``DecodedPacket``
 lazily — only when a consumer (classification, deep payload mining)
-actually asks — via :meth:`PacketTable.packet`, memoized per row.
+actually asks — via :meth:`PacketTable.packet`, memoized per row;
+:meth:`PacketTable.packets` materializes them all.
 
-``CaptureIndex`` (:mod:`repro.net.index`) layers zero-copy row-id views
-over a table; :class:`LazyPackets` adapts row-id lists back into the
+Tables come from raw records (:meth:`PacketTable.from_records`, what
+``ApCapture`` and the pcap ingest build) or from packets already decoded
+(:meth:`PacketTable.from_packets`, the eager reference the differential
+tests and the decode smoke compare against).  ``CaptureIndex``
+(:mod:`repro.net.index`) layers row-id buckets over a table;
+:class:`LazyPackets` adapts row-id lists back into the
 sequence-of-packets shape flow consumers expect.
 """
 
@@ -127,7 +132,7 @@ class PacketTable:
 
     @classmethod
     def from_packets(cls, packets: Iterable[DecodedPacket]) -> "PacketTable":
-        """Wrap already-decoded packets (back-compat path).
+        """Wrap already-decoded packets (the eager reference path).
 
         Columns are derived from the packet objects, which stay cached
         row-for-row, so :meth:`packet` returns the *original* objects.
@@ -137,11 +142,6 @@ class PacketTable:
             table._append_from_packet(packet)
         return table
 
-    def append_record(self, timestamp: float, data: bytes,
-                      errors: Optional[DecodeErrorLog] = None) -> None:
-        """Append one raw frame (fast path, falling back per-frame)."""
-        self.extend_records(((timestamp, data),), errors)
-
     def extend_records(self, records: Iterable[Tuple[float, bytes]],
                        errors: Optional[DecodeErrorLog] = None) -> None:
         """Append raw frames in one pass — the hot ingest loop.
@@ -149,7 +149,7 @@ class PacketTable:
         A frame takes the raw-byte fast path only when the layered
         codecs would accept it verbatim; any anomaly routes through
         :func:`decode_frame` so quarantine counts and per-row decode
-        errors are identical to the legacy eager decode.
+        errors are identical to an eager per-frame decode.
         """
         timestamps = self.timestamps
         src_col, dst_col = self.src_mac, self.dst_mac

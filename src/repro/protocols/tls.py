@@ -47,6 +47,13 @@ class HandshakeType(enum.IntEnum):
     CERTIFICATE = 11
 
 
+#: ``CertificateInfo`` field -> the type its JSON value must have.
+_CERT_FIELD_TYPES = {"subject_cn": str, "issuer_cn": str, "not_before": float,
+                     "not_after": float, "key_bits": int, "self_signed": bool}
+#: The fields without a default.
+_CERT_REQUIRED = ("subject_cn", "issuer_cn", "not_before", "not_after")
+
+
 @dataclass
 class CertificateInfo:
     """The certificate metadata the passive TLS analysis extracts."""
@@ -71,7 +78,31 @@ class CertificateInfo:
 
     @classmethod
     def from_der_like(cls, data: bytes) -> "CertificateInfo":
-        return cls(**json.loads(data.decode("utf-8")))
+        """Parse :meth:`to_der_like` bytes.
+
+        Raises ``ValueError`` unless the body is a JSON object of
+        certificate fields with every field without a default present
+        and every value of its declared type; an integral time is taken
+        as a float.
+        """
+        fields = json.loads(data.decode("utf-8"))
+        if not isinstance(fields, dict):
+            raise ValueError("certificate body is not a JSON object")
+        missing = [name for name in _CERT_REQUIRED if name not in fields]
+        if missing:
+            raise ValueError(f"certificate lacks {', '.join(missing)}")
+        for name, value in fields.items():
+            kind = _CERT_FIELD_TYPES.get(name)
+            if kind is None:
+                raise ValueError(f"unknown certificate field {name!r}")
+            if kind is float and type(value) is int:
+                try:
+                    fields[name] = value = float(value)
+                except OverflowError:
+                    raise ValueError(f"certificate field {name!r} out of range") from None
+            if type(value) is not kind:
+                raise ValueError(f"certificate field {name!r} must be {kind.__name__}")
+        return cls(**fields)
 
 
 @dataclass

@@ -6,17 +6,15 @@ enabling us to distinguish traffic from individual devices."  This
 module reproduces both the global capture and the per-MAC split, and
 can persist either as classic pcap files.
 
-Decode-once contract, columnar edition: observed frames land in a
+Decode-once contract: observed frames land in a
 :class:`~repro.net.columnar.PacketTable` in one ingest pass (raw-byte
-fast path, per-frame quarantining fallback).  :meth:`ApCapture.index`
-layers a cached :class:`~repro.net.index.CaptureIndex` of zero-copy
-row-id views directly over the table — no ``DecodedPacket`` objects are
-built for the analyses' hot loops.  :meth:`ApCapture.decoded` still
-returns the memoized list of fully materialized packets for raw-list
-consumers, extending incrementally as new frames are observed and
-invalidating on :meth:`ApCapture.clear`; ``per_mac``/``packets_of``
-read the table's columns and reuse the same materialized objects.
-Materialization is one serial pass over the backlog.
+fast path, per-frame quarantining fallback) the first time the table is
+asked for, and only the backlog observed since is ingested later.
+:meth:`ApCapture.index` layers a cached
+:class:`~repro.net.index.CaptureIndex` of row-id buckets over that
+table, the one way into the analyses.  A caller that wants packet
+objects asks the table (``table().packet(rid)`` or ``table().packets()``),
+which materializes each row once and keeps it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.columnar import F_UNICAST, PacketTable
-from repro.net.decode import DecodedPacket, DecodeErrorLog
+from repro.net.decode import DecodeErrorLog
 from repro.net.index import CaptureIndex
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapWriter
@@ -79,8 +77,6 @@ class ApCapture:
         self.keep_bytes = keep_bytes
         self._records: List[Tuple[float, bytes]] = []
         self._table = PacketTable()
-        self._decoded: List[DecodedPacket] = []
-        self._decoded_upto = 0
         self._index: Optional[CaptureIndex] = None
         self.packet_count = 0
         self.byte_count = 0
@@ -100,9 +96,6 @@ class ApCapture:
                 "frames_observed_total", "every frame seen by the AP capture")
             self._bytes_observed_total = metrics.counter(
                 "bytes_observed_total", "bytes seen by the AP capture")
-            self._decode_cache_hits = metrics.counter(
-                "decode_cache_hits_total",
-                "frames served from the decode cache instead of re-decoding")
             self._decode_cache_misses = metrics.counter(
                 "decode_cache_misses_total",
                 "frames decoded for the first time (cache fills)")
@@ -159,26 +152,6 @@ class ApCapture:
                         self._decode_quarantined_total.inc(delta, reason=reason)
         return table
 
-    def decoded(self) -> List[DecodedPacket]:
-        """Materialize the full capture (chronological order), memoized.
-
-        Each frame is decoded exactly once: repeated calls return the
-        same list object, which extends in place as new frames are
-        observed and empties on :meth:`clear`.  Callers must treat the
-        returned list as read-only.
-        """
-        table = self._ensure_table()
-        cached = self._decoded_upto
-        total = len(table)
-        if cached < total:
-            self._decoded.extend(map(table.packet, range(cached, total)))
-            self._decoded_upto = total
-            if self._obs.enabled:
-                self._decode_chunks_total.inc(mode="serial")
-        if self._obs.enabled and cached:
-            self._decode_cache_hits.inc(cached)
-        return self._decoded
-
     def index(self) -> CaptureIndex:
         """The capture's :class:`CaptureIndex`, built once per snapshot.
 
@@ -208,16 +181,6 @@ class ApCapture:
                 split.setdefault(mac_object(dst_col[rid]), []).append(record)
         return split
 
-    def packets_of(self, mac) -> List[DecodedPacket]:
-        """Decoded packets sent *by* the given MAC (from the cache)."""
-        table = self._ensure_table()
-        mac_id = table.mac_id_of(mac)
-        if mac_id is None:
-            return []
-        src_col = table.src_mac
-        packet = table.packet
-        return [packet(rid) for rid in range(len(table)) if src_col[rid] == mac_id]
-
     # -- persistence --------------------------------------------------------------
 
     def write_pcap(self, path) -> int:
@@ -243,8 +206,6 @@ class ApCapture:
     def clear(self) -> None:
         self._records.clear()
         self._table = PacketTable()
-        self._decoded.clear()
-        self._decoded_upto = 0
         self._index = None
         self.packet_count = 0
         self.byte_count = 0

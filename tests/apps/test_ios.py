@@ -69,7 +69,7 @@ class TestMatterIntegration:
         testbed.run(120.0)
         ndpi = NdpiLikeClassifier()
         matter = [
-            packet for packet in testbed.lan.capture.decoded()
+            packet for packet in testbed.lan.capture.table().packets()
             if ndpi.classify_packet(packet) is Label.MATTER
         ]
         assert matter

@@ -179,8 +179,8 @@ class TestCrossValidation:
     def test_crossval_on_capture(self, mini_capture):
         from repro.classify.crossval import cross_validate
 
-        testbed, packets = mini_capture
-        result = cross_validate(packets)
+        testbed, _ = mini_capture
+        result = cross_validate(testbed.lan.capture.index())
         assert result.total_units > 0
         assert 0.5 < result.tshark_coverage <= 1.0
         assert 0.5 < result.ndpi_coverage <= 1.0
@@ -190,8 +190,8 @@ class TestCrossValidation:
     def test_heatmap_shape(self, mini_capture):
         from repro.classify.crossval import cross_validate
 
-        testbed, packets = mini_capture
-        result = cross_validate(packets)
+        testbed, _ = mini_capture
+        result = cross_validate(testbed.lan.capture.index())
         tshark_axis, ndpi_axis, matrix = result.heatmap()
         assert len(matrix) == len(ndpi_axis)
         assert all(len(row) == len(tshark_axis) for row in matrix)
@@ -199,8 +199,10 @@ class TestCrossValidation:
 
     def test_https_tls_alias_agree(self):
         from repro.classify.crossval import cross_validate
+        from repro.net.columnar import PacketTable
+        from repro.net.index import CaptureIndex
 
         record = TlsRecord.client_hello(TlsVersion.TLS_1_2).encode()
         packets = [tcp_packet(record, 50000, 443)]
-        result = cross_validate(packets)
+        result = cross_validate(CaptureIndex(PacketTable.from_packets(packets)))
         assert result.agree == 1 and result.disagree == 0

@@ -72,7 +72,7 @@ def mini_testbed():
 def mini_capture(mini_testbed):
     """The mini testbed after 10 simulated minutes, with decoded capture."""
     mini_testbed.run(600.0)
-    return mini_testbed, mini_testbed.lan.capture.decoded()
+    return mini_testbed, mini_testbed.lan.capture.table().packets()
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def full_testbed_run():
     """The full 93-device lab run for 20 simulated minutes (built once)."""
     testbed = build_testbed(seed=7)
     testbed.run(1200.0)
-    return testbed, testbed.lan.capture.decoded()
+    return testbed, testbed.lan.capture.table().packets()
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +99,27 @@ def chaos_records():
     plan = FaultPlan.load(Path(__file__).parent.parent / "examples" / "fault_plans" / "chaos.json")
     testbed = build_testbed(seed=7)
     FaultInjector(plan, seed=7).install(testbed.lan)
+    testbed.run(120.0)
+    return list(testbed.lan.capture.records)
+
+
+#: A fault plan that damages about half the frames on the air: the
+#: kind of broken external capture crowdsourced collection produces.
+DAMAGE_PLAN = {
+    "name": "damage",
+    "links": [{"truncate": 0.3, "corrupt": 0.3, "corrupt_bits": 4,
+               "duplicate": 0.05, "delay": {"probability": 0.05}}],
+    "discovery": {"probability": 0.9, "protocols": ["mdns", "ssdp", "tuyalp"]},
+}
+
+
+@pytest.fixture(scope="session")
+def damage_records():
+    """The same lab run recorded under :data:`DAMAGE_PLAN`."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    testbed = build_testbed(seed=7)
+    FaultInjector(FaultPlan.from_dict(DAMAGE_PLAN), seed=7).install(testbed.lan)
     testbed.run(120.0)
     return list(testbed.lan.capture.records)
 

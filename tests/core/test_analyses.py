@@ -13,21 +13,21 @@ from tests.conftest import device_maps
 
 @pytest.fixture(scope="module")
 def analysis_inputs(full_testbed_run):
-    testbed, packets = full_testbed_run
+    testbed, _ = full_testbed_run
     macs, vendors, categories = device_maps(testbed)
-    return testbed, packets, macs, vendors, categories
+    return testbed, testbed.lan.capture.index(), macs, vendors, categories
 
 
 class TestProtocolCensus:
     def test_universal_protocols(self, analysis_inputs):
-        testbed, packets, macs, vendors, categories = analysis_inputs
-        census = census_from_capture(packets, macs)
+        testbed, index, macs, vendors, categories = analysis_inputs
+        census = census_from_capture(index, macs)
         assert census.passive_fraction("ARP") > 0.9
         assert census.passive_fraction("DHCP") > 0.9
 
     def test_prevalence_order_matches_paper(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        census = census_from_capture(packets, macs)
+        testbed, index, macs, *_ = analysis_inputs
+        census = census_from_capture(index, macs)
         # Fig. 2 shape: network-management protocols dominate, then
         # discovery, then application protocols.
         assert census.passive_fraction("ARP") >= census.passive_fraction("mDNS")
@@ -37,16 +37,16 @@ class TestProtocolCensus:
         assert census.passive_fraction("TuyaLP") == pytest.approx(0.05, abs=0.03)
 
     def test_average_protocols_per_device(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        census = census_from_capture(packets, macs)
+        testbed, index, macs, *_ = analysis_inputs
+        census = census_from_capture(index, macs)
         # §4.1: "an average IoT device supports 8 different protocols".
         assert 5.0 <= census.average_protocols_per_device() <= 11.0
 
     def test_scan_results_add_orange_bars(self, analysis_inputs, full_testbed_run):
-        testbed, packets, macs, *_ = analysis_inputs
+        testbed, index, macs, *_ = analysis_inputs
         from repro.scan.portscan import PortScanner
 
-        census = census_from_capture(packets, macs)
+        census = census_from_capture(index, macs)
         scanner = PortScanner()
         testbed.lan.attach(scanner)
         testbed.lan.capture.keep_bytes = False
@@ -63,8 +63,8 @@ class TestProtocolCensus:
         assert census.scanned  # at least some open services were mapped
 
     def test_rows_are_sorted_by_prevalence(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        census = census_from_capture(packets, macs)
+        testbed, index, macs, *_ = analysis_inputs
+        census = census_from_capture(index, macs)
         rows = census.rows()
         passive = [row["passive_pct"] for row in rows[:5]]
         assert passive == sorted(passive, reverse=True)
@@ -72,23 +72,23 @@ class TestProtocolCensus:
 
 class TestDeviceGraph:
     def test_43_devices_communicate(self, analysis_inputs):
-        testbed, packets, macs, vendors, _ = analysis_inputs
-        graph = build_device_graph(packets, macs, vendors)
+        testbed, index, macs, vendors, _ = analysis_inputs
+        graph = build_device_graph(index, macs, vendors)
         summary = graph.summary()
         assert summary["devices_total"] == 93
         # Fig. 1: "nearly half (43/93)".
         assert 38 <= summary["devices_communicating"] <= 50
 
     def test_vendor_clusters_exist(self, analysis_inputs):
-        testbed, packets, macs, vendors, _ = analysis_inputs
-        graph = build_device_graph(packets, macs, vendors)
+        testbed, index, macs, vendors, _ = analysis_inputs
+        graph = build_device_graph(index, macs, vendors)
         for vendor in ("Amazon", "Google", "Apple"):
             cluster = graph.vendor_cluster(vendor)
             assert cluster.number_of_edges() > 0, vendor
 
     def test_amazon_has_coordinator(self, analysis_inputs):
-        testbed, packets, macs, vendors, _ = analysis_inputs
-        graph = build_device_graph(packets, macs, vendors)
+        testbed, index, macs, vendors, _ = analysis_inputs
+        graph = build_device_graph(index, macs, vendors)
         coordinator = graph.coordinator_of("Amazon")
         assert coordinator is not None
         cluster = graph.vendor_cluster("Amazon")
@@ -97,15 +97,15 @@ class TestDeviceGraph:
         assert degrees[0] >= 3 * max(degrees[1], 1)
 
     def test_discovery_excluded(self, analysis_inputs):
-        testbed, packets, macs, vendors, _ = analysis_inputs
-        graph = build_device_graph(packets, macs, vendors)
+        testbed, index, macs, vendors, _ = analysis_inputs
+        graph = build_device_graph(index, macs, vendors)
         # Tuya devices only broadcast discovery; they must be isolated.
         for node in testbed.devices_of_vendor("Tuya"):
             assert graph.graph.degree(node.name) == 0
 
     def test_edge_transports(self, analysis_inputs):
-        testbed, packets, macs, vendors, _ = analysis_inputs
-        graph = build_device_graph(packets, macs, vendors)
+        testbed, index, macs, vendors, _ = analysis_inputs
+        graph = build_device_graph(index, macs, vendors)
         summary = graph.summary()
         assert summary["pairs_tcp_and_udp"] > 0  # thick edges in Fig. 1
 
@@ -113,8 +113,8 @@ class TestDeviceGraph:
 class TestExposure:
     @pytest.fixture(scope="class")
     def matrix(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        return analyze_exposure(packets, macs)
+        testbed, index, macs, *_ = analysis_inputs
+        return analyze_exposure(index, macs)
 
     def test_table1_rows(self, matrix):
         assert matrix.exposed_types("ARP") == ["MAC"]
@@ -154,8 +154,8 @@ class TestExposure:
 
 class TestResponses:
     def test_table4_shape(self, analysis_inputs):
-        testbed, packets, macs, _, categories = analysis_inputs
-        correlation = correlate_responses(packets, macs, categories)
+        testbed, index, macs, _, categories = analysis_inputs
+        correlation = correlate_responses(index, macs, categories)
         rows = {row[0]: row for row in correlation.by_category()}
         assert "Amazon Echo" in rows
         echo = rows["Amazon Echo"]
@@ -177,9 +177,9 @@ class TestResponses:
         assert "Hubs" in categories
 
     def test_window_sensitivity(self, analysis_inputs):
-        testbed, packets, macs, _, categories = analysis_inputs
-        tight = correlate_responses(packets, macs, categories, window=0.001)
-        loose = correlate_responses(packets, macs, categories, window=10.0)
+        testbed, index, macs, _, categories = analysis_inputs
+        tight = correlate_responses(index, macs, categories, window=0.001)
+        loose = correlate_responses(index, macs, categories, window=10.0)
         def responders(correlation):
             return sum(len(stats.responders) for stats in correlation.per_device.values())
         assert responders(loose) >= responders(tight)
@@ -211,16 +211,16 @@ class TestPeriodicity:
         assert ok and period == pytest.approx(30.0, rel=0.15)
 
     def test_discovery_flows_mostly_periodic(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        result = analyze_periodicity(packets, macs)
+        testbed, index, macs, *_ = analysis_inputs
+        result = analyze_periodicity(index, macs)
         # Appendix D.1: 88% of discovery flows are periodic.
         assert result.periodic_fraction > 0.6
         assert result.groups_per_device() > 0.5
 
     def test_ablation_dft_only_vs_both(self, analysis_inputs):
-        testbed, packets, macs, *_ = analysis_inputs
-        both = analyze_periodicity(packets, macs, use_dft=True, use_autocorr=True)
-        dft_only = analyze_periodicity(packets, macs, use_dft=True, use_autocorr=False)
+        testbed, index, macs, *_ = analysis_inputs
+        both = analyze_periodicity(index, macs, use_dft=True, use_autocorr=True)
+        dft_only = analyze_periodicity(index, macs, use_dft=True, use_autocorr=False)
         assert len(dft_only.periodic_groups) >= len(both.periodic_groups)
 
 
@@ -229,9 +229,9 @@ class TestThreatReport:
     def report(self, analysis_inputs):
         from repro.scan.vulnscan import VulnerabilityScanner
 
-        testbed, packets, macs, *_ = analysis_inputs
+        testbed, index, macs, *_ = analysis_inputs
         findings = VulnerabilityScanner().scan(testbed.devices)
-        return build_threat_report(packets, macs, findings)
+        return build_threat_report(index, macs, findings)
 
     def test_plaintext_http_census(self, report):
         assert report.plaintext_http_devices
@@ -277,10 +277,10 @@ class TestQmMulticastExtension:
     """The Appendix D.2 future work: QM mDNS responses counted."""
 
     def test_multicast_responses_add_links(self, analysis_inputs):
-        testbed, packets, macs, _, categories = analysis_inputs
-        base = correlate_responses(packets, macs, categories)
+        testbed, index, macs, _, categories = analysis_inputs
+        base = correlate_responses(index, macs, categories)
         extended = correlate_responses(
-            packets, macs, categories, include_multicast_responses=True
+            index, macs, categories, include_multicast_responses=True
         )
 
         def links(correlation):
@@ -289,10 +289,10 @@ class TestQmMulticastExtension:
         assert links(extended) > links(base)
 
     def test_multicast_extension_is_superset(self, analysis_inputs):
-        testbed, packets, macs, _, categories = analysis_inputs
-        base = correlate_responses(packets, macs, categories)
+        testbed, index, macs, _, categories = analysis_inputs
+        base = correlate_responses(index, macs, categories)
         extended = correlate_responses(
-            packets, macs, categories, include_multicast_responses=True
+            index, macs, categories, include_multicast_responses=True
         )
         for name, stats in base.per_device.items():
             assert stats.responders <= extended.per_device[name].responders
@@ -304,24 +304,24 @@ class TestDiscoveryIntervals:
     def test_google_ssdp_20s(self, analysis_inputs):
         from repro.core.periodicity import analyze_periodicity, discovery_intervals
 
-        testbed, packets, macs, _, categories = analysis_inputs
-        result = analyze_periodicity(packets, macs)
+        testbed, index, macs, _, categories = analysis_inputs
+        result = analyze_periodicity(index, macs)
         intervals = discovery_intervals(result, categories)
         assert intervals.get(("Google&Nest", "SSDP")) == pytest.approx(20.0, rel=0.2)
 
     def test_tuya_broadcast_5s(self, analysis_inputs):
         from repro.core.periodicity import analyze_periodicity, discovery_intervals
 
-        testbed, packets, macs, _, categories = analysis_inputs
-        result = analyze_periodicity(packets, macs)
+        testbed, index, macs, _, categories = analysis_inputs
+        result = analyze_periodicity(index, macs)
         intervals = discovery_intervals(result, categories)
         assert intervals.get(("Tuya", "TuyaLP")) == pytest.approx(5.0, rel=0.3)
 
     def test_mdns_in_20_to_100s_band(self, analysis_inputs):
         from repro.core.periodicity import analyze_periodicity, discovery_intervals
 
-        testbed, packets, macs, _, categories = analysis_inputs
-        result = analyze_periodicity(packets, macs)
+        testbed, index, macs, _, categories = analysis_inputs
+        result = analyze_periodicity(index, macs)
         intervals = discovery_intervals(result, categories)
         mdns = [value for (group, proto), value in intervals.items() if proto == "mDNS"]
         assert mdns

@@ -52,17 +52,17 @@ class TestPaperFigures:
         from repro.core.protocol_census import census_from_capture
         from tests.conftest import device_maps
 
-        testbed, packets = full_testbed_run
+        testbed, _ = full_testbed_run
         macs, _, _ = device_maps(testbed)
-        census = census_from_capture(packets, macs)
+        census = census_from_capture(testbed.lan.capture.index(), macs)
         text = render_figure2_bars(census)
         assert "ARP" in text and "mDNS" in text and "█" in text
 
     def test_figure3_heatmap(self, full_testbed_run):
         from repro.classify.crossval import cross_validate
 
-        testbed, packets = full_testbed_run
-        result = cross_validate(packets)
+        testbed, _ = full_testbed_run
+        result = cross_validate(testbed.lan.capture.index())
         text = render_figure3_heatmap(result)
         assert "SSDP" in text
         assert "tshark (x) vs nDPI (y)" in text

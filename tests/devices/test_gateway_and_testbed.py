@@ -88,6 +88,6 @@ class TestTestbedHelpers:
     def test_wire_clusters_optional(self):
         bare = build_testbed(seed=29, wire_clusters=False)
         bare.run(120.0)
-        tcp = [p for p in bare.lan.capture.decoded() if p.tcp and p.tcp.payload]
+        tcp = [p for p in bare.lan.capture.table().packets() if p.tcp and p.tcp.payload]
         # Without cluster wiring there are no TLS/HTTP conversations.
         assert not any(p.tcp.payload[:1] == b"\x16" for p in tcp)

@@ -118,7 +118,7 @@ class TestFaultKinds:
             FaultPlan.from_dict({"links": [{"truncate": 0.6}]}), seed=7).install(lan)
         _chatter(lan, client, server, frames=200)
         assert injector.counts["truncate"] > 0
-        packets = lan.capture.decoded()
+        packets = lan.capture.table().packets()
         assert len(packets) == 200  # every frame decodes, damaged or not
         # Deep truncation lands in the quarantine; shallow cuts may still
         # parse (payload-only loss), so quarantine <= truncations.

@@ -40,7 +40,14 @@ from repro.protocols.rtp import RtpPacket
 from repro.protocols.rtsp import RtspRequest, RtspResponse
 from repro.protocols.ssdp import SsdpMessage
 from repro.protocols.stun import StunMessage
-from repro.protocols.tls import ContentType, TlsRecord, TlsVersion
+from repro.protocols.tls import (
+    CertificateInfo,
+    ContentType,
+    HandshakeType,
+    TlsHandshake,
+    TlsRecord,
+    TlsVersion,
+)
 from repro.protocols.tplink_shp import TplinkShpMessage
 from repro.protocols.tuyalp import TuyaLpMessage
 
@@ -86,6 +93,10 @@ CORPUS = [
     (TlsRecord.decode,
      TlsRecord(ContentType.APPLICATION_DATA, TlsVersion.TLS_1_2,
                b"\x17" * 32).encode()),
+    (TlsHandshake.decode,
+     TlsHandshake(HandshakeType.CERTIFICATE, certificates=[
+         CertificateInfo("192.168.10.5", "192.168.10.5", 0.0, 90 * 86400.0,
+                         key_bits=96, self_signed=True)]).encode()),
     (TplinkShpMessage.decode, TplinkShpMessage.get_sysinfo_query().encode()),
     (TuyaLpMessage.decode,
      TuyaLpMessage.discovery("gwid", "prodkey", "192.168.10.9").encode()),

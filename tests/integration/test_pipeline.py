@@ -108,17 +108,20 @@ class TestPcapInterop:
         analysis, and get identical results — the artifact format works."""
         from repro.core.protocol_census import census_from_capture
         from repro.devices.behaviors import build_testbed
+        from repro.net.columnar import PacketTable
         from repro.net.decode import decode_frame
+        from repro.net.index import CaptureIndex
         from repro.net.pcap import read_pcap
 
         testbed = build_testbed(seed=21)
         testbed.run(180.0)
         macs = {str(node.mac): node.name for node in testbed.devices}
-        direct = testbed.lan.capture.decoded()
+        direct = testbed.lan.capture.index()
 
         path = tmp_path / "lab.pcap"
         testbed.lan.capture.write_pcap(path)
-        reloaded = [decode_frame(p.data, p.timestamp) for p in read_pcap(path)]
+        reloaded = CaptureIndex(PacketTable.from_packets(
+            decode_frame(p.data, p.timestamp) for p in read_pcap(path)))
         assert len(reloaded) == len(direct)
 
         census_direct = census_from_capture(direct, macs)

@@ -94,6 +94,8 @@ class TestBitflips:
 class TestAnalysisRobustness:
     def test_exposure_analysis_on_garbage(self):
         from repro.core.exposure import analyze_exposure
+        from repro.net.columnar import PacketTable
+        from repro.net.index import CaptureIndex
 
         rng = random.Random(3)
         packets = []
@@ -104,7 +106,8 @@ class TestAnalysisRobustness:
             frame = EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
                                   EtherType.IPV4, ip_packet.encode()).encode()
             packets.append(decode_frame(frame))
-        matrix = analyze_exposure(packets, {"02:00:00:00:00:01": "dev"})
+        index = CaptureIndex(PacketTable.from_packets(packets))
+        matrix = analyze_exposure(index, {"02:00:00:00:00:01": "dev"})
         # Garbage must not produce spurious geolocation/key exposure.
         assert not matrix.devices_exposing("TPLINK", "Geolocation")
         assert not matrix.devices_exposing("TuyaLP", "Prod. Key")

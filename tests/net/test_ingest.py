@@ -166,3 +166,26 @@ class TestIngestCli:
         code = main(["ingest", str(path), "--device-map", str(bad)])
         assert code == 2
         assert "--device-map" in capsys.readouterr().err
+
+    def test_cli_damaged_capture_exits_zero(self, damage_records, tmp_path, capsys):
+        """A capture with about half its frames damaged on the air
+        (bit-flipped TLS certificates among them) is analysed, not a crash."""
+        path = tmp_path / "damage.pcap"
+        write_pcap(path, damage_records)
+        code = main(["ingest", str(path)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert f"{len(damage_records)} packets" in printed
+        assert "threats:" in printed and "quarantined frames:" in printed
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_cli_non_positive_chunk_records_exits_two(self, mixed_pcap, tmp_path,
+                                                      capsys, value):
+        """Rejected before anything is read, a zero-byte pcap included."""
+        zero = tmp_path / "zero.pcap"
+        zero.write_bytes(b"")
+        for path in (mixed_pcap[0], zero):
+            code = main(["ingest", str(path), "--chunk-records", value])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"repro ingest: error: --chunk-records must be positive, got {value}\n")

@@ -176,6 +176,32 @@ class TestTls:
         cert = CertificateInfo("x", "ca", 0.0, 20 * 365.25 * 86400.0)
         assert abs(cert.validity_years - 20) < 0.01
 
+    @pytest.mark.parametrize("body", [
+        [],                                               # not an object
+        {"subjectWcn": "x", "issuer_cn": "ca", "not_before": 0.0,
+         "not_after": 1.0},                               # unknown key
+        {"subject_cn": "x", "issuer_cn": "ca", "not_before": 0.0},  # missing key
+        {"subject_cn": "x", "issuer_cn": "ca", "not_before": "0",
+         "not_after": 1.0},                               # time of the wrong type
+        {"subject_cn": "x", "issuer_cn": "ca", "not_before": 0.0,
+         "not_after": 10 ** 400},                         # time past a float
+        {"subject_cn": "x", "issuer_cn": "ca", "not_before": 0.0,
+         "not_after": 1.0, "key_bits": True},             # bool is not an int
+    ])
+    def test_malformed_certificate_is_a_valueerror(self, body):
+        der = json.dumps(body).encode()
+        with pytest.raises(ValueError):
+            CertificateInfo.from_der_like(der)
+        fragment = bytes([HandshakeType.CERTIFICATE]) + (len(der) + 2).to_bytes(3, "big") \
+            + len(der).to_bytes(2, "big") + der
+        assert TlsRecord(ContentType.HANDSHAKE, TlsVersion.TLS_1_2, fragment).handshake() is None
+
+    def test_integral_times_are_floats(self):
+        der = json.dumps({"subject_cn": "x", "issuer_cn": "ca", "not_before": 0,
+                          "not_after": 86400}).encode()
+        cert = CertificateInfo.from_der_like(der)
+        assert type(cert.not_after) is float and cert.validity_days == 1.0
+
     def test_application_data(self):
         record = TlsRecord.application_data(128)
         decoded = TlsRecord.decode(record.encode())

@@ -1,10 +1,10 @@
-"""The decode-once cache and records view of :class:`ApCapture`.
+"""Decode-once ingest and the records view of :class:`ApCapture`.
 
-Covers the decode-once contract: ``decoded()`` decodes each frame
-exactly once, extends incrementally on new ``observe()`` calls,
-invalidates on ``clear()`` and equals the eager reference decode;
-``index()`` is rebuilt only when the capture grew; and ``records`` is a
-live read-only view, not a per-access copy.
+Covers the decode-once contract: the capture's table ingests each
+frame exactly once, extends in place with the backlog observed since,
+resets on ``clear()`` and materializes packets equal to the eager
+reference decode; ``index()`` is rebuilt only when the capture grew;
+and ``records`` is a live read-only view, not a per-access copy.
 """
 
 from __future__ import annotations
@@ -39,41 +39,42 @@ def _fill(capture: ApCapture, count: int, start: int = 0) -> None:
         capture.observe(float(i), _frame(i))
 
 
+def _samples(snapshot, family):
+    return snapshot[family]["samples"] if family in snapshot else []
+
+
 class TestDecodeCache:
-    def test_decoded_identity_across_calls(self):
+    def test_rows_materialize_once(self):
         capture = ApCapture()
         _fill(capture, 5)
-        first = capture.decoded()
-        assert capture.decoded() is first  # memo: the very same list
+        table = capture.table()
+        assert capture.table() is table
+        assert all(table.packet(rid) is table.packet(rid) for rid in range(5))
 
     def test_incremental_extension(self):
         capture = ApCapture()
         _fill(capture, 3)
-        packets = capture.decoded()
-        before = list(packets)
+        table = capture.table()
+        before = table.packets()
         _fill(capture, 2, start=3)
-        again = capture.decoded()
-        assert again is packets  # extended in place, not rebuilt
-        assert len(again) == 5
-        assert again[:3] == before  # prefix untouched: not re-decoded
-        assert [p.timestamp for p in again] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert capture.table() is table  # extended in place, not rebuilt
+        assert len(table) == 5
+        # Prefix untouched: the same objects, not re-decoded.
+        assert all(a is b for a, b in zip(table.packets()[:3], before))
+        assert [p.timestamp for p in table.packets()] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_clear_invalidates(self):
         capture = ApCapture()
         _fill(capture, 4)
-        packets = capture.decoded()
-        assert len(packets) == 4
+        assert len(capture.table()) == 4
         capture.clear()
-        assert capture.decoded() == []
+        assert capture.table().packets() == []
         _fill(capture, 2, start=10)
-        assert [p.timestamp for p in capture.decoded()] == [10.0, 11.0]
+        assert [p.timestamp for p in capture.table().packets()] == [10.0, 11.0]
 
-    def test_per_mac_and_packets_of_reuse_cache(self):
+    def test_per_mac_split(self):
         capture = ApCapture()
         _fill(capture, 4)
-        cached = capture.decoded()
-        sent = capture.packets_of("02:aa:00:00:00:01")
-        assert all(any(p is c for c in cached) for p in sent)
         split = capture.per_mac()
         assert MacAddress("02:aa:00:00:00:01") in split
         assert MacAddress("02:aa:00:00:00:02") in split
@@ -88,35 +89,31 @@ class TestDecodeCache:
         _fill(capture, 2, start=8)
         reference_errors = DecodeErrorLog()
         reference = decode_records(list(capture.records), reference_errors)
-        packets = capture.decoded()
+        packets = capture.table().packets()
         assert packets == reference
         assert [p.decode_error for p in packets] == \
             [None] * 6 + ["ipv4", "ethernet"] + [None] * 2
         assert capture.decode_errors.snapshot() == reference_errors.snapshot() \
             == {"ipv4": 1, "ethernet": 1}
 
-    def test_index_then_decoded_decodes_each_frame_once(self):
-        """Frames ingested for the index are not counted again when
-        ``decoded()`` later materializes them."""
+    def test_index_then_packets_decode_each_frame_once(self):
+        """Frames ingested for the index are not counted again when the
+        table later materializes them."""
         obs = enable_observability()
         with use_obs(obs):
             capture = ApCapture()
             _fill(capture, 12)
             index = capture.index()   # 12 misses, columnar ingest
-            packets = capture.decoded()  # materializes, no new misses
+            packets = capture.table().packets()  # materializes, no new misses
         assert len(index) == len(packets) == 12
         assert [p.udp.payload for p in packets] == \
             [f"payload-{i}".encode() for i in range(12)]
         snapshot = obs.metrics.to_dict()
-        misses = snapshot["capture_decode_cache_misses_total"]["samples"]
+        misses = _samples(snapshot, "capture_decode_cache_misses_total")
         assert sum(s["value"] for s in misses) == 12
-        assert "capture_decode_cache_hits_total" not in snapshot or sum(
-            s["value"]
-            for s in snapshot["capture_decode_cache_hits_total"]["samples"]
-        ) == 0
         chunks = {s["labels"]["mode"]: s["value"]
-                  for s in snapshot["capture_decode_chunks_total"]["samples"]}
-        assert chunks == {"columnar": 1, "serial": 1}
+                  for s in _samples(snapshot, "capture_decode_chunks_total")}
+        assert chunks == {"columnar": 1}
 
     def test_index_cached_until_capture_grows(self):
         capture = ApCapture()
@@ -135,18 +132,17 @@ class TestDecodeCache:
         with use_obs(obs):
             capture = ApCapture()
             _fill(capture, 10)
-            capture.decoded()   # 10 misses
-            capture.decoded()   # 10 hits
+            capture.index()   # 10 misses
+            capture.index()   # nothing new to ingest
             _fill(capture, 5, start=10)
-            capture.decoded()   # 10 hits + 5 misses
+            capture.index()   # 5 misses
         snapshot = obs.metrics.to_dict()
-        hits = snapshot["capture_decode_cache_hits_total"]["samples"]
-        misses = snapshot["capture_decode_cache_misses_total"]["samples"]
-        assert sum(s["value"] for s in hits) == 20
+        misses = _samples(snapshot, "capture_decode_cache_misses_total")
         assert sum(s["value"] for s in misses) == 15
-        modes = {s["labels"]["mode"]
-                 for s in snapshot["capture_decode_chunks_total"]["samples"]}
-        assert modes == {"columnar", "serial"}
+        chunks = {s["labels"]["mode"]: s["value"]
+                  for s in _samples(snapshot, "capture_decode_chunks_total")}
+        assert chunks == {"columnar": 2}
+        assert "capture_decode_cache_hits_total" not in snapshot
 
 
 class TestRecordsView:

@@ -205,12 +205,12 @@ class TestNodeStack:
     def test_igmp_join_emits_report(self, lan):
         a = lan.attach(Node("a", "02:00:00:00:00:11", "192.168.10.11"))
         a.join_group("239.255.255.250")
-        igmp = [p for p in lan.capture.decoded() if p.igmp]
+        igmp = [p for p in lan.capture.table().packets() if p.igmp]
         assert len(igmp) == 1
         assert igmp[0].igmp.group == "239.255.255.250"
         # joining twice is idempotent
         a.join_group("239.255.255.250")
-        assert sum(1 for p in lan.capture.decoded() if p.igmp) == 1
+        assert sum(1 for p in lan.capture.table().packets() if p.igmp) == 1
 
     def test_unattached_node_raises(self):
         node = Node("lonely", "02:00:00:00:00:99", "192.168.10.99")
@@ -233,7 +233,7 @@ class TestTcpExchange:
                                 [b"HTTP/1.1 200 OK\r\n\r\n"])
         lan.simulator.run()
         assert port is not None
-        tcp = [p for p in lan.capture.decoded() if p.tcp]
+        tcp = [p for p in lan.capture.table().packets() if p.tcp]
         flags = [p.tcp.flags for p in tcp]
         assert any(p.tcp.is_syn for p in tcp)
         assert any(p.tcp.is_synack for p in tcp)
@@ -247,7 +247,7 @@ class TestTcpExchange:
         result = lan.tcp_exchange(client, server, 4444, [b"x"], [])
         lan.simulator.run()
         assert result is None
-        assert any(p.tcp and p.tcp.is_rst for p in lan.capture.decoded())
+        assert any(p.tcp and p.tcp.is_rst for p in lan.capture.table().packets())
 
     def test_server_handler_sees_payload(self, two_nodes):
         client, server = two_nodes
@@ -299,11 +299,12 @@ class TestCapture:
         capture.clear()
         assert capture.packet_count == 0 and capture.records == []
 
-    def test_packets_of(self, two_nodes):
+    def test_index_rows_by_source_mac(self, two_nodes):
         client, server = two_nodes
         client.udp_closed_behavior = "drop"
         server.udp_closed_behavior = "drop"
         client.send_udp(server.ip, 1, b"a")
         server.send_udp(client.ip, 2, b"b")
-        sent = client.lan.capture.packets_of(client.mac)
-        assert len(sent) == 1 and sent[0].app_payload == b"a"
+        index = client.lan.capture.index()
+        sent = index.by_src_mac[str(client.mac)]
+        assert len(sent) == 1 and index.table.app_payload(sent[0]) == b"a"

@@ -35,6 +35,7 @@ from repro.simnet.lan import Lan
 from repro.simnet.node import Node
 from repro.simnet.services import ServiceInfo, ServiceTable
 from repro.simnet.simulator import Simulator
+from tests.conftest import DAMAGE_PLAN
 
 CHAOS_PLAN = Path(__file__).parents[2] / "examples" / "fault_plans" / "chaos.json"
 
@@ -222,12 +223,7 @@ def test_chaos_plan(monkeypatch):
 
 
 def test_damaging_plan_decodes_every_changed_frame(monkeypatch):
-    plan = FaultPlan.from_dict({
-        "name": "damage",
-        "links": [{"truncate": 0.3, "corrupt": 0.3, "corrupt_bits": 4,
-                   "duplicate": 0.05, "delay": {"probability": 0.05}}],
-        "discovery": {"probability": 0.9, "protocols": ["mdns", "ssdp", "tuyalp"]},
-    })
+    plan = FaultPlan.from_dict(DAMAGE_PLAN)
     gate = TypedGate(monkeypatch)
     testbed, injector = _lab(plan)
     _sweep(testbed, PortScanner(max_retries=2, wait_for_replies=True), 2, range(1, 40))

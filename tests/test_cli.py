@@ -95,6 +95,66 @@ class TestClassify:
         assert main(["classify", str(path)]) == 1
 
 
+def _reference_classify(path):
+    """``repro classify PATH --crossval`` computed the eager way, as
+    ``(stdout, stderr, exit code)``: each record decoded with
+    ``decode_frame`` and labelled by one ``CorrectedClassifier``, and
+    the cross-validation run over the eager reference index."""
+    from collections import Counter
+
+    from repro.classify.crossval import cross_validate
+    from repro.classify.rules import CorrectedClassifier
+    from repro.net.columnar import PacketTable
+    from repro.net.decode import decode_frame
+    from repro.net.index import CaptureIndex
+    from repro.net.pcap import PcapReader
+    from repro.report.tables import render_figure3, render_table
+
+    try:
+        with PcapReader(path) as reader:
+            packets = [decode_frame(captured.data, captured.timestamp)
+                       for captured in reader]
+    except (OSError, ValueError) as error:
+        return "", f"error: cannot read {path}: {error}\n", 1
+    if not packets:
+        return "", "error: capture contains no packets\n", 1
+    classifier = CorrectedClassifier()
+    counts = Counter(str(classifier.classify_packet(packet)) for packet in packets)
+    table = render_table(
+        ["protocol", "packets", "share"],
+        [(label, count, f"{count / len(packets):.1%}")
+         for label, count in counts.most_common()],
+        title=f"{path}: {len(packets)} packets (nDPI+manual labels)",
+    )
+    figure = render_figure3(cross_validate(CaptureIndex(PacketTable.from_packets(packets))))
+    return f"{table}\n\n{figure}\n", "", 0
+
+
+class TestClassifyMatchesEagerReference:
+    """``repro classify`` reads through the streaming ingest path and
+    prints exactly what an eager per-record decode prints."""
+
+    @pytest.mark.parametrize("kind", ["lab", "chaos", "damage", "zero-byte",
+                                      "header-only", "truncated", "bad-magic"])
+    def test_same_stdout_stderr_and_exit_code(self, kind, request, tmp_path, capsys):
+        from repro.net.pcap import write_pcap
+
+        path = tmp_path / f"{kind}.pcap"
+        if kind in ("lab", "chaos", "damage"):
+            write_pcap(path, request.getfixturevalue(f"{kind}_records"))
+        elif kind == "zero-byte":
+            path.write_bytes(b"")
+        elif kind == "header-only":
+            write_pcap(path, [])
+        else:
+            write_pcap(path, request.getfixturevalue("lab_records")[:50])
+            data = path.read_bytes()
+            path.write_bytes(data[:-7] if kind == "truncated" else b"XXXX" + data[4:])
+        code = main(["classify", str(path), "--crossval"])
+        out, err = capsys.readouterr()
+        assert (out, err, code) == _reference_classify(path)
+
+
 class TestFingerprint:
     def test_unknown_mitigation(self, capsys):
         assert main(["fingerprint", "--mitigation", "wishful_thinking"]) == 1
