@@ -394,54 +394,6 @@ def _load_device_map(path: Optional[str]):
     return macs, vendors, categories, None
 
 
-def _ingest_empty_report(args: argparse.Namespace, device_macs,
-                         chunks: int) -> int:
-    """The ``repro ingest`` success path for a capture with no packets.
-
-    An empty or header-only pcap is a *normal* outcome (a capture that
-    has not started yet, a quiet network), so this exits 0 with an
-    explicit all-zero report — same JSON payload shape as a real run —
-    instead of failing.
-    """
-    import json
-
-    mapped = 0 if device_macs is None else len(device_macs)
-    print(f"{args.pcap}: capture contains no packets (empty capture)")
-    print(f"devices: {mapped} mapped, 0 communicating locally, "
-          "0 device pairs")
-    if args.json:
-        payload = {
-            "pcap": args.pcap,
-            "packets": 0,
-            "bytes": 0,
-            "chunks": chunks,
-            "quarantined": {},
-            "protocol_counts": {},
-            "census_passive": {},
-            "graph_summary": {
-                "devices_total": mapped,
-                "devices_communicating": 0,
-                "device_pairs": 0,
-                "pairs_tcp_and_udp": 0,
-            },
-            "exposure": {},
-            "responses_by_category": {},
-            "periodicity": {"detections": 0, "periodic_fraction": 0.0},
-            "threat": {
-                "plaintext_http_devices": [],
-                "http_servers": [],
-                "tls_devices": [],
-            },
-            "crossval": {
-                "total_units": 0, "agree": 0, "disagree": 0, "neither": 0,
-            },
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"artifacts written to {args.json}", file=sys.stderr)
-    return 0
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
 
@@ -452,7 +404,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.core.protocol_census import census_from_capture
     from repro.core.responses import correlate_responses
     from repro.core.threat_report import build_threat_report
-    from repro.net.ingest import ingest_pcap
+    from repro.net.columnar import PacketTable
+    from repro.net.decode import DecodeErrorLog
+    from repro.net.ingest import IngestResult, IngestStats, ingest_pcap
     from repro.report.tables import render_table
 
     error = (f"--chunk-records must be positive, got {args.chunk_records}"
@@ -471,15 +425,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             # A zero-byte capture file is what a tcpdump that was killed
             # before its first write leaves behind: an empty capture,
             # not a malformed one.
-            return _ingest_empty_report(args, device_macs, chunks=0)
-        result = ingest_pcap(args.pcap, chunk_records=args.chunk_records)
+            result = IngestResult(PacketTable(), DecodeErrorLog(), IngestStats())
+        else:
+            result = ingest_pcap(args.pcap, chunk_records=args.chunk_records)
     except (OSError, ValueError) as error:
         print(f"error: cannot ingest {args.pcap}: {error}", file=sys.stderr)
         return 1
-    if len(result) == 0:
-        # Header-only pcap: valid, just nothing captured yet.
-        return _ingest_empty_report(args, device_macs,
-                                    chunks=result.stats.chunks)
     index = result.index
     if device_macs is None:
         # No map supplied: every observed source MAC is its own device.
@@ -494,22 +445,30 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     stats = result.stats
     counts = index.protocol_counts()
-    print(render_table(
-        ["protocol", "packets", "share"],
-        [(tag, count, f"{count / len(index):.1%}")
-         for tag, count in sorted(counts.items(), key=lambda item: -item[1])],
-        title=(f"{args.pcap}: {stats.packets} packets in {stats.chunks} "
-               f"chunk(s), {stats.quarantined_total} quarantined"),
-    ))
     summary = graph.summary()
-    print(f"\ndevices: {len(device_macs)} mapped, "
-          f"{summary['devices_communicating']} communicating locally, "
-          f"{summary['device_pairs']} device pairs")
-    print(f"threats: {len(threat.plaintext_http_devices)} plaintext-HTTP "
-          f"device(s), {threat.tls_device_count} local-TLS device(s)")
-    print(f"classifiers: {crossval.total_units} units, "
-          f"{crossval.disagree_fraction:.0%} disagree, "
-          f"{crossval.neither_fraction:.0%} unlabeled")
+    devices_line = (f"devices: {len(device_macs)} mapped, "
+                    f"{summary['devices_communicating']} communicating "
+                    f"locally, {summary['device_pairs']} device pairs")
+    if len(index) == 0:
+        # A header-only or zero-byte pcap is a normal outcome (a capture
+        # that has not started yet, a quiet network): exit 0 with an
+        # all-zero report of the same shape as a populated run.
+        print(f"{args.pcap}: capture contains no packets (empty capture)")
+        print(devices_line)
+    else:
+        print(render_table(
+            ["protocol", "packets", "share"],
+            [(tag, count, f"{count / len(index):.1%}")
+             for tag, count in sorted(counts.items(), key=lambda item: -item[1])],
+            title=(f"{args.pcap}: {stats.packets} packets in {stats.chunks} "
+                   f"chunk(s), {stats.quarantined_total} quarantined"),
+        ))
+        print(f"\n{devices_line}")
+        print(f"threats: {len(threat.plaintext_http_devices)} plaintext-HTTP "
+              f"device(s), {threat.tls_device_count} local-TLS device(s)")
+        print(f"classifiers: {crossval.total_units} units, "
+              f"{crossval.disagree_fraction:.0%} disagree, "
+              f"{crossval.neither_fraction:.0%} unlabeled")
     if stats.quarantined:
         detail = ", ".join(f"{reason}={count}"
                            for reason, count in sorted(stats.quarantined.items()))
@@ -587,7 +546,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if error:
         print(f"repro monitor: error: {error}", file=sys.stderr)
         return 2
-    device_macs, vendors, _categories, error = _load_device_map(args.device_map)
+    device_macs, _vendors, _categories, error = _load_device_map(args.device_map)
     if error:
         print(f"repro monitor: error: {error}", file=sys.stderr)
         return 2
@@ -602,7 +561,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     obs = _build_observability(args)
     monitor = Monitor(
         device_macs=device_macs,
-        device_vendor=vendors,
         window_packets=args.window_packets,
         window_seconds=args.window_seconds,
         obs=obs,

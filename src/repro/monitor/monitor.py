@@ -9,10 +9,11 @@ and serves snapshot artifacts at any point:
   columnar table + index (labels memoized once, shared by all four
   states), builds one immutable pane, pushes it through the window and
   emits a ``window_advanced`` event;
-* ``snapshot()`` merges the live panes and finalizes all four analyses
-  into the canonical artifact shapes of
-  :mod:`repro.report.artifacts` — byte-identical to the batch
-  artifacts whenever the window still covers everything absorbed;
+* ``snapshot()`` merges the live panes and finalizes every state of
+  :data:`~repro.monitor.state.STATE_CLASSES` through its
+  :mod:`repro.report.artifacts` serializer — byte-identical to the
+  batch artifacts whenever the window still covers everything
+  absorbed;
 * ``write_snapshot(path)`` writes that JSON atomically-enough (single
   write) and emits ``snapshot_written``.
 
@@ -26,37 +27,17 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.monitor.state import (
-    IncrementalCensus,
-    IncrementalDeviceGraph,
-    IncrementalExposure,
-    IncrementalPeriodicity,
-    IncrementalState,
-)
+from repro.monitor.state import STATE_CLASSES, IncrementalState
 from repro.monitor.window import Pane, SlidingWindow
 from repro.net.columnar import PacketTable
 from repro.net.decode import DecodeErrorLog
 from repro.net.index import CaptureIndex
 from repro.obs import get_obs
 from repro.obs.events import process_stats
-from repro.report.artifacts import (
-    canonical_json,
-    census_artifact,
-    device_graph_artifact,
-    exposure_artifact,
-    periodicity_artifact,
-)
+from repro.report.artifacts import canonical_json
 
 #: Snapshot document schema; bump when the layout changes shape.
 SNAPSHOT_SCHEMA = 1
-
-#: artifact key -> serializer over the finalized batch object.
-_ARTIFACT_SERIALIZERS = {
-    IncrementalCensus.name: census_artifact,
-    IncrementalDeviceGraph.name: device_graph_artifact,
-    IncrementalExposure.name: exposure_artifact,
-    IncrementalPeriodicity.name: periodicity_artifact,
-}
 
 
 class Monitor:
@@ -65,13 +46,11 @@ class Monitor:
     def __init__(
         self,
         device_macs: Optional[Dict[str, str]] = None,
-        device_vendor: Optional[Dict[str, str]] = None,
         window_packets: Optional[int] = None,
         window_seconds: Optional[float] = None,
         obs=None,
     ):
         self.device_macs = None if device_macs is None else dict(device_macs)
-        self.device_vendor = dict(device_vendor or {})
         self.window = SlidingWindow(window_packets=window_packets,
                                     window_seconds=window_seconds)
         self.errors = DecodeErrorLog()
@@ -101,15 +80,8 @@ class Monitor:
     # -- state construction ---------------------------------------------------------
 
     def fresh_states(self) -> Dict[str, IncrementalState]:
-        """One empty state per analysis, with this monitor's config."""
-        return {
-            IncrementalCensus.name: IncrementalCensus(self.device_macs),
-            IncrementalDeviceGraph.name: IncrementalDeviceGraph(
-                self.device_macs, self.device_vendor),
-            IncrementalExposure.name: IncrementalExposure(self.device_macs),
-            IncrementalPeriodicity.name: IncrementalPeriodicity(
-                self.device_macs),
-        }
+        """One empty state per analysis over this monitor's device map."""
+        return {cls.name: cls(self.device_macs) for cls in STATE_CLASSES}
 
     # -- absorbing ------------------------------------------------------------------
 
@@ -167,16 +139,15 @@ class Monitor:
     # -- snapshots ------------------------------------------------------------------
 
     def merged_states(self) -> Dict[str, IncrementalState]:
-        """The window's merged states (empty-but-configured when idle)."""
+        """The window's merged states (fresh, empty states when idle)."""
         merged = self.window.merged()
         return merged if merged else self.fresh_states()
 
     def snapshot(self) -> Dict[str, object]:
         """The windowed analyses as one canonical snapshot document."""
-        artifacts = {
-            name: _ARTIFACT_SERIALIZERS[name](state.finalize())
-            for name, state in self.merged_states().items()
-        }
+        merged = self.merged_states()
+        artifacts = {cls.name: cls.artifact(merged[cls.name].finalize())
+                     for cls in STATE_CLASSES}
         return {
             "schema": SNAPSHOT_SCHEMA,
             "window": {

@@ -14,10 +14,10 @@ the same shape — lists of ``(timestamp, frame_bytes)`` records, at most
   whenever the file goes quiet (so analyses stay live), and ends after
   ``idle_timeout`` seconds without new bytes;
 * the **simulator's live feed** (:func:`simulated_chunks`) — runs the
-  MonIoTr testbed in small time slices and drains frames through an
-  :class:`~repro.simnet.capture.ApCapture` frame tap, with
-  ``keep_bytes=False`` so the capture itself stays O(1): the monitor's
-  window is the only thing holding traffic state.
+  MonIoTr testbed in :data:`SIM_STEP_SECONDS` slices of simulated time
+  and drains frames through an :class:`~repro.simnet.capture.ApCapture`
+  frame tap, with ``keep_bytes=False`` so the capture itself stays
+  O(1): the monitor's window is the only thing holding traffic state.
 """
 
 from __future__ import annotations
@@ -129,25 +129,20 @@ def simulated_chunks(
     seed: int = 7,
     duration: float = 300.0,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    step_seconds: float = SIM_STEP_SECONDS,
-    testbed=None,
 ) -> Iterator[List[Record]]:
     """Stream the simulated lab's frames live, in bounded chunks.
 
-    Builds the MonIoTr testbed (or uses a caller-supplied one), turns
-    off the capture's record accumulation, taps every frame the AP
-    observes, and advances simulated time in ``step_seconds`` slices —
-    yielding full chunks as they fill and the remainder at the end.
-    Deterministic for a given ``(seed, duration, chunk_records)``.
+    Builds the MonIoTr testbed, turns off the capture's record
+    accumulation, taps every frame the AP observes, and advances
+    simulated time in :data:`SIM_STEP_SECONDS` slices — yielding full
+    chunks as they fill and the remainder at the end.  Deterministic
+    for a given ``(seed, duration, chunk_records)``.
     """
     if chunk_records <= 0:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    if step_seconds <= 0:
-        raise ValueError(f"step_seconds must be positive, got {step_seconds}")
-    if testbed is None:
-        from repro.devices.behaviors import build_testbed
+    from repro.devices.behaviors import build_testbed
 
-        testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=seed)
     capture = testbed.lan.capture
     capture.keep_bytes = False
     buffer: List[Record] = []
@@ -156,7 +151,7 @@ def simulated_chunks(
     simulator = testbed.simulator
     end = simulator.now + duration
     while simulator.now < end:
-        testbed.run(min(step_seconds, end - simulator.now))
+        testbed.run(min(SIM_STEP_SECONDS, end - simulator.now))
         while len(buffer) >= chunk_records:
             yield buffer[:chunk_records]
             del buffer[:chunk_records]

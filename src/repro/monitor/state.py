@@ -21,10 +21,14 @@ across all four states) and folds the result in; no state walks rows
 itself.  The states merge exactly and additively, the way the fleet
 layer merges shard results:
 
-* ``absorb(other)`` folds another state of the same configuration in;
+* ``absorb(other)`` folds another state of the same class in;
 * ``merge(states)`` (classmethod) folds a chronological sequence;
-* ``to_dict()`` / ``from_dict()`` round-trip through plain JSON data;
-* ``fresh()`` returns an empty state with the same configuration.
+* ``fresh()`` returns an empty state over the same device map.
+
+:data:`STATE_CLASSES` is the one list of states: each class names its
+snapshot key (``name``) and its :mod:`repro.report.artifacts`
+serializer (``artifact``), and :class:`~repro.monitor.Monitor` builds
+panes and snapshots from it.
 
 ``finalize()`` rebuilds the batch analysis object.  When the absorbed
 chunks cover a capture in chronological order the result is
@@ -50,22 +54,19 @@ any chunking.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.device_graph import DeviceGraph, conversation_edges
 from repro.core.exposure import ExposureMatrix, analyze_exposure
 from repro.core.periodicity import PeriodicityResult, detect_groups, event_groups
 from repro.core.protocol_census import ProtocolCensus, census_from_capture
 from repro.net.index import CaptureIndex
-
-
-def _ensure_compatible(a: "IncrementalState", b: "IncrementalState") -> None:
-    if type(a) is not type(b):
-        raise ValueError(f"cannot merge {type(b).__name__} into {type(a).__name__}")
-    if a.config() != b.config():
-        raise ValueError(
-            f"cannot merge {type(a).__name__} states with different "
-            f"configurations")
+from repro.report.artifacts import (
+    census_artifact,
+    device_graph_artifact,
+    exposure_artifact,
+    periodicity_artifact,
+)
 
 
 class IncrementalState:
@@ -73,18 +74,14 @@ class IncrementalState:
 
     #: Snapshot-artifact key; also the per-state name the monitor uses.
     name = "state"
+    #: The :mod:`repro.report.artifacts` serializer of ``finalize()``.
+    artifact: Callable[[object], Dict[str, object]]
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None):
         self.device_macs = None if device_macs is None else dict(device_macs)
 
-    def config(self) -> Tuple:
-        """Hashable configuration; merges require equal configs."""
-        macs = None if self.device_macs is None \
-            else tuple(sorted(self.device_macs.items()))
-        return (macs,)
-
     def fresh(self) -> "IncrementalState":
-        """An empty state with this state's configuration."""
+        """An empty state over the same device map."""
         return type(self)(self.device_macs)
 
     def update(self, index: CaptureIndex) -> None:
@@ -97,13 +94,6 @@ class IncrementalState:
 
     def finalize(self):
         """Rebuild the batch analysis object from the absorbed state."""
-        raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "IncrementalState":
         raise NotImplementedError
 
     @classmethod
@@ -134,6 +124,7 @@ class IncrementalCensus(IncrementalState):
     """Streaming Figure 2: per-protocol device sets, additively merged."""
 
     name = "census"
+    artifact = staticmethod(census_artifact)
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None):
         super().__init__(device_macs)
@@ -152,7 +143,6 @@ class IncrementalCensus(IncrementalState):
             self.passive.setdefault(label, set()).update(devices)
 
     def absorb(self, other: "IncrementalCensus") -> None:
-        _ensure_compatible(self, other)
         for label, devices in other.passive.items():
             self.passive.setdefault(label, set()).update(devices)
         self.observed.update(other.observed)
@@ -165,45 +155,21 @@ class IncrementalCensus(IncrementalState):
             census.passive[label] = set(devices)
         return census
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.name,
-            "device_macs": self.device_macs,
-            "passive": {label: sorted(devices)
-                        for label, devices in self.passive.items()},
-            "observed": sorted(self.observed),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "IncrementalCensus":
-        state = cls(raw.get("device_macs"))
-        for label, devices in dict(raw.get("passive", {})).items():
-            state.passive[label] = set(devices)
-        state.observed = set(raw.get("observed", ()))
-        return state
-
 
 class IncrementalDeviceGraph(IncrementalState):
     """Streaming Figures 1/4: the unicast device-pair edge set."""
 
     name = "device_graph"
+    artifact = staticmethod(device_graph_artifact)
 
-    def __init__(self, device_macs: Optional[Dict[str, str]] = None,
-                 device_vendor: Optional[Dict[str, str]] = None):
+    def __init__(self, device_macs: Optional[Dict[str, str]] = None):
         super().__init__(device_macs)
-        self.device_vendor = dict(device_vendor or {})
         #: (a, b, transport) in first-seen order (insertion-ordered
         #: dict used as a set).  Identity mode stores *candidates* —
         #: the both-endpoints-observed filter runs at finalize().
         self.edges: Dict[Tuple[str, str, str], None] = {}
         #: Identity mode only: source MACs observed so far.
         self.observed: Set[str] = set()
-
-    def config(self) -> Tuple:
-        return super().config() + (tuple(sorted(self.device_vendor.items())),)
-
-    def fresh(self) -> "IncrementalDeviceGraph":
-        return IncrementalDeviceGraph(self.device_macs, self.device_vendor)
 
     def update(self, index: CaptureIndex) -> None:
         device_macs = self.device_macs
@@ -216,7 +182,6 @@ class IncrementalDeviceGraph(IncrementalState):
             self.edges.setdefault(key)
 
     def absorb(self, other: "IncrementalDeviceGraph") -> None:
-        _ensure_compatible(self, other)
         for key in other.edges:
             self.edges.setdefault(key)
         self.observed.update(other.observed)
@@ -234,25 +199,9 @@ class IncrementalDeviceGraph(IncrementalState):
             if identity and (a not in self.observed or b not in self.observed):
                 continue
             graph.add_edge(a, b, transport=transport)
-        return DeviceGraph(graph=graph, device_vendor=dict(self.device_vendor))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.name,
-            "device_macs": self.device_macs,
-            "device_vendor": dict(self.device_vendor),
-            "edges": [list(key) for key in self.edges],
-            "observed": sorted(self.observed),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "IncrementalDeviceGraph":
-        state = cls(raw.get("device_macs"), raw.get("device_vendor"))
-        for edge in raw.get("edges", ()):
-            a, b, transport = edge
-            state.edges.setdefault((str(a), str(b), str(transport)))
-        state.observed = set(raw.get("observed", ()))
-        return state
+        # No vendor map: the snapshot artifact writes nodes, edges and
+        # the summary only.
+        return DeviceGraph(graph, {})
 
 
 class IncrementalExposure(IncrementalState):
@@ -264,6 +213,7 @@ class IncrementalExposure(IncrementalState):
     """
 
     name = "exposure"
+    artifact = staticmethod(exposure_artifact)
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None):
         super().__init__(device_macs)
@@ -273,7 +223,6 @@ class IncrementalExposure(IncrementalState):
         analyze_exposure(index, self._devices(index), self.matrix)
 
     def absorb(self, other: "IncrementalExposure") -> None:
-        _ensure_compatible(self, other)
         for protocol, kinds in other.matrix.cells.items():
             for kind, devices in kinds.items():
                 self.matrix.cells[protocol][kind].update(devices)
@@ -289,28 +238,6 @@ class IncrementalExposure(IncrementalState):
             out.examples[key] = list(values)
         return out
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.name,
-            "device_macs": self.device_macs,
-            "cells": {protocol: {kind: sorted(devices)
-                                 for kind, devices in kinds.items()}
-                      for protocol, kinds in self.matrix.cells.items()},
-            "examples": [[protocol, kind, list(values)]
-                         for (protocol, kind), values
-                         in self.matrix.examples.items()],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "IncrementalExposure":
-        state = cls(raw.get("device_macs"))
-        for protocol, kinds in dict(raw.get("cells", {})).items():
-            for kind, devices in kinds.items():
-                state.matrix.cells[protocol][kind].update(devices)
-        for protocol, kind, values in raw.get("examples", ()):
-            state.matrix.examples[(protocol, kind)] = list(values)
-        return state
-
 
 class IncrementalPeriodicity(IncrementalState):
     """Streaming Appendix D.1: per-group event series, detected lazily.
@@ -322,6 +249,7 @@ class IncrementalPeriodicity(IncrementalState):
     """
 
     name = "periodicity"
+    artifact = staticmethod(periodicity_artifact)
 
     def __init__(self, device_macs: Optional[Dict[str, str]] = None):
         super().__init__(device_macs)
@@ -334,44 +262,13 @@ class IncrementalPeriodicity(IncrementalState):
             self.groups.setdefault(key, []).extend(timestamps)
 
     def absorb(self, other: "IncrementalPeriodicity") -> None:
-        _ensure_compatible(self, other)
         for key, timestamps in other.groups.items():
             self.groups.setdefault(key, []).extend(timestamps)
 
     def finalize(self) -> PeriodicityResult:
         return detect_groups(self.groups)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.name,
-            "device_macs": self.device_macs,
-            "groups": [[device, destination, protocol, list(timestamps)]
-                       for (device, destination, protocol), timestamps
-                       in self.groups.items()],
-        }
 
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "IncrementalPeriodicity":
-        state = cls(raw.get("device_macs"))
-        for device, destination, protocol, timestamps in raw.get("groups", ()):
-            state.groups[(device, destination, protocol)] = [
-                float(ts) for ts in timestamps]
-        return state
-
-
-#: Snapshot-artifact name -> state class, in the order snapshots list them.
-STATE_CLASSES: Dict[str, type] = {
-    IncrementalCensus.name: IncrementalCensus,
-    IncrementalDeviceGraph.name: IncrementalDeviceGraph,
-    IncrementalExposure.name: IncrementalExposure,
-    IncrementalPeriodicity.name: IncrementalPeriodicity,
-}
-
-
-def state_from_dict(raw: Dict[str, object]) -> IncrementalState:
-    """Revive any serialized state by its ``kind`` tag."""
-    kind = raw.get("kind")
-    cls = STATE_CLASSES.get(str(kind))
-    if cls is None:
-        raise ValueError(f"unknown incremental state kind {kind!r}")
-    return cls.from_dict(raw)
+#: The monitor's analyses, in the order snapshots list them.
+STATE_CLASSES = (IncrementalCensus, IncrementalDeviceGraph,
+                 IncrementalExposure, IncrementalPeriodicity)

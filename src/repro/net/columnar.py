@@ -496,10 +496,6 @@ class PacketTable:
             obj = self._mac_objects[mac_id] = MacAddress(self.mac_strings[mac_id])
         return obj
 
-    def mac_id_of(self, mac) -> Optional[int]:
-        """Pool id of a MAC (any accepted form), or ``None`` if unseen."""
-        return self._mac_ids.get(MacAddress(mac).packed)
-
     def __repr__(self) -> str:
         return (f"PacketTable({len(self)} rows, {len(self.mac_strings)} macs, "
                 f"{len(self.frames)} arena bytes)")

@@ -38,6 +38,10 @@ from repro.simnet.services import ServiceTable
 _ARP, _IPV4 = int(EtherType.ARP), int(EtherType.IPV4)
 _ICMP, _TCP, _UDP = int(IpProtocol.ICMP), int(IpProtocol.TCP), int(IpProtocol.UDP)
 _DEST_UNREACHABLE = int(IcmpType.DEST_UNREACHABLE)
+#: Scan-reply flags, built once: ``|`` on ``TcpFlags`` runs the enum
+#: constructor.
+_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
+_RST_ACK = TcpFlags.RST | TcpFlags.ACK
 
 #: signature: handler(node, packet) -> None
 UdpHandler = Callable[["Node", DecodedPacket], None]
@@ -277,7 +281,7 @@ class Node:
                     segment.src_port,
                     seq=1000,
                     ack=segment.seq + 1,
-                    flags=TcpFlags.SYN | TcpFlags.ACK,
+                    flags=_SYN_ACK,
                 )
                 self.send_tcp_segment(packet.src_ip, reply, dst_mac=packet.frame.src)
             elif self.responds_to_tcp_scan:
@@ -286,7 +290,7 @@ class Node:
                     segment.src_port,
                     seq=0,
                     ack=segment.seq + 1,
-                    flags=TcpFlags.RST | TcpFlags.ACK,
+                    flags=_RST_ACK,
                 )
                 self.send_tcp_segment(packet.src_ip, reply, dst_mac=packet.frame.src)
             return

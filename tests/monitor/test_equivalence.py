@@ -8,9 +8,7 @@ For each of the four incremental analyses, over both device modes
   lab capture and the fault-plan capture;
 * splitting the capture at *random* points into chunk-local indexes and
   folding the pieces with ``merge(update(a), update(b)) ≡ update(a + b)``
-  must not change a byte;
-* ``to_dict()`` / ``from_dict()`` must round-trip without changing the
-  finalized artifact.
+  must not change a byte.
 
 The states run the batch passes themselves, so the batch artifacts are
 also pinned by digest: a change to a shared pass shows up there even
@@ -28,14 +26,7 @@ from repro.core.device_graph import build_device_graph
 from repro.core.exposure import analyze_exposure
 from repro.core.periodicity import analyze_periodicity
 from repro.core.protocol_census import census_from_capture
-from repro.monitor import Monitor
-from repro.monitor.state import (
-    IncrementalCensus,
-    IncrementalDeviceGraph,
-    IncrementalExposure,
-    IncrementalPeriodicity,
-    state_from_dict,
-)
+from repro.monitor import STATE_CLASSES, Monitor
 from repro.net.columnar import PacketTable
 from repro.net.decode import DecodeErrorLog
 from repro.net.index import CaptureIndex
@@ -46,13 +37,6 @@ from repro.report.artifacts import (
     exposure_artifact,
     periodicity_artifact,
 )
-
-STATE_FACTORIES = {
-    "census": IncrementalCensus,
-    "device_graph": IncrementalDeviceGraph,
-    "exposure": IncrementalExposure,
-    "periodicity": IncrementalPeriodicity,
-}
 
 
 def _index(records):
@@ -180,17 +164,17 @@ class TestRandomSplitMerge:
         bounds = list(zip([0] + cuts, cuts + [n]))
         pieces = [_index(lab_records[start:stop]) for start, stop in bounds]
         device_macs = None if seed % 2 == 0 else _name_map(lab_index)
-        for name, factory in STATE_FACTORIES.items():
-            whole = factory(device_macs)
+        for cls in STATE_CLASSES:
+            whole = cls(device_macs)
             whole.update(lab_index)
             parts = []
             for piece in pieces:
-                part = factory(device_macs)
+                part = cls(device_macs)
                 part.update(piece)
                 parts.append(part)
-            merged = factory.merge(parts)
-            assert _serialize(name, merged) == _serialize(name, whole), (
-                f"{name}: merge over splits {cuts} diverged")
+            merged = cls.merge(parts)
+            assert _serialize(merged) == _serialize(whole), (
+                f"{cls.name}: merge over splits {cuts} diverged")
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_pairwise_merge_is_associative_with_absorb(
@@ -199,62 +183,56 @@ class TestRandomSplitMerge:
         n = len(lab_records)
         cut = rng.randint(1, n - 1)
         head, tail = _index(lab_records[:cut]), _index(lab_records[cut:])
-        for name, factory in STATE_FACTORIES.items():
-            a = factory(None)
+        for cls in STATE_CLASSES:
+            a = cls(None)
             a.update(head)
-            b = factory(None)
+            b = cls(None)
             b.update(tail)
             a.absorb(b)
-            whole = factory(None)
+            whole = cls(None)
             whole.update(lab_index)
-            assert _serialize(name, a) == _serialize(name, whole)
+            assert _serialize(a) == _serialize(whole)
 
+    def test_merge_rejects_empty_input(self):
+        for cls in STATE_CLASSES:
+            with pytest.raises(ValueError, match="merge"):
+                cls.merge([])
 
-class TestSerializationRoundTrip:
-    def test_to_dict_from_dict_preserves_finalized_artifact(self, lab_index):
-        for name, factory in STATE_FACTORIES.items():
-            for device_macs in (None, _name_map(lab_index)):
-                state = factory(device_macs)
+    def test_fresh_state_is_a_merge_identity(self, lab_index):
+        """Empty states folded in on either side change no byte."""
+        for device_macs in (None, _name_map(lab_index)):
+            for cls in STATE_CLASSES:
+                state = cls(device_macs)
                 state.update(lab_index)
-                revived = state_from_dict(state.to_dict())
-                assert type(revived) is type(state)
-                assert revived.config() == state.config()
-                assert _serialize(name, revived) == _serialize(name, state)
-
-    def test_round_tripped_states_still_merge(self, lab_records, lab_index):
-        n = len(lab_records)
-        head, tail = _index(lab_records[:n // 2]), _index(lab_records[n // 2:])
-        for name, factory in STATE_FACTORIES.items():
-            a = factory(None)
-            a.update(head)
-            b = factory(None)
-            b.update(tail)
-            merged = factory.merge(
-                [state_from_dict(a.to_dict()), state_from_dict(b.to_dict())])
-            whole = factory(None)
-            whole.update(lab_index)
-            assert _serialize(name, merged) == _serialize(name, whole)
-
-    def test_merge_rejects_mismatched_configs(self, lab_index):
-        a = IncrementalCensus(None)
-        b = IncrementalCensus({"02:00:00:00:00:01": "thing"})
-        with pytest.raises(ValueError, match="configurations"):
-            a.absorb(b)
-        with pytest.raises(ValueError, match="merge"):
-            IncrementalCensus.merge([])
-
-    def test_state_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown incremental state"):
-            state_from_dict({"kind": "nope"})
+                merged = cls.merge([state.fresh(), state, state.fresh()])
+                assert _serialize(merged) == _serialize(state), cls.name
 
 
-_SERIALIZERS = {
-    "census": census_artifact,
-    "device_graph": device_graph_artifact,
-    "exposure": exposure_artifact,
-    "periodicity": periodicity_artifact,
-}
+class TestStateRegistry:
+    """``STATE_CLASSES`` alone decides a monitor's panes and artifacts."""
+
+    def test_fresh_states_follow_the_registry(self, lab_index):
+        names = _name_map(lab_index)
+        states = Monitor(device_macs=names).fresh_states()
+        assert list(states) == [cls.name for cls in STATE_CLASSES]
+        assert len(states) == 4
+        for cls in STATE_CLASSES:
+            state = states[cls.name]
+            assert type(state) is cls
+            assert state.device_macs == names
+            assert state.device_macs is not names
+
+    def test_idle_snapshot_equals_batch_over_empty_capture(self):
+        """A monitor that absorbed nothing reports the empty capture."""
+        empty = _index([])
+        names = {"02:00:00:00:00:01": "lamp", "02:00:00:00:00:02": "camera"}
+        for device_macs, batch_map in ((None, {}), (names, names)):
+            snapshot = Monitor(device_macs=device_macs).snapshot()
+            assert snapshot["window"]["panes"] == 0
+            got = {name: canonical_json(artifact)
+                   for name, artifact in snapshot["artifacts"].items()}
+            assert got == _batch_artifacts(empty, batch_map)
 
 
-def _serialize(name, state):
-    return canonical_json(_SERIALIZERS[name](state.finalize()))
+def _serialize(state):
+    return canonical_json(state.artifact(state.finalize()))

@@ -41,6 +41,38 @@ class TestPcapMode:
         assert snapshot["schema"] == 1
         assert snapshot["window"]["evicted_panes"] == 0
 
+    def test_device_map_uses_names_only(self, lab_pcap, lab_index, tmp_path):
+        """Vendor and category keys of ``--device-map`` change no byte."""
+        from repro.net.ingest import ingest_pcap
+        from tests.monitor.test_equivalence import _batch_artifacts, _name_map
+
+        names = _name_map(lab_index)
+        maps = {
+            "names": names,
+            "objects": {mac: {"name": name, "vendor": f"vendor-{i % 3}",
+                              "category": "camera"}
+                        for i, (mac, name) in enumerate(sorted(names.items()))},
+        }
+        snapshots = {}
+        for kind, device_map in maps.items():
+            map_path = tmp_path / f"{kind}.json"
+            map_path.write_text(json.dumps(device_map))
+            out = tmp_path / f"{kind}-snapshot.json"
+            code = main(["monitor", str(lab_pcap), "--chunk-records", "512",
+                         "--device-map", str(map_path), "--json", str(out)])
+            assert code == 0
+            snapshots[kind] = out.read_bytes()
+        assert snapshots["objects"] == snapshots["names"]
+
+        snapshot = json.loads(snapshots["objects"])
+        assert snapshot["window"]["panes"] > 1
+        assert snapshot["window"]["evicted_panes"] == 0
+        # The pcap keeps microsecond timestamps, so the batch side reads
+        # the same file.
+        batch = _batch_artifacts(ingest_pcap(lab_pcap).index, names)
+        assert {name: canonical_json(artifact)
+                for name, artifact in snapshot["artifacts"].items()} == batch
+
     def test_windowed_run_with_periodic_snapshots(self, lab_pcap, tmp_path):
         snaps = tmp_path / "snaps"
         code = main(["monitor", str(lab_pcap),

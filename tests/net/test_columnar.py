@@ -26,7 +26,6 @@ from repro.net.columnar import (
 from repro.net.decode import DecodeErrorLog, decode_frame, quick_protocol
 from repro.net.ether import EthernetFrame, EtherType
 from repro.net.ipv4 import Ipv4Packet
-from repro.net.mac import MacAddress
 from repro.net.tcp import TcpSegment
 from repro.net.udp import UdpDatagram
 
@@ -188,8 +187,3 @@ class TestLazyPackets:
         assert len(table.mac_strings) == 2
         assert len(table.ip_strings) == 2
         assert len(set(table.src_mac)) == 1
-
-    def test_mac_id_of_accepts_both_forms(self):
-        table = PacketTable.from_records([(0.0, _udp_frame())], DecodeErrorLog())
-        assert table.mac_id_of(_SRC) == table.mac_id_of(MacAddress(_SRC))
-        assert table.mac_id_of("02:ff:ff:ff:ff:ff") is None

@@ -99,6 +99,24 @@ class TestQuarantineRoundTrip:
             ingest_pcap(clipped)
 
 
+#: Payload objects with fixed keys; the others are keyed by the capture.
+_FIXED_OBJECTS = ("graph_summary", "periodicity", "threat", "crossval")
+
+
+def _ingest_json(path, out, *flags):
+    assert main(["ingest", str(path), *flags, "--json", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _json_types(payload):
+    """The JSON type of every payload key and fixed-object member."""
+    types = {key: type(value).__name__ for key, value in payload.items()}
+    for key in _FIXED_OBJECTS:
+        types.update({f"{key}.{member}": type(value).__name__
+                      for member, value in payload[key].items()})
+    return types
+
+
 class TestIngestCli:
     def test_cli_smoke_with_json_artifacts(self, mixed_pcap, tmp_path, capsys):
         path, records = mixed_pcap
@@ -125,31 +143,40 @@ class TestIngestCli:
         assert code == 1
         assert "cannot ingest" in capsys.readouterr().err
 
-    def test_cli_header_only_pcap_exits_zero(self, tmp_path, capsys):
+    def test_cli_header_only_pcap_exits_zero(self, mixed_pcap, tmp_path, capsys):
         """A valid pcap with no records is an empty capture, not an error."""
         from repro.net.pcap import PcapWriter
 
         path = tmp_path / "header_only.pcap"
         PcapWriter(path).close()
-        out = tmp_path / "empty.json"
-        code = main(["ingest", str(path), "--json", str(out)])
-        assert code == 0
+        # Two MACs, one device: both runs count devices by name.
+        device_map = tmp_path / "devices.json"
+        device_map.write_text(json.dumps({"02:aa:00:00:00:01": "lamp",
+                                          "02:aa:00:00:00:02": "lamp"}))
+        flags = ("--device-map", str(device_map))
+        populated = _ingest_json(mixed_pcap[0], tmp_path / "full.json", *flags)
+        capsys.readouterr()
+        payload = _ingest_json(path, tmp_path / "empty.json", *flags)
         assert "capture contains no packets" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
         assert payload["packets"] == 0 and payload["bytes"] == 0
         assert payload["graph_summary"]["device_pairs"] == 0
-        # Same payload key set as a populated run, so downstream
+        assert payload["graph_summary"]["devices_total"] == 1
+        assert payload["responses_by_category"] == []
+        # Same keys and JSON types as a populated run, so downstream
         # consumers need no special casing.
-        assert {"census_passive", "exposure", "periodicity", "threat",
-                "crossval"} <= payload.keys()
+        assert _json_types(payload) == _json_types(populated)
 
-    def test_cli_zero_byte_pcap_exits_zero(self, tmp_path, capsys):
+    def test_cli_zero_byte_pcap_exits_zero(self, mixed_pcap, tmp_path, capsys):
         """A zero-byte file (capture never started) is also empty, not bad."""
         path = tmp_path / "zero.pcap"
         path.write_bytes(b"")
-        code = main(["ingest", str(path)])
-        assert code == 0
+        populated = _ingest_json(mixed_pcap[0], tmp_path / "full.json")
+        capsys.readouterr()
+        payload = _ingest_json(path, tmp_path / "empty.json")
         assert "capture contains no packets" in capsys.readouterr().out
+        assert payload["packets"] == 0 and payload["chunks"] == 0
+        assert payload["responses_by_category"] == []
+        assert _json_types(payload) == _json_types(populated)
 
     def test_cli_truncated_header_still_fails(self, tmp_path, capsys):
         """A file with a *partial* global header stays a hard error."""

@@ -140,6 +140,20 @@ class TestNodeStack:
         a.send_tcp_segment(server.ip, TcpSegment(50000, 81, flags=TcpFlags.SYN))
         assert any(p.tcp and p.tcp.is_rst for p in a_in)
 
+    def test_tcp_scan_replies_carry_exact_flags(self, lan):
+        """Open ports answer SYN|ACK, closed ones RST|ACK, both as TcpFlags."""
+        a = lan.attach(Node("a", "02:00:00:00:00:11", "192.168.10.11"))
+        server = lan.attach(Node("s", "02:00:00:00:00:12", "192.168.10.12",
+                                 services=ServiceTable([ServiceInfo(80, "tcp", "http")])))
+        a_in = _inbox(a)
+        a.send_tcp_segment(server.ip, TcpSegment(50000, 80, seq=41, flags=TcpFlags.SYN))
+        a.send_tcp_segment(server.ip, TcpSegment(50001, 81, seq=99, flags=TcpFlags.SYN))
+        replies = {p.tcp.dst_port: p.tcp for p in a_in if p.tcp}
+        assert replies[50000].flags == TcpFlags.SYN | TcpFlags.ACK
+        assert replies[50001].flags == TcpFlags.RST | TcpFlags.ACK
+        assert all(isinstance(r.flags, TcpFlags) for r in replies.values())
+        assert (replies[50000].ack, replies[50001].ack) == (42, 100)
+
     def test_tcp_silent_when_not_responding_to_scans(self, lan):
         a = lan.attach(Node("a", "02:00:00:00:00:11", "192.168.10.11"))
         quiet = lan.attach(Node("q", "02:00:00:00:00:12", "192.168.10.12"))
