@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.classify.labels import Label
 from repro.classify.ndpi_like import NdpiLikeClassifier
 from repro.classify.tshark_like import TsharkLikeClassifier
-from repro.net.decode import DecodedPacket
+from repro.net.columnar import F_ARP
 from repro.net.index import CaptureIndex
 
 
@@ -82,31 +82,39 @@ def cross_validate(
     Units of comparison are RFC 6146 flows for transport traffic plus
     individual packets for non-transport traffic (the layer-3 tail the
     paper reports as mostly unlabeled).  The flow table is the index's
-    shared, lazily assembled one.
+    shared, lazily assembled one.  Every unit is classified packet by
+    packet through each engine's ``classify_packet``; the index's label
+    column is not read.
     """
     tshark = tshark or TsharkLikeClassifier()
     ndpi = ndpi or NdpiLikeClassifier()
-    table = index.flows
+    flows = index.flows
 
     pairs: List[Tuple[Optional[Label], Optional[Label]]] = []
-    for flow in table:
+    for flow in flows:
         pairs.append((tshark.classify_flow(flow), ndpi.classify_flow(flow)))
     # Non-transport traffic is grouped per (source MAC, layer kind) — one
     # comparison unit per device per L2/L3 protocol, mirroring how the
     # paper treats the layer-3 tail ("mostly corresponded to layer 3
-    # traffic", Appendix C.2).
-    groups: Dict[Tuple[str, str], DecodedPacket] = {}
-    for packet in table.non_flow_packets:
-        kind = (
-            "arp" if packet.arp else
-            "eapol" if packet.eapol else
-            "icmp" if packet.icmp else
-            "icmpv6" if packet.icmpv6 else
-            "igmp" if packet.igmp else
-            "l3"
-        )
-        groups.setdefault((str(packet.frame.src), kind), packet)
-    for packet in groups.values():
+    # traffic", Appendix C.2).  An ARP row's key comes from the table's
+    # columns, so only the first packet of each ARP group is decoded.
+    table = index.table
+    flags, src_col, mac_strings = table.flags, table.src_mac, table.mac_strings
+    groups: Dict[Tuple[str, str], int] = {}
+    for rid in flows.non_flow_packets.rids:
+        if flags[rid] & F_ARP:
+            key = (mac_strings[src_col[rid]], "arp")
+        else:
+            packet = table.packet(rid)
+            key = (str(packet.frame.src),
+                   "eapol" if packet.eapol else
+                   "icmp" if packet.icmp else
+                   "icmpv6" if packet.icmpv6 else
+                   "igmp" if packet.igmp else
+                   "l3")
+        groups.setdefault(key, rid)
+    for rid in groups.values():
+        packet = table.packet(rid)
         t_label = tshark.classify_packet(packet)
         n_label = ndpi.classify_packet(packet)
         # Pure layer-3 packets that neither engine dissects form the

@@ -56,14 +56,23 @@ class NdpiLikeClassifier:
             return Label.ICMPV6
         if packet.igmp is not None:
             return Label.IGMP
-        payload = packet.app_payload
         if packet.udp is None and packet.tcp is None:
             return Label.UNKNOWN_L3 if (packet.ipv4 or packet.ipv6) else None
+        return self.classify_transport(packet.transport, packet.src_port,
+                                       packet.dst_port, packet.app_payload)
+
+    def classify_transport(self, transport: str, sport: int, dport: int,
+                           payload: bytes) -> Optional[Label]:
+        """Label a UDP/TCP packet from its transport, ports and payload.
+
+        These four fields are all the payload rules read, so a capture
+        index labels its rows from the table's columns through this
+        entry point, and :meth:`classify_packet` routes every UDP/TCP
+        packet here.
+        """
         if not payload:
             return None
-        return self._classify_payload(packet, payload)
-
-    def _classify_payload(self, packet: DecodedPacket, payload: bytes) -> Optional[Label]:
+        udp = transport == "udp"
         # Text signatures first.
         head = payload[:16]
         if head.startswith(b"M-SEARCH") or head.startswith(b"NOTIFY * "):
@@ -75,8 +84,6 @@ class NdpiLikeClassifier:
                 return self._ssdp_or_ciscovpn(payload)
             return Label.HTTP
         if any(head.startswith(method) for method in _HTTP_METHODS):
-            if head.startswith(b"NOTIFY /"):
-                return Label.HTTP
             return Label.HTTP
         if head.startswith(b"RTSP/1.0") or b" RTSP/1.0" in payload[:64]:
             return Label.RTSP
@@ -87,28 +94,26 @@ class NdpiLikeClassifier:
                 return Label.TLS
         if looks_like_stun(payload):
             return Label.STUN
-        if self._is_dhcp(packet, payload):
+        if udp and self._is_dhcp(sport, dport, payload):
             return Label.DHCP
-        if self._is_dhcpv6(packet, payload):
+        if udp and self._is_dhcpv6(sport, dport, payload):
             return Label.DHCPV6
-        dns_label = self._try_dns(packet, payload)
+        dns_label = self._try_dns(sport, dport, payload) if udp else None
         if dns_label is not None:
             return dns_label
         if self._try_decode(TuyaLpMessage.decode, payload):
             return Label.TUYALP
         if self._try_decode(TplinkShpMessage.decode, payload):
             return Label.TPLINK_SHP
-        if packet.tcp is not None and self._is_tplink_tcp(payload):
+        if transport == "tcp" and self._is_tplink_tcp(payload):
             return Label.TPLINK_SHP
-        if packet.udp is not None and self._try_coap(packet, payload):
+        if udp and self._try_coap(sport, dport, payload):
             return Label.COAP
         if self._try_decode(NetbiosNsQuery.decode, payload):
             return Label.NETBIOS
-        if packet.udp is not None and looks_like_rtp(payload):
+        if udp and looks_like_rtp(payload):
             # Appendix C.2: the 10000-10010 range was (mis)labeled STUN.
-            port = packet.dst_port or 0
-            sport = packet.src_port or 0
-            if 10000 <= port <= 10010 or 10000 <= sport <= 10010:
+            if 10000 <= dport <= 10010 or 10000 <= sport <= 10010:
                 return Label.STUN
             return Label.RTP
         return None
@@ -124,18 +129,14 @@ class NdpiLikeClassifier:
         return Label.SSDP
 
     @staticmethod
-    def _is_dhcp(packet: DecodedPacket, payload: bytes) -> bool:
-        if packet.udp is None:
-            return False
-        if packet.udp.dst_port not in (67, 68) and packet.udp.src_port not in (67, 68):
+    def _is_dhcp(sport: int, dport: int, payload: bytes) -> bool:
+        if dport not in (67, 68) and sport not in (67, 68):
             return False
         return len(payload) > 240 and payload[236:240] == b"\x63\x82\x53\x63"
 
     @staticmethod
-    def _is_dhcpv6(packet: DecodedPacket, payload: bytes) -> bool:
-        if packet.udp is None:
-            return False
-        if packet.udp.dst_port not in (546, 547) and packet.udp.src_port not in (546, 547):
+    def _is_dhcpv6(sport: int, dport: int, payload: bytes) -> bool:
+        if dport not in (546, 547) and sport not in (546, 547):
             return False
         from repro.protocols.dhcpv6 import Dhcpv6Message
 
@@ -146,10 +147,10 @@ class NdpiLikeClassifier:
         return True
 
     @staticmethod
-    def _try_dns(packet: DecodedPacket, payload: bytes) -> Optional[Label]:
-        if packet.udp is None or len(payload) < 12:
+    def _try_dns(sport: int, dport: int, payload: bytes) -> Optional[Label]:
+        if len(payload) < 12:
             return None
-        ports = (packet.udp.src_port, packet.udp.dst_port)
+        ports = (sport, dport)
         if not any(port in (53, 5353) for port in ports):
             return None
         try:
@@ -167,9 +168,8 @@ class NdpiLikeClassifier:
         return Label.DNS
 
     @staticmethod
-    def _try_coap(packet: DecodedPacket, payload: bytes) -> bool:
-        ports = (packet.udp.src_port, packet.udp.dst_port)
-        if not any(port in (5683, 5684) for port in ports):
+    def _try_coap(sport: int, dport: int, payload: bytes) -> bool:
+        if not any(port in (5683, 5684) for port in (sport, dport)):
             return False
         try:
             CoapMessage.decode(payload)

@@ -23,10 +23,15 @@ from repro.net.flows import Flow
 
 @dataclass
 class ManualRule:
-    """One manually-defined correction rule."""
+    """One manually-defined correction rule.
+
+    ``applies(transport, sport, dport, label)`` sees a packet's
+    transport (``"udp"``/``"tcp"``, or ``None`` off the transport
+    layer), its ports and the base classifier's label.
+    """
 
     name: str
-    applies: Callable[[DecodedPacket, Optional[Label]], bool]
+    applies: Callable[[Optional[str], Optional[int], Optional[int], Optional[Label]], bool]
     label: Label
 
 
@@ -35,37 +40,37 @@ def default_rules() -> List[ManualRule]:
     return [
         ManualRule(
             name="google-10000-range-is-rtp",
-            applies=lambda packet, label: label is Label.STUN
-            and packet.udp is not None
-            and any(10000 <= (port or 0) <= 10010 for port in (packet.src_port, packet.dst_port)),
+            applies=lambda transport, sport, dport, label: label is Label.STUN
+            and transport == "udp"
+            and (10000 <= sport <= 10010 or 10000 <= dport <= 10010),
             label=Label.RTP,
         ),
         ManualRule(
             name="echo-multiroom-55444-is-rtp",
-            applies=lambda packet, label: packet.udp is not None
-            and 55444 in (packet.src_port, packet.dst_port),
+            applies=lambda transport, sport, dport, label: transport == "udp"
+            and 55444 in (sport, dport),
             label=Label.RTP,
         ),
         ManualRule(
             name="ciscovpn-artifact-is-ssdp",
-            applies=lambda packet, label: label is Label.CISCOVPN,
+            applies=lambda transport, sport, dport, label: label is Label.CISCOVPN,
             label=Label.SSDP,
         ),
         ManualRule(
             name="amazonaws-artifact-is-eapol",
-            applies=lambda packet, label: label is Label.AMAZON_AWS,
+            applies=lambda transport, sport, dport, label: label is Label.AMAZON_AWS,
             label=Label.EAPOL,
         ),
         ManualRule(
             name="lifx-56700-broadcast-unknown",
-            applies=lambda packet, label: packet.udp is not None
-            and packet.dst_port == 56700,
+            applies=lambda transport, sport, dport, label: transport == "udp"
+            and dport == 56700,
             label=Label.UNKNOWN,
         ),
         ManualRule(
             name="unlabeled-transport-is-unknown",
-            applies=lambda packet, label: label is None
-            and (packet.udp is not None or packet.tcp is not None),
+            applies=lambda transport, sport, dport, label: label is None
+            and transport is not None,
             label=Label.UNKNOWN,
         ),
     ]
@@ -77,9 +82,10 @@ class ManualRules:
     def __init__(self, rules: Optional[List[ManualRule]] = None):
         self.rules = rules if rules is not None else default_rules()
 
-    def apply(self, packet: DecodedPacket, label: Optional[Label]) -> Optional[Label]:
+    def apply(self, transport: Optional[str], sport: Optional[int],
+              dport: Optional[int], label: Optional[Label]) -> Optional[Label]:
         for rule in self.rules:
-            if rule.applies(packet, label):
+            if rule.applies(transport, sport, dport, label):
                 return rule.label
         return label
 
@@ -94,7 +100,18 @@ class CorrectedClassifier:
         self.rules = rules if rules is not None else ManualRules()
 
     def classify_packet(self, packet: DecodedPacket) -> Optional[Label]:
-        return self.rules.apply(packet, self.base.classify_packet(packet))
+        return self.rules.apply(packet.transport, packet.src_port,
+                                packet.dst_port, self.base.classify_packet(packet))
+
+    def classify_transport(self, transport: str, sport: int, dport: int,
+                           payload: bytes) -> Optional[Label]:
+        """The corrected label of a UDP/TCP packet from its four fields.
+
+        Equal to :meth:`classify_packet` of the same packet: both run
+        the base classifier's payload rules and then the manual rules.
+        """
+        return self.rules.apply(transport, sport, dport, self.base.classify_transport(
+            transport, sport, dport, payload))
 
     def classify_flow(self, flow: Flow) -> Optional[Label]:
         for packet in flow.packets[:8]:

@@ -65,6 +65,10 @@ TCP_PORT_TABLE = {
     55443: Label.HTTP,
 }
 
+#: TCP's dissector table, merged once: the shared entries with TCP's
+#: own on top.  UDP dissects by ``PORT_TABLE`` alone.
+_TCP_DISSECTORS = {**PORT_TABLE, **TCP_PORT_TABLE}
+
 #: tshark's classicstun heuristic fires on these UDP ports (App. C.2:
 #: Google's 10000-10010 traffic "was initially classified as STUN").
 STUN_HEURISTIC_PORTS = set(range(10000, 10011))
@@ -99,9 +103,7 @@ class TsharkLikeClassifier:
         # what makes tshark miss unicast discovery *responses* (which
         # run well-known -> ephemeral) — the dominant disagreement class
         # of Appendix C.2.
-        table = dict(PORT_TABLE)
-        if packet.tcp is not None:
-            table.update(TCP_PORT_TABLE)
+        table = _TCP_DISSECTORS if packet.tcp is not None else PORT_TABLE
         port = packet.dst_port
         if port in table:
             label = table[port]

@@ -605,14 +605,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(f"repro monitor: error: {error}", file=sys.stderr)
         return 1
 
+    final_paths = []
+    if args.snapshot_dir:
+        final_paths.append(os.path.join(args.snapshot_dir, "snapshot-final.json"))
+    if args.json:
+        final_paths.append(args.json)
     try:
-        if args.snapshot_dir:
-            monitor.write_snapshot(
-                os.path.join(args.snapshot_dir, "snapshot-final.json"))
+        document = monitor.write_snapshot(*final_paths)
         if args.json:
-            monitor.write_snapshot(args.json)
             print(f"final snapshot written to {args.json}", file=sys.stderr)
-        document = monitor.snapshot()
     except OSError as error:
         _write_observability_outputs(obs, args)
         print(f"repro monitor: error: {error}", file=sys.stderr)

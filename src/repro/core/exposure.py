@@ -1,8 +1,8 @@
 """Tables 1 and 5: information exposure via discovery protocols.
 
-Walks a capture, parses every discovery-protocol payload with the real
-codecs, and records which identifier classes each protocol exposed for
-each device.  Column names match Table 1.
+Walks a capture, parses every distinct discovery-protocol payload once
+with the real codecs, and records which identifier classes each
+protocol exposed for each device.  Column names match Table 1.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.index import CaptureIndex
 from repro.protocols.dhcp import DhcpMessage
@@ -41,6 +41,8 @@ _UUID_RE = re.compile(
 )
 _MAC_TOKEN_RE = re.compile(r"(?:[0-9a-fA-F]{2}[:-]){5}[0-9a-fA-F]{2}|[0-9a-fA-F]{12}")
 _DISPLAY_NAME_RE = re.compile(r"[A-Z][a-z]+(?:[-\s][A-Z][a-z]+)*'s")
+#: One mined exposure: (protocol, identifier type, example value).
+Exposure = Tuple[str, str, str]
 #: DHCP vendor-class versions at or below these are "old" (§5.1).
 _OLD_CLIENTS = [("udhcp", (1, 25)), ("dhcpcd", (7, 0))]
 
@@ -98,11 +100,18 @@ def analyze_exposure(
     scanning every packet; example ordering per (protocol, identifier)
     cell is unchanged because each cell draws from a single bucket.
 
+    A miner is a pure function of the payload, and devices repeat their
+    announcements, so each distinct (miner, payload) pair is mined once
+    per call; its exposures are then replayed for every occurrence, in
+    capture order, because :attr:`ExposureMatrix.examples` keeps each
+    occurrence.  The memo does not outlive the call.
+
     ``matrix`` accumulates into an existing matrix — the hook
     :class:`repro.monitor.state.IncrementalExposure` uses to run this
     exact mining pass chunk by chunk.
     """
     matrix = matrix if matrix is not None else ExposureMatrix()
+    expose = matrix.expose
     table = index.table
     src_col = table.src_mac
     sport_col, dport_col = table.src_port, table.dst_port
@@ -110,53 +119,63 @@ def analyze_exposure(
     for rid in index.arp:
         device = device_of[src_col[rid]]
         if device is not None:
-            matrix.expose("ARP", "MAC", device, table.arp_sender_mac(rid))
+            expose("ARP", "MAC", device, table.arp_sender_mac(rid))
+    mined: Dict[Tuple[Callable, bytes], List[Exposure]] = {}
     for rid in index.udp:
         device = device_of[src_col[rid]]
         if device is None:
             continue
         ports = (sport_col[rid], dport_col[rid])
         if 67 in ports or 68 in ports:
-            _mine_dhcp(matrix, device, table.app_payload(rid))
+            miner = _mine_dhcp
         elif 5353 in ports:
-            _mine_mdns(matrix, device, table.app_payload(rid))
+            miner = _mine_mdns
         elif 1900 in ports:
-            _mine_ssdp(matrix, device, table.app_payload(rid))
+            miner = _mine_ssdp
         elif 6666 in ports or 6667 in ports:
-            _mine_tuyalp(matrix, device, table.app_payload(rid))
+            miner = _mine_tuyalp
         elif 9999 in ports:
-            _mine_tplink(matrix, device, table.app_payload(rid))
+            miner = _mine_tplink
+        else:
+            continue
+        key = (miner, table.app_payload(rid))
+        exposures = mined.get(key)
+        if exposures is None:
+            exposures = mined[key] = miner(key[1])
+        for protocol, identifier_type, example in exposures:
+            expose(protocol, identifier_type, device, example)
     return matrix
 
 
-def _mine_dhcp(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
+def _mine_dhcp(payload: bytes) -> List[Exposure]:
     try:
         message = DhcpMessage.decode(payload)
     except ValueError:
-        return
+        return []
     if message.op != 1:
-        return
-    matrix.expose("DHCP", "MAC", device, str(message.client_mac))
+        return []
+    found = [("DHCP", "MAC", str(message.client_mac))]
     hostname = message.hostname
     if hostname:
         if _DISPLAY_NAME_RE.search(hostname.replace("-", " ")):
-            matrix.expose("DHCP", "Display name", device, hostname)
+            found.append(("DHCP", "Display name", hostname))
         else:
-            matrix.expose("DHCP", "Device/Model", device, hostname)
+            found.append(("DHCP", "Device/Model", hostname))
     vendor_class = message.vendor_class
     if vendor_class:
-        matrix.expose("DHCP", "OS Version", device, vendor_class)
+        found.append(("DHCP", "OS Version", vendor_class))
         if _is_old_client(vendor_class):
-            matrix.expose("DHCP", "Outdated OS/SW", device, vendor_class)
+            found.append(("DHCP", "Outdated OS/SW", vendor_class))
+    return found
 
 
-def _mine_mdns(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
+def _mine_mdns(payload: bytes) -> List[Exposure]:
     try:
         message = DnsMessage.decode(payload)
     except ValueError:
-        return
+        return []
     if not message.is_response:
-        return
+        return []
     text_chunks: List[str] = []
     for record in message.all_records:
         text_chunks.append(record.name)
@@ -171,69 +190,74 @@ def _mine_mdns(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
             if srv:
                 text_chunks.append(srv[0])
     text = " ".join(text_chunks)
-    matrix.expose("mDNS", "Device/Model", device, text_chunks[0] if text_chunks else "")
+    found = [("mDNS", "Device/Model", text_chunks[0] if text_chunks else "")]
     for match in _UUID_RE.finditer(text):
-        matrix.expose("mDNS", "UUIDs", device, match.group(0))
+        found.append(("mDNS", "UUIDs", match.group(0)))
     for match in _MAC_TOKEN_RE.finditer(text.replace("fffe", "")):
         token = match.group(0)
         if len(token) >= 6:
-            matrix.expose("mDNS", "MAC", device, token)
+            found.append(("mDNS", "MAC", token))
     if _DISPLAY_NAME_RE.search(text.replace("-", " ")):
-        matrix.expose("mDNS", "Display name", device, text[:60])
+        found.append(("mDNS", "Display name", text[:60]))
+    return found
 
 
-def _mine_ssdp(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
+def _mine_ssdp(payload: bytes) -> List[Exposure]:
     try:
         message = SsdpMessage.decode(payload)
     except ValueError:
-        return
+        return []
+    found = []
     uuid_token = message.uuid()
     if uuid_token:
-        matrix.expose("SSDP", "UUIDs", device, uuid_token)
+        found.append(("SSDP", "UUIDs", uuid_token))
     server = message.server
     if server:
-        matrix.expose("SSDP", "OS Version", device, server)
-        matrix.expose("SSDP", "Device/Model", device, server)
+        found.append(("SSDP", "OS Version", server))
+        found.append(("SSDP", "Device/Model", server))
         if "UPnP/1.0" in server:
-            matrix.expose("SSDP", "Outdated OS/SW", device, server)
+            found.append(("SSDP", "Outdated OS/SW", server))
     usn = message.usn or ""
     for match in _MAC_TOKEN_RE.finditer(usn):
-        matrix.expose("SSDP", "MAC", device, match.group(0))
+        found.append(("SSDP", "MAC", match.group(0)))
+    return found
 
 
-def _mine_tuyalp(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
+def _mine_tuyalp(payload: bytes) -> List[Exposure]:
     try:
         message = TuyaLpMessage.decode(payload)
     except ValueError:
-        return
+        return []
     if message.encrypted:
-        return  # only plaintext broadcasts leak (the Jinvoo case)
+        return []  # only plaintext broadcasts leak (the Jinvoo case)
+    found = []
     if message.gw_id:
-        matrix.expose("TuyaLP", "GW id", device, message.gw_id)
+        found.append(("TuyaLP", "GW id", message.gw_id))
     if message.product_key:
-        matrix.expose("TuyaLP", "Prod. Key", device, message.product_key)
+        found.append(("TuyaLP", "Prod. Key", message.product_key))
+    return found
 
 
-def _mine_tplink(matrix: ExposureMatrix, device: str, payload: bytes) -> None:
+def _mine_tplink(payload: bytes) -> List[Exposure]:
     try:
         message = TplinkShpMessage.decode(payload)
     except ValueError:
-        return
+        return []
     info = message.sysinfo
     if not info:
-        return
+        return []
+    found = []
     if "mac" in info:
-        matrix.expose("TPLINK", "MAC", device, str(info["mac"]))
+        found.append(("TPLINK", "MAC", str(info["mac"])))
     if "model" in info:
-        matrix.expose("TPLINK", "Device/Model", device, str(info["model"]))
+        found.append(("TPLINK", "Device/Model", str(info["model"])))
     if "oemId" in info:
-        matrix.expose("TPLINK", "OEM id", device, str(info["oemId"]))
+        found.append(("TPLINK", "OEM id", str(info["oemId"])))
     if "latitude" in info and "longitude" in info:
-        matrix.expose(
-            "TPLINK", "Geolocation", device, f"{info['latitude']},{info['longitude']}"
-        )
+        found.append(("TPLINK", "Geolocation", f"{info['latitude']},{info['longitude']}"))
     if "sw_ver" in info:
-        matrix.expose("TPLINK", "Outdated OS/SW", device, str(info["sw_ver"]))
+        found.append(("TPLINK", "Outdated OS/SW", str(info["sw_ver"])))
+    return found
 
 
 def payload_examples() -> Dict[str, str]:

@@ -379,11 +379,12 @@ class StudyPipeline:
                 self.collect_passive()
                 maps = self.device_maps()
                 # Decode + index exactly once; every analysis below
-                # shares this CaptureIndex (and its memoized labels).
+                # shares this CaptureIndex (and its label column, filled
+                # while the index is built).
                 with obs.tracer.span("capture.decode_index"):
                     index = self.testbed.lan.capture.index()
-                # The census is the capture's first reader of the labels,
-                # so its span carries the classification pass.
+                # The census is the first reader of the labels the
+                # column leaves to label_at.
                 with obs.tracer.span("capture.classify"):
                     census = census_from_capture(
                         index, maps["macs"], total_devices=len(self.testbed.devices))

@@ -14,8 +14,9 @@ and serves snapshot artifacts at any point:
   :mod:`repro.report.artifacts` serializer — byte-identical to the
   batch artifacts whenever the window still covers everything
   absorbed;
-* ``write_snapshot(path)`` writes that JSON atomically-enough (single
-  write) and emits ``snapshot_written``.
+* ``write_snapshot(*paths)`` writes that JSON atomically-enough (single
+  write per path, one document for all of them) and emits one
+  ``snapshot_written`` per file.
 
 Metrics land on the ambient observability context under the
 ``monitor_`` prefix (``monitor_window_packets``,
@@ -168,21 +169,28 @@ class Monitor:
             "artifacts": artifacts,
         }
 
-    def write_snapshot(self, path) -> Dict[str, object]:
-        """Write :meth:`snapshot` as canonical JSON; returns the document."""
+    def write_snapshot(self, *paths) -> Dict[str, object]:
+        """Write one :meth:`snapshot` as canonical JSON to each path.
+
+        The document is built and serialized once, however many paths
+        there are; each file written counts in :attr:`snapshots` and
+        emits one ``snapshot_written`` event.  Returns the document.
+        """
         document = self.snapshot()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(document))
-        self.snapshots += 1
+        text = canonical_json(document)
         obs = self._obs
-        if obs.enabled:
-            self._snapshots_total.inc()
-            obs.events.emit(
-                "snapshot_written",
-                path=str(path),
-                snapshot=self.snapshots,
-                window_packets=self.window.packets,
-                window_panes=len(self.window),
-                packets_seen=self.packets_seen,
-            )
+        for path in paths:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            self.snapshots += 1
+            if obs.enabled:
+                self._snapshots_total.inc()
+                obs.events.emit(
+                    "snapshot_written",
+                    path=str(path),
+                    snapshot=self.snapshots,
+                    window_packets=self.window.packets,
+                    window_panes=len(self.window),
+                    packets_seen=self.packets_seen,
+                )
         return document

@@ -516,6 +516,11 @@ class LazyPackets(Sequence):
         self._table = table
         self._rids = rids
 
+    @property
+    def rids(self):
+        """The row ids this view presents, in order."""
+        return self._rids
+
     def __len__(self) -> int:
         return len(self._rids)
 

@@ -17,9 +17,15 @@ once over a columnar :class:`~repro.net.columnar.PacketTable`:
   first-seen order produce results byte-identical to a full scan;
 * a lazily assembled :class:`~repro.net.flows.FlowTable` (built column
   -wise via :meth:`FlowTable.from_table`) shared by flow consumers;
-* lazily memoized per-row classifier labels (the corrected
-  nDPI+manual labels), so the classification pass runs once instead of
-  once per analysis.
+* a label column of the corrected nDPI+manual labels, so the
+  classification pass runs once instead of once per analysis.  The
+  rows the table's fast parser accepted are labelled from the columns
+  while the index is built: ARP rows are ``ARP``, and a UDP/TCP row's
+  label depends only on its transport, ports and payload, so each
+  distinct key is classified once per build.  Every other row (a
+  decode fallback, a row whose packet was materialized before the
+  build, a non-ARP row without a transport layer) is labelled on first
+  read by :meth:`CaptureIndex.label_at`, through ``classify_packet``.
 
 Every bucket is a plain list of row ids into :attr:`CaptureIndex.table`.
 An index is the only way into the packet analyses under ``repro.core``
@@ -53,8 +59,8 @@ class CaptureIndex:
     Chronological order is the capture order; every bucket and filtered
     list preserves it, which is what makes index-consuming analyses
     byte-identical to their full-scan equivalents.  The build pass
-    reads only the integer columns — no packet objects, no strings
-    beyond the interned pools.
+    reads the integer columns and, for the label column, the payload
+    bytes in the arena — it materializes no packet objects.
     """
 
     def __init__(self, table: PacketTable):
@@ -115,6 +121,43 @@ class CaptureIndex:
         self.tcp_payload = tcp_payload
         self.transport_unicast = unicast
         self.transport_multicast = multicast
+        self._label_columns()
+
+    def _label_columns(self) -> None:
+        """Label the ARP and UDP/TCP rows that have no cached packet.
+
+        A UDP/TCP row's key is its transport, ports and payload bytes;
+        the memo lives for this build only.  Every other row stays
+        ``_UNSET`` for :meth:`label_at`.
+        """
+        from repro.classify.labels import Label
+
+        table = self.table
+        cached = table._packets
+        labels = self._labels
+        for rid in self.arp:
+            if cached[rid] is None:
+                labels[rid] = Label.ARP
+        classify = self.classifier.classify_transport
+        transports = (None, "udp", "tcp")
+        trans_col = table.transport
+        sport_col, dport_col = table.src_port, table.dst_port
+        off_col, len_col = table.payload_off, table.payload_len
+        memo: Dict[tuple, object] = {}
+        # Released on exit, so the table can still grow after the build.
+        with memoryview(table.frames) as arena:
+            for rids in (self.transport_unicast, self.transport_multicast):
+                for rid in rids:
+                    if cached[rid] is not None:
+                        continue
+                    off = off_col[rid]
+                    key = (trans_col[rid], sport_col[rid], dport_col[rid],
+                           arena[off:off + len_col[rid]].tobytes())
+                    label = memo.get(key, _UNSET)
+                    if label is _UNSET:
+                        label = memo[key] = classify(
+                            transports[key[0]], key[1], key[2], key[3])
+                    labels[rid] = label
 
     # -- size ---------------------------------------------------------------------
 
@@ -125,7 +168,7 @@ class CaptureIndex:
     def __len__(self) -> int:
         return self._row_count
 
-    # -- classification (memoized) --------------------------------------------------
+    # -- classification (a label column) --------------------------------------------
 
     @property
     def classifier(self):
@@ -139,8 +182,10 @@ class CaptureIndex:
     def label_at(self, rid: int, classifier=None):
         """The corrected-classifier label of one row id, computed once.
 
-        A caller-supplied ``classifier`` different from the index's own
-        bypasses the memo (its labels would not be comparable).
+        Reads the label column; a row the build left unlabelled is
+        classified here through ``classify_packet``.  A caller-supplied
+        ``classifier`` different from the index's own bypasses the memo
+        (its labels would not be comparable).
         """
         if classifier is not None and classifier is not self._classifier:
             return classifier.classify_packet(self.table.packet(rid))
@@ -155,7 +200,8 @@ class CaptureIndex:
 
         The analyses never need this — :meth:`label_at` fills the memo
         for exactly the rows they read — so it is for callers that want
-        every label up front.
+        every label up front.  Only the rows the build left unlabelled
+        are classified here.
         """
         classify = self.classifier.classify_packet
         labels = self._labels

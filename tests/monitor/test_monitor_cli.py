@@ -91,6 +91,34 @@ class TestPcapMode:
         assert final["window"]["evicted_panes"] > 0
         assert final["window"]["packets"] <= 800 + 256
 
+    def test_final_document_is_built_once(self, lab_pcap, tmp_path,
+                                          monkeypatch):
+        """``--snapshot-dir`` and ``--json`` share one final document."""
+        from repro.monitor import Monitor
+
+        built = []
+        snapshot = Monitor.snapshot
+
+        def counted(self):
+            built.append(self)
+            return snapshot(self)
+
+        monkeypatch.setattr(Monitor, "snapshot", counted)
+        snaps, out = tmp_path / "snaps", tmp_path / "final.json"
+        events = tmp_path / "events.ndjson"
+        code = main(["monitor", str(lab_pcap), "--chunk-records", "512",
+                     "--snapshot-dir", str(snaps), "--json", str(out),
+                     "--events-out", str(events)])
+        assert code == 0
+        assert len(built) == 1
+        assert (snaps / "snapshot-final.json").read_bytes() == out.read_bytes()
+        assert built[0].snapshots == 2
+        written = [json.loads(line) for line in events.read_text().splitlines()
+                   if line and json.loads(line)["event"] == "snapshot_written"]
+        assert [line["path"] for line in written] == [
+            str(snaps / "snapshot-final.json"), str(out)]
+        assert [line["snapshot"] for line in written] == [1, 2]
+
     def test_max_packets_stops_early(self, lab_pcap, tmp_path):
         out = tmp_path / "early.json"
         code = main(["monitor", str(lab_pcap), "--chunk-records", "128",

@@ -5,26 +5,46 @@ brute-force scan of the same capture, and if every analysis entry point
 produces *identical* artifacts over the columnar table that
 ``ApCapture.index()`` and ``ingest_pcap`` build and over the eager
 reference (``PacketTable.from_packets`` of a per-record decode), on the
-lab capture, the fault-plan capture and a heavily damaged one.
+lab capture, the fault-plan capture and a heavily damaged one.  The two
+fast paths get their own differential tests: the label column filled
+while the index is built against ``classify_packet``, Fig. 3's
+column-keyed ARP units against a grouping of decoded packets, and the
+exposure pass that mines each distinct payload once against per-row
+mining.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classify.crossval import cross_validate
+from repro.classify.labels import Label
+from repro.classify.ndpi_like import NdpiLikeClassifier
 from repro.classify.rules import CorrectedClassifier
+from repro.classify.tshark_like import TsharkLikeClassifier
 from repro.core.device_graph import build_device_graph
-from repro.core.exposure import analyze_exposure
+from repro.core.exposure import (
+    ExposureMatrix,
+    _mine_dhcp,
+    _mine_mdns,
+    _mine_ssdp,
+    _mine_tplink,
+    _mine_tuyalp,
+    analyze_exposure,
+)
 from repro.core.periodicity import analyze_periodicity
 from repro.core.protocol_census import census_from_capture
 from repro.core.responses import correlate_responses
 from repro.core.threat_report import build_threat_report
 from repro.devices.behaviors import build_testbed
-from repro.net.columnar import F_BROADCAST, F_UNICAST, PacketTable
-from repro.net.decode import DecodeErrorLog, decode_records, quick_protocol
+from repro.net.columnar import F_ARP, F_BROADCAST, F_UNICAST, PacketTable
+from repro.net.decode import DecodeErrorLog, decode_frame, decode_records, quick_protocol
 from repro.net.flows import assemble_flows
-from repro.net.index import CaptureIndex
+from repro.net.index import _UNSET, CaptureIndex
 from repro.report.artifacts import (
     canonical_json,
     census_artifact,
@@ -239,3 +259,215 @@ class TestAnalysisEquality:
         assert from_columns == from_packets
         assert list(from_columns.tls_devices) == list(from_packets.tls_devices)
         assert list(from_columns.user_agents) == list(from_packets.user_agents)
+
+
+@pytest.fixture(scope="module", params=["lab", "chaos", "damage"])
+def corpus_records(request):
+    """One corpus's raw records: the lab, fault-plan and damaged captures."""
+    return request.getfixturevalue(f"{request.param}_records")
+
+
+class TestLabelColumn:
+    """The labels filled in while the index is built equal the eager
+    index's ``classify_packet`` labels, row for row."""
+
+    def test_column_equals_classify_packet(self, corpus_records):
+        table = PacketTable.from_records(corpus_records, DecodeErrorLog())
+        # A fast-path UDP/TCP row whose packet exists before the build:
+        # the build leaves it to label_at.
+        early = next(rid for rid in range(len(table))
+                     if table.transport[rid] and table._packets[rid] is None)
+        table.packet(early)
+        cached = [packet is not None for packet in table._packets]
+        index = CaptureIndex(table)
+        column = list(index._labels)
+        eager = CaptureIndex(PacketTable.from_packets(
+            decode_records(corpus_records, DecodeErrorLog())))
+        assert column[early] is _UNSET
+        filled = 0
+        for rid in range(len(index)):
+            expected = eager.label_at(rid)
+            if column[rid] is _UNSET:
+                # Only rows the fast parser left alone, or whose packet
+                # was cached, wait for label_at.
+                assert cached[rid] or not (
+                    table.transport[rid] or table.flags[rid] & F_ARP)
+            else:
+                assert not cached[rid]
+                assert column[rid] == expected, rid
+                filled += 1
+            assert index.label_at(rid) == expected, rid
+        assert filled > len(index) // 2
+
+
+class TestCrossvalGrouping:
+    """Fig. 3 keys the non-flow ARP rows by the table's columns; its
+    units and confusion equal a grouping of the decoded packets."""
+
+    def test_units_equal_packet_grouping(self, corpus_records):
+        packets = decode_records(corpus_records, DecodeErrorLog())
+        tshark, ndpi = TsharkLikeClassifier(), NdpiLikeClassifier()
+        flows = assemble_flows(packets)
+        pairs = [(tshark.classify_flow(flow), ndpi.classify_flow(flow))
+                 for flow in flows]
+        groups = {}
+        for packet in flows.non_flow_packets:
+            kind = ("arp" if packet.arp else "eapol" if packet.eapol else
+                    "icmp" if packet.icmp else "icmpv6" if packet.icmpv6 else
+                    "igmp" if packet.igmp else "l3")
+            groups.setdefault((str(packet.frame.src), kind), packet)
+        for packet in groups.values():
+            pairs.append(tuple(None if label is Label.UNKNOWN_L3 else label
+                               for label in (tshark.classify_packet(packet),
+                                             ndpi.classify_packet(packet))))
+        expected = Counter(tuple("UNDETECTED" if label is None else str(label)
+                                 for label in pair) for pair in pairs)
+        index = CaptureIndex(PacketTable.from_records(corpus_records,
+                                                      DecodeErrorLog()))
+        result = cross_validate(index)
+        assert result.total_units == len(pairs)
+        assert result.confusion == dict(expected)
+
+
+#: The classifier's own ports, plus ephemeral ones.
+_CLASSIFIER_PORTS = [53, 67, 68, 546, 547, 1900, 5353, 5683, 9999,
+                     *range(10000, 10011), 55444, 56700]
+_EPHEMERAL_PORTS = [0, 1024, 40000, 50000, 65535]
+
+
+def _payload_seeds():
+    """One payload per branch of the nDPI-like payload rules."""
+    from repro.protocols.coap import CoapMessage
+    from repro.protocols.dhcp import DhcpMessage
+    from repro.protocols.dhcpv6 import Dhcpv6Message
+    from repro.protocols.mdns import ServiceAdvertisement, mdns_query
+    from repro.protocols.rtp import RtpPacket
+    from repro.protocols.ssdp import SsdpMessage
+    from repro.protocols.stun import StunMessage
+    from repro.protocols.tls import TlsRecord, TlsVersion
+    from repro.protocols.tplink_shp import TplinkShpMessage
+    from repro.protocols.tuyalp import TuyaLpMessage
+
+    mac = "02:00:00:00:00:01"
+    notify = SsdpMessage.notify("http://x/", "upnp:rootdevice",
+                                "uuid:1::r", "srv").encode()
+    padding = (97 - len(notify) % 97) % 97
+    ciscovpn = notify[:-2] + b" " * padding + b"\r\n"
+    assert len(ciscovpn) % 97 == 0
+    sysinfo = TplinkShpMessage.get_sysinfo_query()
+    return [
+        ServiceAdvertisement("_hue._tcp.local", "Hue", "hue.local", 443,
+                             "192.168.10.2").to_response().encode(),
+        mdns_query(["_matter._tcp.local"]).encode(),
+        ciscovpn,
+        TuyaLpMessage.discovery("gw", "pk", "10.0.0.1").encode(),
+        sysinfo.encode(),
+        sysinfo.encode(transport="tcp"),
+        DhcpMessage.discover(mac, 7, hostname="plug").encode(),
+        Dhcpv6Message.solicit(mac, 7).encode(),
+        CoapMessage.get("/oic/res").encode(),
+        StunMessage(transaction_id=b"x" * 12).encode(),
+        RtpPacket(97, 1, 1, 1, b"x" * 32).encode(),
+        TlsRecord.client_hello(TlsVersion.TLS_1_2).encode(),
+        b"GET /description.xml HTTP/1.1\r\n\r\n",
+        b"",
+    ]
+
+
+def _frame(transport, sport, dport, payload):
+    from repro.net.ether import EthernetFrame, EtherType
+    from repro.net.ipv4 import IpProtocol, Ipv4Packet
+    from repro.net.tcp import TcpFlags, TcpSegment
+    from repro.net.udp import UdpDatagram
+
+    if transport == "udp":
+        segment, protocol = UdpDatagram(sport, dport, payload).encode(), IpProtocol.UDP
+    else:
+        segment = TcpSegment(sport, dport, flags=TcpFlags.ACK | TcpFlags.PSH,
+                             payload=payload).encode()
+        protocol = IpProtocol.TCP
+    packet = Ipv4Packet("192.168.10.1", "192.168.10.2", protocol, segment)
+    return EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
+                         EtherType.IPV4, packet.encode()).encode()
+
+
+_SEEDS = _payload_seeds()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ports=st.lists(st.sampled_from(_CLASSIFIER_PORTS + _EPHEMERAL_PORTS),
+                   min_size=1, max_size=3, unique=True),
+    seed=st.sampled_from(_SEEDS),
+    flips=st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 255)),
+                   max_size=3),
+    cut=st.none() | st.integers(0, 4095),
+)
+def test_column_label_equals_classify_packet(ports, seed, flips, cut):
+    """UDP/TCP frames: every column label is its packet's label.
+
+    One example is one payload under every transport and every
+    (sport, dport) pair of a few ports, so the rows agree on all memo
+    key fields but one, and a memo keyed on too little shows.
+    """
+    payload = bytearray(seed)
+    for offset, mask in flips:
+        if payload:
+            payload[offset % len(payload)] ^= mask
+    if cut is not None and payload:
+        del payload[cut % len(payload):]
+    headers = [(transport, sport, dport) for transport in ("udp", "tcp")
+               for sport in ports for dport in ports]
+    frames = [_frame(transport, sport, dport, bytes(payload))
+              for transport, sport, dport in headers]
+    index = CaptureIndex(PacketTable.from_records(
+        [(float(i), frame) for i, frame in enumerate(frames)]))
+    classifier = CorrectedClassifier()
+    for rid, frame in enumerate(frames):
+        column = index._labels[rid]
+        assert column is not _UNSET  # a clean frame takes the fast path
+        assert column == classifier.classify_packet(decode_frame(frame)), headers[rid]
+
+
+def _exposure_per_row(index, device_macs):
+    """The reference exposure pass: every row mined on its own."""
+    matrix = ExposureMatrix()
+    table = index.table
+    for rid in index.arp:
+        device = device_macs.get(table.mac_strings[table.src_mac[rid]])
+        if device is not None:
+            matrix.expose("ARP", "MAC", device, table.arp_sender_mac(rid))
+    for rid in index.udp:
+        device = device_macs.get(table.mac_strings[table.src_mac[rid]])
+        if device is None:
+            continue
+        ports = (table.src_port[rid], table.dst_port[rid])
+        if 67 in ports or 68 in ports:
+            miner = _mine_dhcp
+        elif 5353 in ports:
+            miner = _mine_mdns
+        elif 1900 in ports:
+            miner = _mine_ssdp
+        elif 6666 in ports or 6667 in ports:
+            miner = _mine_tuyalp
+        elif 9999 in ports:
+            miner = _mine_tplink
+        else:
+            continue
+        for protocol, identifier_type, example in miner(table.app_payload(rid)):
+            matrix.expose(protocol, identifier_type, device, example)
+    return matrix
+
+
+class TestExposureMemo:
+    """Mining each distinct payload once changes no cell and no example."""
+
+    def test_memo_equals_per_row_mining(self, both_indexes, maps):
+        columnar, _ = both_indexes
+        macs, _, _ = maps
+        memoized = analyze_exposure(columnar, macs)
+        reference = _exposure_per_row(columnar, macs)
+        assert {protocol: dict(kinds) for protocol, kinds in memoized.cells.items()} \
+            == {protocol: dict(kinds) for protocol, kinds in reference.cells.items()}
+        assert list(memoized.examples.items()) == list(reference.examples.items())
+        assert reference.examples  # the corpus exposes something
