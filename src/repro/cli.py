@@ -648,6 +648,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.max_findings < 0:
+        print(f"repro scan: error: --max-findings must be non-negative, "
+              f"got {args.max_findings}", file=sys.stderr)
+        return 2
     from repro.devices.behaviors import build_testbed
     from repro.report.tables import render_table
     from repro.scan.portscan import PortScanner

@@ -73,6 +73,9 @@ class ArpPacket:
             target_ip=tip,
         )
 
+    def __len__(self) -> int:
+        return _HEADER.size
+
     @property
     def is_probe(self) -> bool:
         """True for an ARP probe (sender IP 0.0.0.0, RFC 5227)."""

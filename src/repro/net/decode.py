@@ -90,52 +90,52 @@ class DecodedPacket:
 
     @property
     def src_ip(self) -> Optional[str]:
-        if self.ipv4:
+        if self.ipv4 is not None:
             return self.ipv4.src
-        if self.ipv6:
+        if self.ipv6 is not None:
             return self.ipv6.src
         return None
 
     @property
     def dst_ip(self) -> Optional[str]:
-        if self.ipv4:
+        if self.ipv4 is not None:
             return self.ipv4.dst
-        if self.ipv6:
+        if self.ipv6 is not None:
             return self.ipv6.dst
         return None
 
     @property
     def src_port(self) -> Optional[int]:
-        transport = self.udp or self.tcp
-        return transport.src_port if transport else None
+        transport = self.udp if self.udp is not None else self.tcp
+        return transport.src_port if transport is not None else None
 
     @property
     def dst_port(self) -> Optional[int]:
-        transport = self.udp or self.tcp
-        return transport.dst_port if transport else None
+        transport = self.udp if self.udp is not None else self.tcp
+        return transport.dst_port if transport is not None else None
 
     @property
     def transport(self) -> Optional[str]:
-        if self.udp:
+        if self.udp is not None:
             return "udp"
-        if self.tcp:
+        if self.tcp is not None:
             return "tcp"
         return None
 
     @property
     def app_payload(self) -> bytes:
         """The application-layer payload, or b"" when there is none."""
-        if self.udp:
+        if self.udp is not None:
             return self.udp.payload
-        if self.tcp:
+        if self.tcp is not None:
             return self.tcp.payload
         return b""
 
     @property
     def ip_protocol(self) -> Optional[int]:
-        if self.ipv4:
+        if self.ipv4 is not None:
             return self.ipv4.protocol
-        if self.ipv6:
+        if self.ipv6 is not None:
             return self.ipv6.next_header
         return None
 
@@ -147,7 +147,7 @@ class DecodedPacket:
     def is_broadcast(self) -> bool:
         if self.frame.is_broadcast:
             return True
-        return bool(self.ipv4 and self.ipv4.dst == "255.255.255.255")
+        return self.ipv4 is not None and self.ipv4.dst == "255.255.255.255"
 
     @property
     def is_unicast(self) -> bool:

@@ -4,6 +4,11 @@ The paper's traffic classifier uses the Ethernet ``type`` field to
 separate non-IP traffic (ARP, EAPOL, LLC) from IP traffic (§3.5), and
 the local-traffic filter (Appendix C.1) relies on the destination MAC's
 I/G bit to keep multicast/broadcast frames.
+
+A frame the simulator sends may carry its payload as
+:class:`~repro.net.ipv4.LazyBytes`, the layer it encodes, instead of
+bytes: most frames of a port-scan sweep are delivered as layers and
+counted, and nothing ever reads their bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.net.mac import MacAddress
 from repro.net.guard import guarded_decode
+from repro.net.ipv4 import payload_built_on_read
 
 
 class EtherType(enum.IntEnum):
@@ -38,6 +44,7 @@ _ETHERTYPES = {member.value: member for member in EtherType}
 _HEADER = struct.Struct("!6s6sH")
 
 
+@payload_built_on_read(_HEADER.size)
 @dataclass
 class EthernetFrame:
     """A decoded Ethernet II frame (or 802.3/LLC when ``ethertype < 0x600``)."""
@@ -81,6 +88,3 @@ class EthernetFrame:
             ethertype=ethertype,
             payload=data[_HEADER.size:],
         )
-
-    def __len__(self) -> int:
-        return _HEADER.size + len(self.payload)

@@ -69,6 +69,9 @@ class IcmpMessage:
     def echo_reply(cls, ident: int = 1, seq: int = 1, data: bytes = b"") -> "IcmpMessage":
         return cls(_ECHO_REPLY, 0, struct.pack("!HH", ident, seq) + data)
 
+    def __len__(self) -> int:
+        return _HEADER.size + len(self.body)
+
 
 @dataclass
 class Icmpv6Message:

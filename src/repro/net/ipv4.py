@@ -101,12 +101,70 @@ def internet_checksum(data: bytes) -> int:
     return 0xFFFF - (value % 0xFFFF or 0xFFFF)
 
 
+class LazyBytes:
+    """The bytes ``layer.encode(*args)`` returns, built when first read.
+
+    A sender passes one as the ``payload`` of an
+    :class:`~repro.net.ether.EthernetFrame` or an :class:`Ipv4Packet`
+    (see :func:`payload_built_on_read`).
+    """
+
+    __slots__ = ("layer", "args")
+
+    def __init__(self, layer, *args):
+        self.layer = layer
+        self.args = args
+
+    def build(self) -> bytes:
+        return self.layer.encode(*self.args)
+
+
+def payload_built_on_read(header_size: int):
+    """Let a dataclass's ``payload`` be a :class:`LazyBytes`, built on first read.
+
+    The field itself is unchanged: ``dataclasses.fields``, the generated
+    ``__init__`` and its default stay as they are, and the value lives in
+    ``_payload``.  The first read of ``payload`` replaces a
+    :class:`LazyBytes` with the bytes it builds, from the layers as they
+    are then.  ``==``, ``repr``, ``dataclasses.asdict`` and
+    ``dataclasses.replace`` read the attribute, so they see those bytes.
+    ``len()`` is ``header_size`` plus the payload's length, which for an
+    unbuilt payload is ``len(layer)``: a frame's length is known without
+    building its bytes.
+    """
+
+    def decorate(cls):
+        def read(self):
+            payload = self._payload
+            if payload.__class__ is LazyBytes:
+                payload = self._payload = payload.build()
+            return payload
+
+        def write(self, value):
+            self._payload = value
+
+        def length(self) -> int:
+            payload = self._payload
+            return header_size + len(payload.layer if payload.__class__ is LazyBytes else payload)
+
+        cls.payload = property(read, write, doc="The payload bytes, built on first read.")
+        cls.__len__ = length
+        return cls
+
+    return decorate
+
+
 _HEADER = struct.Struct("!BBHHHBBH4s4s")
 
 
+@payload_built_on_read(_HEADER.size)
 @dataclass
 class Ipv4Packet:
-    """A decoded IPv4 packet (no options support; IHL is always 5)."""
+    """A decoded IPv4 packet (no options support; IHL is always 5).
+
+    A sender may pass the transport layer as ``LazyBytes(segment, src,
+    dst)`` instead of its bytes.
+    """
 
     src: str
     dst: str

@@ -126,3 +126,6 @@ class TcpSegment:
             window=window,
             payload=data[header_len:],
         )
+
+    def __len__(self) -> int:
+        return _HEADER.size + len(self.payload)

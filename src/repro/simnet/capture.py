@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.columnar import F_UNICAST, PacketTable
 from repro.net.decode import DecodeErrorLog
+from repro.net.ether import EthernetFrame
 from repro.net.index import CaptureIndex
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapWriter
@@ -105,17 +106,28 @@ class ApCapture:
                 "decode_quarantined_total",
                 "malformed frames quarantined by the decode layer, per reason")
 
-    def observe(self, timestamp: float, frame_bytes: bytes) -> None:
+    def observe(self, timestamp: float, frame) -> None:
+        """Count one frame, and keep or tap its bytes when asked to.
+
+        ``frame`` is the frame's bytes or an unencoded
+        :class:`EthernetFrame`.  The latter is encoded only when the
+        capture keeps bytes or has a tap; otherwise ``len(frame)``, taken
+        from its layers, is all the capture reads.
+        """
+        length = len(frame)
         self.packet_count += 1
-        self.byte_count += len(frame_bytes)
+        self.byte_count += length
         if self._obs.enabled:
             self._frames_observed_total.inc()
-            self._bytes_observed_total.inc(len(frame_bytes))
+            self._bytes_observed_total.inc(length)
+        if not (self.keep_bytes or self.frame_taps):
+            return
+        if frame.__class__ is EthernetFrame:
+            frame = frame.encode()
         if self.keep_bytes:
-            self._records.append((timestamp, frame_bytes))
-        if self.frame_taps:
-            for tap in self.frame_taps:
-                tap(timestamp, frame_bytes)
+            self._records.append((timestamp, frame))
+        for tap in self.frame_taps:
+            tap(timestamp, frame)
 
     # -- access -----------------------------------------------------------------
 

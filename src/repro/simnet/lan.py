@@ -81,12 +81,19 @@ class Lan:
         node.lan = None
 
     def allocate_ip(self) -> str:
+        """The next free host address of the subnet: ``.10`` upwards, then
+        round from its first host.  Never the network or broadcast
+        address; ``ValueError`` once every host is taken."""
         base = int(self.subnet.network_address)
-        while True:
+        last_host = self.subnet.num_addresses - 2
+        for _ in range(last_host):
+            if self._next_host > last_host:
+                self._next_host = 1
             candidate = str(ipaddress.IPv4Address(base + self._next_host))
             self._next_host += 1
             if candidate not in self._nodes_by_ip and candidate != self.gateway_ip:
                 return candidate
+        raise ValueError(f"no free host address left in {self.subnet}")
 
     @property
     def nodes(self) -> List[Node]:
@@ -131,33 +138,42 @@ class Lan:
 
     # -- delivery ----------------------------------------------------------------
 
-    def transmit(self, sender: Node, frame_bytes: bytes, layers: Optional[dict] = None) -> None:
+    def transmit(self, sender: Node, frame, layers: Optional[dict] = None) -> None:
         """Put a frame on the air; the fault layer may drop or damage it.
 
-        ``layers`` are the :class:`DecodedPacket` fields the sender
-        encoded ``frame_bytes`` from (see :meth:`Node.send_frame`), or
-        ``None`` for raw bytes.
+        ``frame`` is raw bytes with ``layers`` ``None``, or the
+        :class:`EthernetFrame` ``layers["frame"]``, where ``layers`` are
+        the :class:`DecodedPacket` fields the sender built it from (see
+        :meth:`Node.send_frame`).  A typed frame's bytes are built before
+        any receiver runs, and only for the three readers of bytes: an
+        active fault injector, which gets the frame's bytes here, and a
+        capture that keeps bytes or has a frame tap
+        (:meth:`ApCapture.observe`).
         """
         injector = self.injector
         if injector is not None and injector.active:
-            injector.transmit(sender, frame_bytes, layers)
+            if layers is not None:
+                frame = frame.encode()
+            injector.transmit(sender, frame, layers)
         else:
-            self._deliver(sender, frame_bytes, layers)
+            self._deliver(sender, frame, layers)
 
-    def _deliver(self, sender: Node, frame_bytes: bytes, layers: Optional[dict] = None) -> None:
+    def _deliver(self, sender: Node, frame, layers: Optional[dict] = None) -> None:
         """Deliver a frame: capture it at the AP, then fan out to receivers.
 
-        The capture always records the bytes.  Receivers get a fresh
-        packet of the sender's ``layers`` stamped with this delivery's
-        time, or, for a frame without them (raw bytes, or bytes the
-        fault layer changed), the decode of the bytes.
+        ``frame`` is bytes, or, with ``layers``, the unencoded
+        :class:`EthernetFrame`.  The capture counts every frame.
+        Receivers get a fresh packet of the sender's ``layers`` stamped
+        with this delivery's time, or, for a frame without them (raw
+        bytes, or bytes the fault layer changed), the decode of the
+        bytes.
         """
         timestamp = self.simulator.now
-        self.capture.observe(timestamp, frame_bytes)
+        self.capture.observe(timestamp, frame)
         if layers is None:
             # Total: damaged bytes reach receivers as a stub packet
             # rather than raising here.
-            packet = decode_frame(frame_bytes, timestamp)
+            packet = decode_frame(frame, timestamp)
         else:
             packet = DecodedPacket(timestamp, **layers)
         receivers = self._receivers_of(sender, packet)

@@ -19,7 +19,7 @@ from repro.net.eapol import EapolFrame
 from repro.net.ether import EthernetFrame, EtherType
 from repro.net.icmp import IcmpMessage, Icmpv6Message, IcmpType, Icmpv6Type
 from repro.net.igmp import IgmpMessage
-from repro.net.ipv4 import IpProtocol, Ipv4Packet, ipv4_is_multicast
+from repro.net.ipv4 import IpProtocol, Ipv4Packet, LazyBytes, ipv4_is_multicast
 from repro.net.ipv6 import Ipv6Packet, link_local_from_mac
 from repro.net.mac import (
     BROADCAST_MAC,
@@ -119,21 +119,27 @@ class Node:
             raise RuntimeError(f"node {self.name!r} is not attached to a LAN")
         return self.lan
 
-    def send_frame(self, dst_mac, ethertype: int, payload: bytes, **layers) -> None:
+    def send_frame(self, dst_mac, ethertype: int, payload, **layers) -> None:
         """Put one frame on the LAN.
 
         ``layers`` are the :class:`DecodedPacket` fields (``ipv4=``,
-        ``udp=``, ...) that ``payload`` was encoded from.  Receivers then
-        get a packet made of them instead of a decode of the bytes, so
-        each must equal what ``decode_frame`` rebuilds, field for field
-        and in type: plain ``int`` header fields, and transport layers
-        whose ``round_trips()`` holds.  Without ``layers`` the frame is
-        decoded on delivery.
+        ``udp=``, ...) that the frame is made of, and ``payload`` is then
+        usually ``LazyBytes`` of the top one.  Receivers get a packet made
+        of them instead of a decode of the bytes, so each must equal what
+        ``decode_frame`` rebuilds, field for field and in type: plain
+        ``int`` header fields, and transport layers whose
+        ``round_trips()`` holds.  The frame goes to the LAN unencoded,
+        which builds its bytes only if something reads them.  Without
+        ``layers``, ``payload`` is bytes, and the frame is encoded here
+        and decoded on delivery.
         """
         frame = EthernetFrame(dst_mac, self.mac, ethertype, payload)
+        lan = self._require_lan()
         if layers:
             layers["frame"] = frame
-        self._require_lan().transmit(self, frame.encode(), layers or None)
+            lan.transmit(self, frame, layers)
+        else:
+            lan.transmit(self, frame.encode())
 
     def send_udp(
         self,
@@ -147,7 +153,7 @@ class Node:
         lan = self._require_lan()
         src_port = src_port if src_port is not None else self.ephemeral_port()
         datagram = UdpDatagram(src_port, dst_port, payload)
-        packet = Ipv4Packet(self.ip, dst_ip, _UDP, datagram.encode(self.ip, dst_ip))
+        packet = Ipv4Packet(self.ip, dst_ip, _UDP, LazyBytes(datagram, self.ip, dst_ip))
         if dst_mac is None:
             if ipv4_is_multicast(dst_ip):
                 dst_mac = ipv4_multicast_mac(dst_ip)
@@ -156,7 +162,7 @@ class Node:
             else:
                 dst_mac = lan.mac_of(dst_ip) or BROADCAST_MAC
         if datagram.round_trips():
-            self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, udp=datagram)
+            self.send_frame(dst_mac, _IPV4, LazyBytes(packet), ipv4=packet, udp=datagram)
         else:
             self.send_frame(dst_mac, _IPV4, packet.encode())
         return src_port
@@ -176,11 +182,11 @@ class Node:
 
     def send_tcp_segment(self, dst_ip: str, segment: TcpSegment, dst_mac=None) -> None:
         lan = self._require_lan()
-        packet = Ipv4Packet(self.ip, dst_ip, _TCP, segment.encode(self.ip, dst_ip))
+        packet = Ipv4Packet(self.ip, dst_ip, _TCP, LazyBytes(segment, self.ip, dst_ip))
         if dst_mac is None:
             dst_mac = lan.mac_of(dst_ip) or BROADCAST_MAC
         if segment.round_trips():
-            self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, tcp=segment)
+            self.send_frame(dst_mac, _IPV4, LazyBytes(packet), ipv4=packet, tcp=segment)
         else:
             self.send_frame(dst_mac, _IPV4, packet.encode())
 
@@ -188,17 +194,17 @@ class Node:
         """ARP who-has: broadcast by default, targeted when ``unicast_to``."""
         arp = ArpPacket(ArpOp.REQUEST, self.mac, self.ip, "00:00:00:00:00:00", target_ip)
         dst = MacAddress(unicast_to) if unicast_to is not None else BROADCAST_MAC
-        self.send_frame(dst, _ARP, arp.encode(), arp=arp)
+        self.send_frame(dst, _ARP, LazyBytes(arp), arp=arp)
 
     def send_arp_reply(self, requester_mac, requester_ip: str) -> None:
         arp = ArpPacket(ArpOp.REPLY, self.mac, self.ip, requester_mac, requester_ip)
-        self.send_frame(requester_mac, _ARP, arp.encode(), arp=arp)
+        self.send_frame(requester_mac, _ARP, LazyBytes(arp), arp=arp)
 
     def send_icmp_echo(self, dst_ip: str, ident: int = 1, seq: int = 1) -> None:
         message = IcmpMessage.echo_request(ident, seq)
-        packet = Ipv4Packet(self.ip, dst_ip, _ICMP, message.encode())
+        packet = Ipv4Packet(self.ip, dst_ip, _ICMP, LazyBytes(message))
         dst_mac = self._require_lan().mac_of(dst_ip) or BROADCAST_MAC
-        self.send_frame(dst_mac, _IPV4, packet.encode(), ipv4=packet, icmp=message)
+        self.send_frame(dst_mac, _IPV4, LazyBytes(packet), ipv4=packet, icmp=message)
 
     def send_eapol_handshake(self) -> None:
         """Emit the WPA2 4-way handshake toward the AP."""
@@ -269,8 +275,8 @@ class Node:
             and packet.ipv4 is not None
         ):
             unreachable = IcmpMessage(_DEST_UNREACHABLE, 3, bytes(4))
-            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, unreachable.encode())
-            self.send_frame(packet.frame.src, _IPV4, reply.encode(), ipv4=reply, icmp=unreachable)
+            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, LazyBytes(unreachable))
+            self.send_frame(packet.frame.src, _IPV4, LazyBytes(reply), ipv4=reply, icmp=unreachable)
 
     def _handle_tcp(self, packet: DecodedPacket) -> None:
         segment = packet.tcp
@@ -301,8 +307,8 @@ class Node:
     def _handle_icmp(self, packet: DecodedPacket) -> None:
         if packet.icmp.icmp_type == IcmpType.ECHO_REQUEST and self.responds_to_ping:
             message = IcmpMessage.echo_reply()
-            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, message.encode())
-            self.send_frame(packet.frame.src, _IPV4, reply.encode(), ipv4=reply, icmp=message)
+            reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, LazyBytes(message))
+            self.send_frame(packet.frame.src, _IPV4, LazyBytes(reply), ipv4=reply, icmp=message)
 
     def _handle_icmpv6(self, packet: DecodedPacket) -> None:
         if not self.ipv6_enabled:

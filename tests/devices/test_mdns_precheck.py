@@ -18,6 +18,7 @@ import pytest
 
 from repro.devices.behaviors import _mdns_responder, build_testbed
 from repro.net.decode import decode_frame
+from repro.net.ether import EthernetFrame
 from repro.protocols.dns import DnsMessage
 from repro.protocols.mdns import MDNS_GROUP_V4, MDNS_PORT
 from tests.faults.test_mutation_fuzz import _mutations
@@ -59,10 +60,11 @@ def outcome(responder, node, packet):
     The node is left as it was found."""
     sent = []
     state = node.rng.getstate()
-    # ``layers`` (what the frame was encoded from) ride beside the bytes;
-    # the bytes alone say which frame was sent.
+    # ``layers`` (what the frame is made of) ride beside the payload,
+    # which may be unencoded; the frame's bytes, built here, say which
+    # frame was sent.
     node.send_frame = lambda dst_mac, ethertype, payload, **layers: sent.append(
-        (str(dst_mac), ethertype, payload))
+        (str(dst_mac), ethertype, EthernetFrame(dst_mac, node.mac, ethertype, payload).encode()))
     try:
         responder(node, packet)
         error = None

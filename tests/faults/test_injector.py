@@ -230,9 +230,11 @@ class TestDecodeOnce:
             decoded.append(data)
             return decode(data)
 
-        def recording_transmit(lan, sender, frame_bytes, layers=None):
-            sent.add(frame_bytes)
-            transmit(lan, sender, frame_bytes, layers)
+        def recording_transmit(lan, sender, frame, layers=None):
+            # A typed frame reaches the LAN unencoded; the bytes built
+            # here are the ones it airs.
+            sent.add(frame if layers is None else frame.encode())
+            transmit(lan, sender, frame, layers)
 
         def counting_deliver(lan, sender, frame_bytes, layers=None):
             delivered.append((frame_bytes, layers is not None))

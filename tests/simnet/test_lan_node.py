@@ -91,6 +91,19 @@ class TestDelivery:
         assert node.ip.startswith("192.168.10.")
         assert node.ip != lan.gateway_ip
 
+    def test_ip_allocation_stays_inside_the_subnet(self, lan):
+        """.10 upwards, then the hosts below .10; never the broadcast
+        address or one outside the /24, and an error once none is left."""
+        macs = (f"02:00:00:00:{index >> 8:02x}:{index & 0xFF:02x}" for index in range(1, 300))
+        nodes = [lan.attach(Node(f"n{index}", next(macs), "0.0.0.0")) for index in range(253)]
+        hosts = [int(node.ip.rsplit(".", 1)[1]) for node in nodes]
+        assert hosts == list(range(10, 255)) + list(range(2, 10))
+        assert all(node.ip.startswith("192.168.10.") for node in nodes)
+        with pytest.raises(ValueError, match=r"192\.168\.10\.0/24"):
+            lan.attach(Node("full", next(macs), "0.0.0.0"))
+        lan.detach(nodes[100])
+        assert lan.attach(Node("again", next(macs), "0.0.0.0")).ip == nodes[100].ip
+
     def test_detach(self, lan):
         node = lan.attach(Node("x", "02:00:00:00:00:31", "192.168.10.31"))
         lan.detach(node)

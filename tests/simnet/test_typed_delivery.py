@@ -1,18 +1,23 @@
 """Typed delivery gate: a packet built from the sender's layers is its decode.
 
-``Node.send_*`` hand ``Lan.transmit`` the layers they just encoded, and
-``Lan._deliver`` gives receivers a packet made of them instead of
-running ``decode_frame`` on the bytes.  :class:`TypedGate` wraps
-``_deliver``: for every delivery that carries layers it compares the
-packet receivers got with ``decode_frame(frame_bytes, now)``, recursing
+``Node.send_*`` hand ``Lan.transmit`` the unencoded frame and the layers
+it is made of, and ``Lan._deliver`` gives receivers a packet made of
+them instead of running ``decode_frame`` on the bytes.
+:class:`TypedGate` builds each typed frame's bytes as it is sent and
+wraps ``_deliver``: for every delivery that carries layers it compares
+the packet receivers got with ``decode_frame`` of those bytes, recursing
 into the layer dataclasses and requiring ``type(a) is type(b)`` and
 equality at every leaf.  After the run it compares every kept packet
-again, so a stack or hook that changes a layer it shares fails too.
+again, so a stack or hook that changes a layer it shares fails too; a
+typed frame's bytes are built from its layers when first read, so that
+rule guards the bytes as well.
 
 Three corpora: a lab run with passive traffic, apps and a port-scanner
 sweep; the lab under ``examples/fault_plans/chaos.json``; and a plan
 that truncates, corrupts and mutates so often that most frames air
 damaged.  Every frame the fault layer changed must have been decoded.
+A last leg sweeps with nothing reading bytes and checks that no typed
+frame was encoded.
 """
 
 import dataclasses
@@ -69,17 +74,36 @@ class TypedGate:
         self.delayed_typed = 0
         self.duplicated_typed = 0
         self.untyped_kinds = set()  # kinds of unchanged frames sent raw
-        self._sent = {}         # id(bytes) -> (bytes, sent at, sent with layers)
+        # id(object on the air) -> (that object, its bytes as sent,
+        # sent at, sent with layers)
+        self._sent = {}
         self._delivered = set()
         self._built = []
         transmit, deliver = Lan.transmit, Lan._deliver
+        fault_transmit = FaultInjector.transmit
         built_packet = lan_module.DecodedPacket
         decode = lan_module.decode_frame
         gate = self
 
-        def recording_transmit(lan, sender, frame_bytes, layers=None):
-            gate._sent[id(frame_bytes)] = (frame_bytes, lan.simulator.now, layers is not None)
-            transmit(lan, sender, frame_bytes, layers)
+        def recording_transmit(lan, sender, frame, layers=None):
+            # A typed frame reaches the LAN unencoded.  Its bytes are
+            # built here, as it is sent, so that a layer changed later
+            # no longer matches their decode.
+            data = frame if layers is None else frame.encode()
+            gate._sent[id(frame)] = (frame, data, lan.simulator.now, layers is not None)
+            transmit(lan, sender, frame, layers)
+
+        def recording_fault_transmit(injector, sender, frame_bytes, layers=None):
+            # The fault layer works on bytes.  A raw frame's are the
+            # ones its sender made; a typed frame's were just built by
+            # the LAN, and they are the object that airs unchanged.
+            if layers is None:
+                assert gate._sent[id(frame_bytes)][0] is frame_bytes
+            else:
+                _frame, data, sent_at, _typed = gate._sent[id(layers["frame"])]
+                assert frame_bytes == data
+                gate._sent[id(frame_bytes)] = (frame_bytes, data, sent_at, True)
+            fault_transmit(injector, sender, frame_bytes, layers)
 
         def counting_decode(data, timestamp=0.0, errors=None):
             gate.decodes += 1
@@ -90,41 +114,43 @@ class TypedGate:
             gate._built.append(packet)
             return packet
 
-        def gated_deliver(lan, sender, frame_bytes, layers=None):
+        def gated_deliver(lan, sender, frame, layers=None):
             now = lan.simulator.now
             mark = len(gate._built)
-            deliver(lan, sender, frame_bytes, layers)
-            gate._check(frame_bytes, now, layers, mark)
+            deliver(lan, sender, frame, layers)
+            gate._check(frame, now, layers, mark)
 
         monkeypatch.setattr(Lan, "transmit", recording_transmit)
+        monkeypatch.setattr(FaultInjector, "transmit", recording_fault_transmit)
         monkeypatch.setattr(Lan, "_deliver", gated_deliver)
         monkeypatch.setattr(lan_module, "DecodedPacket", recording_packet)
         monkeypatch.setattr(lan_module, "decode_frame", counting_decode)
 
-    def _check(self, frame_bytes, now, layers, mark):
+    def _check(self, delivered, now, layers, mark):
         self.deliveries += 1
-        sent = self._sent.get(id(frame_bytes))
-        if sent is None or sent[0] is not frame_bytes:
-            # Not the object a node transmitted: the fault layer changed it.
-            self.changed.append(frame_bytes)
+        sent = self._sent.get(id(delivered))
+        if sent is None or sent[0] is not delivered:
+            # Not the object that went on the air: the fault layer
+            # changed it.
+            self.changed.append(delivered)
             self.changed_typed += layers is not None
             return
-        _bytes, sent_at, sent_typed = sent
-        # Unchanged bytes keep their layers, delayed or duplicated.
+        _object, data, sent_at, sent_typed = sent
+        # Unchanged frames keep their layers, delayed or duplicated.
         assert (layers is not None) == sent_typed
         if layers is None:
-            self.untyped_kinds.add(_frame_kind(decode_frame(frame_bytes)))
+            self.untyped_kinds.add(_frame_kind(decode_frame(data)))
             return
         # _deliver built the packet before fanning out, ahead of any
         # packet built by a reply sent from inside a receiver.
         packet = self._built[mark]
-        expected = decode_frame(frame_bytes, now)
+        expected = decode_frame(data, now)
         found = mismatch(packet, expected)
         assert found is None, found
         self.kept.append((packet, expected))
         self.delayed_typed += now != sent_at
-        self.duplicated_typed += id(frame_bytes) in self._delivered
-        self._delivered.add(id(frame_bytes))
+        self.duplicated_typed += id(delivered) in self._delivered
+        self._delivered.add(id(delivered))
 
     @property
     def typed(self):
@@ -258,6 +284,58 @@ def test_layers_that_do_not_round_trip_go_out_raw(monkeypatch):
     assert (gate.deliveries, gate.typed, gate.decodes) == (9, 4, 5)
     typed_tcp = [(packet.tcp.seq, packet.tcp.ack) for packet, _ in gate.kept if packet.tcp]
     assert typed_tcp == [(0xFFFFFFFF, 0), (1000, 6)]
+
+
+def test_bytes_off_sweep_encodes_no_typed_frame(monkeypatch):
+    """With ``keep_bytes=False``, no frame tap and no injector, nothing
+    reads a typed frame's bytes during a sweep: only raw frames are
+    encoded, by their senders.  Each packet receivers got still equals
+    the decode of the bytes built from it afterwards."""
+    testbed, _ = _lab()
+    lan = testbed.lan
+    lan.capture.keep_bytes = False
+    assert not lan.capture.frame_taps and lan.injector is None
+    encoded, raw, typed = [], [], []
+    encode, transmit = EthernetFrame.encode, Lan.transmit
+    built_packet = lan_module.DecodedPacket
+
+    def recording_encode(frame):
+        encoded.append(frame)
+        return encode(frame)
+
+    def recording_transmit(lan, sender, frame, layers=None):
+        if layers is None:
+            raw.append(frame)
+        transmit(lan, sender, frame, layers)
+
+    def recording_packet(*args, **kwargs):
+        packet = built_packet(*args, **kwargs)
+        typed.append(packet)
+        return packet
+
+    monkeypatch.setattr(EthernetFrame, "encode", recording_encode)
+    monkeypatch.setattr(Lan, "transmit", recording_transmit)
+    monkeypatch.setattr(lan_module, "DecodedPacket", recording_packet)
+    frames_before = lan.capture.packet_count
+    report = _sweep(testbed, PortScanner(), 3, range(1, 100))
+    # The sweep sends no ARP; both ARP helpers run here, with replies.
+    asker, target = testbed.devices[:2]
+    asker.send_arp_request(target.ip)
+    asker.send_arp_request(target.ip, unicast_to=target.mac)
+    monkeypatch.undo()
+    assert report.tcp_responders == report.udp_responders == 3
+    assert lan.capture.packet_count - frames_before == len(raw) + len(typed)
+    typed_frames = {id(packet.frame) for packet in typed}
+    assert not [frame for frame in encoded if id(frame) in typed_frames]
+    assert len(encoded) == len(raw)
+    kinds = {_frame_kind(packet) for packet in typed}
+    for kind in ("syn", "syn-ack", "rst", "udp-probe", "icmp-unreachable",
+                 "echo-request", "echo-reply", "arp"):
+        assert kind in kinds, (kind, kinds)
+    assert sum(packet.arp is not None for packet in typed) >= 3
+    for packet in typed:
+        found = mismatch(packet, decode_frame(packet.frame.encode(), packet.timestamp))
+        assert found is None, found
 
 
 def test_mismatch_sees_type_and_nested_value():

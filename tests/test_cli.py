@@ -161,6 +161,28 @@ class TestFingerprint:
         assert "unknown mitigation" in capsys.readouterr().err
 
 
+class TestScan:
+    def test_negative_max_findings_exits_2_before_the_lab(self, capsys, monkeypatch):
+        import repro.devices.behaviors as behaviors
+
+        def no_lab(*args, **kwargs):
+            raise AssertionError("the lab was built")
+
+        monkeypatch.setattr(behaviors, "build_testbed", no_lab)
+        assert main(["scan", "--max-findings", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro scan: error: --max-findings must be non-negative, got -1\n")
+
+    def test_zero_max_findings_prints_an_empty_table(self, capsys):
+        assert main(["scan", "--max-findings", "0"]) == 0
+        findings = capsys.readouterr().out.split("\n\n")[1].splitlines()
+        assert findings[0].endswith(" vulnerability findings")
+        assert findings[1].split() == ["severity", "device", "finding"]
+        assert len(findings) == 3 and set(findings[2]) <= {"-", " "}
+
+
 class TestStudyObservability:
     """`repro study` with the observability flags (tiny run to stay fast)."""
 
