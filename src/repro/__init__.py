@@ -29,24 +29,36 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from repro.core.pipeline import StudyPipeline, StudyReport
-from repro.devices.behaviors import build_testbed, Testbed
-from repro.devices.catalog import build_catalog
-from repro.apps.dataset import generate_app_dataset
-from repro.inspector.generate import generate_dataset as generate_inspector_dataset
-from repro.core.fingerprint import fingerprint_households
-from repro.fleet import FleetSpec, run_fleet
+import importlib
 
-__all__ = [
-    "__version__",
-    "StudyPipeline",
-    "StudyReport",
-    "build_testbed",
-    "Testbed",
-    "build_catalog",
-    "generate_app_dataset",
-    "generate_inspector_dataset",
-    "fingerprint_households",
-    "FleetSpec",
-    "run_fleet",
-]
+#: Each re-export and where it lives (``module`` or ``module:name``).
+#: They load on first access (PEP 562), so ``import repro.fleet`` does
+#: not import the simulator, the analyses, numpy or networkx.
+_EXPORTS = {
+    "StudyPipeline": "repro.core.pipeline",
+    "StudyReport": "repro.core.pipeline",
+    "build_testbed": "repro.devices.behaviors",
+    "Testbed": "repro.devices.behaviors",
+    "build_catalog": "repro.devices.catalog",
+    "generate_app_dataset": "repro.apps.dataset",
+    "generate_inspector_dataset": "repro.inspector.generate:generate_dataset",
+    "fingerprint_households": "repro.core.fingerprint",
+    "FleetSpec": "repro.fleet",
+    "run_fleet": "repro.fleet",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    try:
+        module, _, attribute = _EXPORTS[name].partition(":")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), attribute or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

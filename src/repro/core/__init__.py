@@ -16,57 +16,58 @@ Module                        Paper artifact
 ============================  =========================================
 """
 
-from repro.core.protocol_census import ProtocolCensus, census_from_capture
-from repro.core.device_graph import DeviceGraph, build_device_graph
-from repro.core.exposure import ExposureMatrix, analyze_exposure, payload_examples
-from repro.core.responses import ResponseCorrelation, correlate_responses
-from repro.core.periodicity import PeriodicityResult, analyze_periodicity, detect_period
-from repro.core.threat_report import ThreatReport, build_threat_report
-from repro.core.fingerprint import FingerprintReport, fingerprint_households
-from repro.core.exfiltration import ExfiltrationAudit, audit_app_runs
-from repro.core.arp_analysis import ArpAnalysis, analyze_arp
-from repro.core.discovery_census import (
-    DhcpCensus,
-    MdnsServiceCensus,
-    dhcp_census,
-    mdns_service_census,
-)
-from repro.core.mitigations import MitigationOutcome, evaluate_mitigations
-from repro.core.patterns import CommunicationPatterns, analyze_patterns
-from repro.core.propagation import PropagationReport, trace_markers
-from repro.core.pipeline import StudyPipeline, StudyReport
+import importlib
 
-__all__ = [
-    "ProtocolCensus",
-    "census_from_capture",
-    "DeviceGraph",
-    "build_device_graph",
-    "ExposureMatrix",
-    "analyze_exposure",
-    "payload_examples",
-    "ResponseCorrelation",
-    "correlate_responses",
-    "PeriodicityResult",
-    "analyze_periodicity",
-    "detect_period",
-    "ThreatReport",
-    "build_threat_report",
-    "FingerprintReport",
-    "fingerprint_households",
-    "ExfiltrationAudit",
-    "audit_app_runs",
-    "ArpAnalysis",
-    "analyze_arp",
-    "DhcpCensus",
-    "dhcp_census",
-    "MdnsServiceCensus",
-    "mdns_service_census",
-    "CommunicationPatterns",
-    "analyze_patterns",
-    "PropagationReport",
-    "trace_markers",
-    "MitigationOutcome",
-    "evaluate_mitigations",
-    "StudyPipeline",
-    "StudyReport",
-]
+#: Each re-export and the module that defines it.  They load on first
+#: access (PEP 562): importing one analysis module, as the fleet imports
+#: ``repro.core.fingerprint``, does not import all of them.
+_EXPORTS = {
+    "ProtocolCensus": "protocol_census",
+    "census_from_capture": "protocol_census",
+    "DeviceGraph": "device_graph",
+    "build_device_graph": "device_graph",
+    "ExposureMatrix": "exposure",
+    "analyze_exposure": "exposure",
+    "payload_examples": "exposure",
+    "ResponseCorrelation": "responses",
+    "correlate_responses": "responses",
+    "PeriodicityResult": "periodicity",
+    "analyze_periodicity": "periodicity",
+    "detect_period": "periodicity",
+    "ThreatReport": "threat_report",
+    "build_threat_report": "threat_report",
+    "FingerprintReport": "fingerprint",
+    "fingerprint_households": "fingerprint",
+    "ExfiltrationAudit": "exfiltration",
+    "audit_app_runs": "exfiltration",
+    "ArpAnalysis": "arp_analysis",
+    "analyze_arp": "arp_analysis",
+    "DhcpCensus": "discovery_census",
+    "dhcp_census": "discovery_census",
+    "MdnsServiceCensus": "discovery_census",
+    "mdns_service_census": "discovery_census",
+    "CommunicationPatterns": "patterns",
+    "analyze_patterns": "patterns",
+    "PropagationReport": "propagation",
+    "trace_markers": "propagation",
+    "MitigationOutcome": "mitigations",
+    "evaluate_mitigations": "mitigations",
+    "StudyPipeline": "pipeline",
+    "StudyReport": "pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -31,8 +31,13 @@ NAME_RE = re.compile(r"\b([A-Z][A-Za-z]+)'s\s+(\w+)")
 UUID_RE = re.compile(
     r"\b[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}\b"
 )
-MAC_SEPARATED_RE = re.compile(r"\b(?:[0-9a-fA-F]{2}[:-]){5}[0-9a-fA-F]{2}\b")
-MAC_BARE_RE = re.compile(r"\b[0-9a-fA-F]{12}\b")
+#: ``\b(?:HH[:-]){5}HH\b`` and ``\b[0-9a-fA-F]{12}\b`` (H a hex digit),
+#: written to start with a hex digit so that ``re`` tries a match only at
+#: hex digits; the look-behind after the first digit is the leading ``\b``.
+MAC_SEPARATED_RE = re.compile(
+    r"[0-9a-fA-F](?<!\w[0-9a-fA-F])[0-9a-fA-F](?:[:-][0-9a-fA-F]{2}){5}\b"
+)
+MAC_BARE_RE = re.compile(r"[0-9a-fA-F](?<!\w[0-9a-fA-F])[0-9a-fA-F]{11}\b")
 
 
 def extract_names(text: str) -> Set[str]:
@@ -42,8 +47,29 @@ def extract_names(text: str) -> Set[str]:
     return {match.group(1) for match in NAME_RE.finditer(text)}
 
 
+#: A UUID's fixed middle, ``-HHHH-HHHH-HHHH-``.  Its leading literal lets
+#: ``re`` jump from dash to dash, where ``UUID_RE`` would try a match at
+#: every hex digit of the text.
+_UUID_MIDDLE_RE = re.compile(r"-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-")
+
+
 def extract_uuids(text: str) -> Set[str]:
-    return {match.group(0).lower() for match in UUID_RE.finditer(text)}
+    """UUID identifiers, lower-cased: the matches of ``UUID_RE``.
+
+    Each candidate middle is checked by ``UUID_RE`` anchored eight
+    characters before it, which tests both groups and both ``\\b``
+    boundaries.  The middles' scan cannot skip a UUID: a middle that
+    overlaps an earlier one has a ``-`` among the eight characters
+    before it, so no UUID starts there.
+    """
+    found: Set[str] = set()
+    for middle in _UUID_MIDDLE_RE.finditer(text):
+        start = middle.start() - 8
+        if start >= 0:
+            match = UUID_RE.match(text, start)
+            if match is not None:
+                found.add(match.group(0).lower())
+    return found
 
 
 def extract_macs(text: str, oui: Optional[str] = None, validate_oui: bool = True) -> Set[str]:

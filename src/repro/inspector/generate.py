@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import random
-import uuid as uuid_module
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.inspector.schema import (
@@ -36,7 +37,6 @@ from repro.inspector.schema import (
     InspectorDataset,
     hashed_device_id,
 )
-from repro.net.mac import MacAddress
 from repro.protocols.mdns import ServiceAdvertisement
 from repro.protocols.ssdp import SsdpMessage, ST_ROOT_DEVICE
 
@@ -55,6 +55,13 @@ def derive_seed(seed: int, *parts: object) -> int:
 def derive_rng(seed: int, *parts: object) -> random.Random:
     """A ``random.Random`` seeded via :func:`derive_seed`."""
     return random.Random(derive_seed(seed, *parts))
+
+
+def uuid_text(value: int) -> str:
+    """``str(uuid.UUID(int=value))`` for ``0 <= value < 2**128``,
+    formatted without building the ``UUID``."""
+    digits = "%032x" % value
+    return f"{digits[:8]}-{digits[8:12]}-{digits[12:16]}-{digits[16:20]}-{digits[20:]}"
 
 
 class ExposureClass(enum.Enum):
@@ -159,7 +166,7 @@ def _make_product_pool(rng: random.Random, vendor_count: int, product_count: int
             )
             # ~8% of UUID-capable products ship a firmware-constant UUID.
             if "uuid" in exposure.types and rng.random() < 0.08:
-                spec.constant_uuid = str(uuid_module.UUID(int=rng.getrandbits(128)))
+                spec.constant_uuid = uuid_text(rng.getrandbits(128))
             if "mac" in exposure.types and rng.random() < 0.10:
                 spec.constant_mac_suffix = f"{rng.randrange(1 << 24):06x}"
             products.append(spec)
@@ -211,6 +218,11 @@ class GenerationContext:
     def mean_devices(self) -> float:
         return self.target_devices / self.households
 
+    @cached_property
+    def cum_weights(self) -> List[float]:
+        """``weights`` accumulated, as ``random.choices`` sums them."""
+        return list(itertools.accumulate(self.weights))
+
     @property
     def roku_spec(self) -> ProductSpec:
         return self.products[0]
@@ -249,49 +261,53 @@ def _build_device(
 ) -> InspectedDevice:
     oui = oui_map[spec.vendor]
     oui_hex = oui.replace(":", "")
-    mac = MacAddress(bytes.fromhex(oui_hex) + bytes(rng.randrange(256) for _ in range(3)))
-    mac_text = str(mac)
+    octets = bytes.fromhex(oui_hex) + bytes(rng.randrange(256) for _ in range(3))
+    mac_text = octets.hex(":")
+    compact = octets.hex()
     exposure = spec.exposure.types
     owner = rng.choice(FIRST_NAMES)
-    device_uuid = spec.constant_uuid or str(uuid_module.UUID(int=rng.getrandbits(128)))
+    device_uuid = spec.constant_uuid or uuid_text(rng.getrandbits(128))
     if spec.constant_mac_suffix is not None:
-        exposed_mac = str(MacAddress(oui_hex + spec.constant_mac_suffix))
+        exposed_mac = bytes.fromhex(oui_hex + spec.constant_mac_suffix).hex(":")
     else:
         exposed_mac = mac_text
+    vendor = spec.vendor
+    vendor_lower = vendor.lower()
+    category = spec.category
 
     device = InspectedDevice(
         device_id=hashed_device_id(mac_text, user_salt),
         oui=oui,
-        truth_vendor=spec.vendor,
-        truth_category=spec.category,
+        # DHCP hostname: vendor-flavoured, used by the Appendix E labeler.
+        dhcp_hostname=f"{vendor_lower}-{category}-{compact[-4:]}",
+        hostnames_contacted=[f"api.{vendor_lower}.com", "pool.ntp.org"],
+        truth_vendor=vendor,
+        truth_category=category,
         truth_mac=mac_text,
     )
-    # DHCP hostname: vendor-flavoured, used by the Appendix E labeler.
-    device.dhcp_hostname = f"{spec.vendor.lower()}-{spec.category}-{mac.compact()[-4:]}"
-    device.hostnames_contacted = [f"api.{spec.vendor.lower()}.com", "pool.ntp.org"]
     # Noisy crowdsourced labels: present for ~70%, misspelled for ~10%.
     if rng.random() < 0.7:
-        vendor_label = spec.vendor
+        vendor_label = vendor
         if rng.random() < 0.1:
             vendor_label = vendor_label.replace("o", "0", 1) if "o" in vendor_label else vendor_label + "s"
         device.user_label_vendor = vendor_label
-        device.user_label_category = spec.category if rng.random() < 0.9 else ""
+        device.user_label_category = category if rng.random() < 0.9 else ""
 
-    friendly = f"{spec.vendor} {spec.category.title()}"
     if "name" in exposure:
-        friendly = f"{owner}'s {spec.category.title()}"
-        if spec.vendor == "Roku":
-            friendly = f"{owner}'s Roku Express"
+        friendly = f"{owner}'s Roku Express" if vendor == "Roku" else f"{owner}'s {category.title()}"
+    else:
+        friendly = f"{vendor} {category.title()}"
 
     # SSDP response (the Table 5 Amcrest shape).
     usn_parts = [f"uuid:{device_uuid}" if "uuid" in exposure else "uuid:device"]
     if "mac" in exposure:
         usn_parts.append(exposed_mac.replace(":", ""))
+    usn_parts.append(ST_ROOT_DEVICE)
     ssdp = SsdpMessage.response(
         location=f"http://192.168.1.{rng.randrange(2, 254)}:8060/",
         search_target=ST_ROOT_DEVICE,
-        usn="::".join(usn_parts + [ST_ROOT_DEVICE]),
-        server=f"{spec.vendor}/1.0 UPnP/1.1 {spec.vendor}OS/9.0",
+        usn="::".join(usn_parts),
+        server=f"{vendor}/1.0 UPnP/1.1 {vendor}OS/9.0",
     )
     if "name" in exposure:
         ssdp.headers["NAME"] = friendly
@@ -301,21 +317,25 @@ def _build_device(
     instance = friendly
     if "mac" in exposure and rng.random() < 0.8:
         instance = f"{friendly} - {exposed_mac.replace(':', '')[-6:].upper()}"
-    txt = {"md": f"{spec.vendor} {spec.category}"}
+    txt = {"md": f"{vendor} {category}"}
     if "uuid" in exposure:
         txt["id"] = device_uuid
     if "mac" in exposure:
         txt["mac"] = exposed_mac
     advertisement = ServiceAdvertisement(
-        service_type=f"_{spec.vendor.lower()}._tcp.local",
+        service_type=f"_{vendor_lower}._tcp.local",
         instance_name=instance,
-        hostname=f"{spec.vendor.lower()}-{mac.compact()[-6:]}.local",
+        hostname=f"{vendor_lower}-{compact[-6:]}.local",
         port=8060,
         address=f"192.168.1.{rng.randrange(2, 254)}",
         txt=txt,
     )
     device.mdns_responses.append(advertisement.to_response().encode())
     return device
+
+
+_FLOW_PORTS = (80, 443, 8009, 1900, 5353, 8060)
+_FLOW_TRANSPORTS = ("tcp", "udp")
 
 
 def _household_flows(rng: random.Random, household: Household) -> List[FlowRecord]:
@@ -333,8 +353,8 @@ def _household_flows(rng: random.Random, household: Household) -> List[FlowRecor
                 src_ip=f"192.168.1.{10 + a}",
                 dst_ip=f"192.168.1.{10 + b}",
                 src_port=rng.randrange(49152, 65535),
-                dst_port=rng.choice([80, 443, 8009, 1900, 5353, 8060]),
-                transport=rng.choice(["tcp", "udp"]),
+                dst_port=rng.choice(_FLOW_PORTS),
+                transport=rng.choice(_FLOW_TRANSPORTS),
                 bytes_sent=rng.randrange(64, 40960),
                 bytes_received=rng.randrange(64, 40960),
             )
@@ -353,7 +373,7 @@ def generate_household(context: GenerationContext, index: int) -> Household:
     user_salt = rng.getrandbits(128).to_bytes(16, "big")
     household = Household(user_id=f"user-{index:05d}")
     count = max(1, min(25, int(rng.lognormvariate(1.0, 0.62) * context.mean_devices / 2.9)))
-    specs = rng.choices(context.products, weights=context.weights, k=count)
+    specs = rng.choices(context.products, cum_weights=context.cum_weights, k=count)
     for spec in specs:
         household.devices.append(_build_device(rng, spec, user_salt, context.oui_map))
     household.flows = _household_flows(rng, household)

@@ -32,28 +32,43 @@ CLASS_IN = 1
 MDNS_FLUSH_OR_QU = 0x8000
 
 
+_POINTER = struct.Struct("!H").pack
+_QUESTION_TAIL = struct.Struct("!HH").pack
+_RECORD_TAIL = struct.Struct("!HHIH").pack
+
+
 def encode_name(name: str, compression: Dict[str, int] = None, offset: int = 0) -> bytes:
     """Encode a dotted name as DNS labels, optionally using compression."""
-    if name in ("", "."):
-        return b"\x00"
-    suffix = name.rstrip(".")
     out = bytearray()
+    _write_name(out, name, compression, offset)
+    return bytes(out)
+
+
+def _write_name(out: bytearray, name: str, compression: Optional[Dict[str, int]],
+                offset: int) -> None:
+    """Append ``name``'s labels to ``out``, whose byte ``i`` lies at message
+    offset ``offset + i`` (compression pointers are message offsets)."""
+    if name in ("", "."):
+        out.append(0)
+        return
+    suffix = name.rstrip(".")
     for text in suffix.split("."):
-        # ``suffix`` is this label and every label after it.
-        if compression is not None and suffix in compression:
-            pointer = compression[suffix]
-            out += struct.pack("!H", 0xC000 | pointer)
-            return bytes(out)
-        if compression is not None and offset + len(out) < 0x3FFF:
-            compression[suffix] = offset + len(out)
+        if compression is not None:
+            # ``suffix`` is this label and every label after it.
+            pointer = compression.get(suffix)
+            if pointer is not None:
+                out += _POINTER(0xC000 | pointer)
+                return
+            position = offset + len(out)
+            if position < 0x3FFF:
+                compression[suffix] = position
+            suffix = suffix[len(text) + 1:]
         label = text.encode("utf-8")
         if len(label) > 63:
             raise ValueError(f"DNS label too long: {text!r}")
         out.append(len(label))
         out += label
-        suffix = suffix[len(text) + 1:]
     out.append(0)
-    return bytes(out)
 
 
 def decode_name(data: bytes, offset: int) -> Tuple[str, int]:
@@ -98,10 +113,14 @@ class DnsQuestion:
     unicast_response: bool = False  # mDNS "QU" bit
 
     def encode(self, compression: Dict[str, int] = None, offset: int = 0) -> bytes:
+        out = bytearray()
+        self._write(out, compression, offset)
+        return bytes(out)
+
+    def _write(self, out: bytearray, compression: Optional[Dict[str, int]], offset: int) -> None:
+        _write_name(out, self.name, compression, offset)
         qclass = self.qclass | (MDNS_FLUSH_OR_QU if self.unicast_response else 0)
-        return encode_name(self.name, compression, offset) + struct.pack(
-            "!HH", self.qtype, qclass
-        )
+        out += _QUESTION_TAIL(self.qtype, qclass)
 
 
 @dataclass
@@ -114,9 +133,16 @@ class DnsRecord:
     cache_flush: bool = False  # mDNS cache-flush bit
 
     def encode(self, compression: Dict[str, int] = None, offset: int = 0) -> bytes:
+        out = bytearray()
+        self._write(out, compression, offset)
+        return bytes(out)
+
+    def _write(self, out: bytearray, compression: Optional[Dict[str, int]], offset: int) -> None:
+        _write_name(out, self.name, compression, offset)
         rclass = self.rclass | (MDNS_FLUSH_OR_QU if self.cache_flush else 0)
-        head = encode_name(self.name, compression, offset)
-        return head + struct.pack("!HHIH", self.rtype, rclass, self.ttl, len(self.rdata)) + self.rdata
+        rdata = self.rdata
+        out += _RECORD_TAIL(self.rtype, rclass, self.ttl, len(rdata))
+        out += rdata
 
     # -- typed rdata constructors / accessors ---------------------------------
 
@@ -223,10 +249,13 @@ class DnsMessage:
             )
         )
         compression: Optional[Dict[str, int]] = {} if compress else None
+        # Each part is written into ``out`` itself, so its offsets in
+        # ``out`` are message offsets.
         for question in self.questions:
-            out += question.encode(compression, len(out))
-        for record in self.answers + self.authorities + self.additionals:
-            out += record.encode(compression, len(out))
+            question._write(out, compression, 0)
+        for section in (self.answers, self.authorities, self.additionals):
+            for record in section:
+                record._write(out, compression, 0)
         return bytes(out)
 
     @classmethod

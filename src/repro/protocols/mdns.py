@@ -79,14 +79,17 @@ class ServiceAdvertisement:
 
     def to_response(self, transaction_id: int = 0) -> DnsMessage:
         """Render as an authoritative mDNS response message."""
-        message = DnsMessage(transaction_id=transaction_id, is_response=True, authoritative=True)
-        message.answers.append(DnsRecord.ptr(self.service_type, self.full_instance))
-        message.answers.append(DnsRecord.srv(self.full_instance, self.hostname, self.port))
-        message.answers.append(DnsRecord.txt(self.full_instance, self.txt))
-        message.additionals.append(DnsRecord.a(self.hostname, self.address))
+        instance = self.full_instance
+        additionals = [DnsRecord.a(self.hostname, self.address)]
         if self.address_v6:
-            message.additionals.append(DnsRecord.aaaa(self.hostname, self.address_v6))
-        return message
+            additionals.append(DnsRecord.aaaa(self.hostname, self.address_v6))
+        return DnsMessage(
+            transaction_id=transaction_id, is_response=True, authoritative=True,
+            answers=[DnsRecord.ptr(self.service_type, instance),
+                     DnsRecord.srv(instance, self.hostname, self.port),
+                     DnsRecord.txt(instance, self.txt)],
+            additionals=additionals,
+        )
 
     @classmethod
     def from_response(cls, message: DnsMessage) -> List["ServiceAdvertisement"]:

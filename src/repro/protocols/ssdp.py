@@ -41,12 +41,11 @@ class SsdpMessage:
 
     def encode(self) -> bytes:
         if self.method is SsdpMethod.RESPONSE:
-            start_line = "HTTP/1.1 200 OK"
+            start_line = "HTTP/1.1 200 OK\r\n"
         else:
-            start_line = f"{self.method.value} * HTTP/1.1"
-        lines = [start_line]
-        lines.extend(f"{key}: {value}" for key, value in self.headers.items())
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("utf-8")
+            start_line = f"{self.method.value} * HTTP/1.1\r\n"
+        headers = "".join([f"{key}: {value}\r\n" for key, value in self.headers.items()])
+        return f"{start_line}{headers}\r\n".encode("utf-8")
 
     @classmethod
     @guarded_decode

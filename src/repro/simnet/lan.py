@@ -201,16 +201,12 @@ class Lan:
             return [node for node in self._nodes_by_mac.values() if node is not sender]
         if dst.is_multicast:
             group = packet.dst_ip
-            receivers = []
-            for node in self._nodes_by_mac.values():
-                if node is sender:
-                    continue
-                # Link-local multicast (224.0.0.x / ff02::1 "all nodes",
-                # ICMPv6 ND) is processed by every stack; other groups
-                # only by subscribed members.
-                if group is None or self._is_link_local_group(group) or group in node.multicast_groups:
-                    receivers.append(node)
-            return receivers
+            # Link-local multicast (224.0.0.x / ff02::1 "all nodes",
+            # ICMPv6 ND) is processed by every stack; other groups
+            # only by subscribed members.
+            everyone = group is None or self._is_link_local_group(group)
+            return [node for node in self._nodes_by_mac.values()
+                    if node is not sender and (everyone or group in node.multicast_groups)]
         owner = self._nodes_by_mac.get(dst)
         if owner is not None and owner is not sender:
             return [owner]

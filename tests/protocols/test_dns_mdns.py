@@ -87,8 +87,72 @@ ENCODE_NAMES = [
     "device.local.", "a..b", ".a", ".a.", "a.b.c.d.e.f", "café.local",
     "Jordan's Roku Express._roku._tcp.local", "_roku._tcp.local",
     "x" * 63 + ".local", "x" * 64, "a." + "x" * 64 + ".local",
-    "a.b." + "é" * 32 + ".local",
+    "a.b." + "é" * 32 + ".local", "local.local", "local.local.",
+    "a.b.a.b", "b.a.b", "_tcp.local", "tcp.local", "Roku Tv - 0A0B0C._roku._tcp.local",
+    "roku-0a0b0c.local", "roku-0a0b0c.local...", "é" * 31 + "e.local",
 ]
+
+
+def reference_record_encode(record, compression=None, offset=0):
+    """``DnsRecord.encode`` as it was, over ``reference_encode_name``."""
+    rclass = record.rclass | (0x8000 if record.cache_flush else 0)
+    head = reference_encode_name(record.name, compression, offset)
+    return head + struct.pack("!HHIH", record.rtype, rclass, record.ttl,
+                              len(record.rdata)) + record.rdata
+
+
+def reference_question_encode(question, compression=None, offset=0):
+    qclass = question.qclass | (0x8000 if question.unicast_response else 0)
+    return reference_encode_name(question.name, compression, offset) + struct.pack(
+        "!HH", question.qtype, qclass)
+
+
+def reference_message_encode(message, compress=True):
+    """``DnsMessage.encode`` as it was: one joined list of records."""
+    flags = (0x8000 if message.is_response else 0) | (0x0400 if message.authoritative else 0)
+    out = bytearray(struct.pack(
+        "!HHHHHH", message.transaction_id, flags, len(message.questions),
+        len(message.answers), len(message.authorities), len(message.additionals)))
+    compression = {} if compress else None
+    for question in message.questions:
+        out += reference_question_encode(question, compression, len(out))
+    for record in message.answers + message.authorities + message.additionals:
+        out += reference_record_encode(record, compression, len(out))
+    return bytes(out)
+
+
+def _reference_messages():
+    adverts = [
+        ServiceAdvertisement("_roku._tcp.local", "Jordan's Roku Express - 0A0B0C",
+                             "roku-0a0b0c.local", 8060, "192.168.1.77",
+                             {"md": "Roku tv", "id": "01234567-89ab-cdef-0123-456789abcdef",
+                              "mac": "d8:31:34:0a:0b:0c"}),
+        ServiceAdvertisement("_hue._tcp.local", "Philips Hue - 685F61", "Philips-hue.local",
+                             443, "192.168.10.12", {"bridgeid": "001788FFFE685F61"},
+                             address_v6="fe80::217:88ff:fe68:5f61"),
+        ServiceAdvertisement("_x._udp.local", "local", "local", 1, "10.0.0.1", {}),
+    ]
+    messages = [advert.to_response(transaction_id=index)
+                for index, advert in enumerate(adverts)]
+    messages.append(mdns_response(adverts))
+    mixed = mdns_query(["_roku._tcp.local", "_tcp.local", "local", "_roku._tcp.local."],
+                       unicast_response=True, transaction_id=0xBEEF)
+    mixed.answers.append(DnsRecord.ptr("_roku._tcp.local", "a.b._roku._tcp.local"))
+    mixed.authorities.append(DnsRecord.a("ns.local", "192.168.10.1"))
+    mixed.additionals.append(DnsRecord.txt("a.b._roku._tcp.local", {"k": "v", "flag": None}))
+    messages.append(mixed)
+    # A large TXT record pushes the later names past 0x3FFF: suffixes
+    # first seen there cannot be pointed at, earlier ones still can.
+    far = DnsMessage(is_response=True)
+    far.answers.append(DnsRecord.ptr("_a._tcp.local", "one._a._tcp.local"))
+    far.answers.append(DnsRecord("pad.local", DnsType.TXT, b"\x00" * (0x3FFF - 79)))
+    for name in ("three.far.local", "two._a._tcp.local", "four.far.local",
+                 "three.far.local", "pad.local", "x.y.z.far.local"):
+        far.additionals.append(DnsRecord.a(name, "10.0.0.2"))
+    messages.append(far)
+    return messages
+
+
 
 
 def _encode_outcome(encoder, name, compression, offset):
@@ -123,6 +187,33 @@ class TestEncodeNameReference:
     def test_label_too_long_message(self):
         with pytest.raises(ValueError, match=r"DNS label too long: 'x{64}'"):
             encode_name("a." + "x" * 64 + ".local", {})
+
+    @pytest.mark.parametrize("offset", [0, 12, 0x3FF0, 0x3FFD, 0x3FFF, 0x4000])
+    def test_records_and_questions(self, offset):
+        for name in ENCODE_NAMES:
+            record = DnsRecord(name, DnsType.TXT, b"\x03a=b", ttl=4500, cache_flush=True)
+            question = DnsQuestion(name, DnsType.PTR, unicast_response=True)
+            for item, reference in ((record, reference_record_encode),
+                                    (question, reference_question_encode)):
+                ours, theirs = {"local": 40}, {"local": 40}
+                assert (_encode_outcome(lambda _, c, o: item.encode(c, o), name, ours, offset)
+                        == _encode_outcome(lambda _, c, o: reference(item, c, o),
+                                           name, theirs, offset))
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_messages(self, compress):
+        for message in _reference_messages():
+            assert message.encode(compress) == reference_message_encode(message, compress)
+
+    def test_message_label_too_long(self):
+        message = _reference_messages()[0]
+        message.additionals.append(DnsRecord.a("a." + "y" * 64 + ".local", "10.0.0.3"))
+        for compress in (True, False):
+            with pytest.raises(ValueError) as ours:
+                message.encode(compress)
+            with pytest.raises(ValueError) as theirs:
+                reference_message_encode(message, compress)
+            assert str(ours.value) == str(theirs.value) == f"DNS label too long: {'y' * 64!r}"
 
 
 class TestRecords:

@@ -51,6 +51,21 @@ class TestDelivery:
         a.send_udp("224.0.0.251", 5353, b"mdns")  # 224.0.0.x: all stacks
         assert len(b_in) == 1
 
+    def test_link_local_group_is_decided_once_per_frame(self, lan, monkeypatch):
+        nodes = [lan.attach(Node(f"n{i}", f"02:00:00:00:00:{16 + i:02x}",
+                                 f"192.168.10.{16 + i}")) for i in range(6)]
+        nodes[2].join_group("239.255.255.250")
+        nodes[4].join_group("239.255.255.250")
+        inboxes = [_inbox(node) for node in nodes]
+        decided = []
+        is_link_local = Lan._is_link_local_group
+        monkeypatch.setattr(Lan, "_is_link_local_group", staticmethod(
+            lambda group: decided.append(group) or is_link_local(group)))
+        nodes[0].send_udp("239.255.255.250", 1900, b"M-SEARCH")
+        nodes[0].send_udp("224.0.0.251", 5353, b"mdns")
+        assert decided == ["239.255.255.250", "224.0.0.251"]
+        assert [len(inbox) for inbox in inboxes] == [0, 1, 2, 1, 2, 1]
+
     @pytest.mark.parametrize("group,link_local", [
         ("224.0.0.251", True),
         ("239.255.255.250", False),
