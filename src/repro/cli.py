@@ -3,19 +3,18 @@
 Installed as the ``repro`` console script::
 
     repro study        [--seed N] [--duration SECONDS] [--apps N]
-                       [--metrics-out PATH] [--trace-out PATH] [--events-out PATH]
-                       [--profile-out DIR] [--profile-hz HZ] [--log-level LEVEL]
                        [--fault-plan PATH] [--keep-going | --fail-fast]
-    repro classify     PCAP [--crossval]
+                       [TELEMETRY]
+    repro classify     PCAP [--crossval] [TELEMETRY]
     repro ingest       PCAP [--device-map JSON] [--chunk-records N]
-                       [--json PATH]
+                       [--json PATH] [--keep-going | --fail-fast]
+                       [TELEMETRY]
     repro monitor      [PCAP | --simulate] [--follow] [--window-packets N]
                        [--window-seconds S] [--snapshot-every N]
                        [--snapshot-dir DIR] [--json PATH] [--device-map JSON]
                        [--chunk-records N] [--seed N] [--duration SECONDS]
                        [--poll-interval S] [--idle-timeout S] [--max-packets N]
-                       [--metrics-out PATH] [--events-out PATH]
-                       [--log-level LEVEL]
+                       [TELEMETRY]
     repro scan         [--seed N]
     repro fingerprint  [--seed N] [--mitigation NAME]
     repro catalog
@@ -25,8 +24,13 @@ Installed as the ``repro`` console script::
                        [--fault-plan PATH] [--keep-going | --fail-fast]
                        [--shard-retries N] [--retry-backoff SECONDS]
                        [--shard-deadline SECONDS]
-                       [--events-out PATH] [--profile-out DIR] [--profile-hz HZ]
-                       [--progress | --no-progress]
+                       [--progress | --no-progress] [TELEMETRY]
+
+``TELEMETRY`` stands for the six flags the five observed subcommands
+share: ``--metrics-out PATH``, ``--trace-out PATH``, ``--events-out
+PATH``, ``--profile-out DIR``, ``--profile-hz HZ`` and ``--log-level
+LEVEL``.  They are declared once, and one lifecycle
+(:func:`_run_with_telemetry`) writes their outputs on every exit path.
 
 ``repro classify`` works on *any* classic-pcap file (including captures
 from a real network), making the classifier pair usable outside the
@@ -63,46 +67,48 @@ def _progress_wanted(args: argparse.Namespace) -> bool:
     return sys.stderr.isatty()
 
 
+def _telemetry_wanted(args: argparse.Namespace) -> bool:
+    """Whether any telemetry flag was given (or a progress line needs the
+    event bus); only subcommands that define ``--progress`` (fleet) can
+    want the bus for the progress line alone."""
+    return any(getattr(args, flag, None) for flag in (
+        "metrics_out", "trace_out", "events_out", "profile_out", "log_level",
+    )) or ("progress" in vars(args) and _progress_wanted(args))
+
+
 def _build_observability(args: argparse.Namespace):
-    """A live observability context when any ``--metrics-out`` /
-    ``--trace-out`` / ``--events-out`` / ``--profile-out`` /
-    ``--log-level`` flag was given (or a progress line needs the event
-    bus), else the null one."""
+    """A live observability context when :func:`_telemetry_wanted`, else
+    the null one."""
     from repro.obs import NULL_OBS, enable_observability, open_event_stream
 
-    events_out = getattr(args, "events_out", None)
-    profile_out = getattr(args, "profile_out", None)
-    # Only subcommands that define --progress (fleet) can want the bus
-    # for the progress line alone.
-    progress = "progress" in vars(args) and _progress_wanted(args)
-    wanted = getattr(args, "metrics_out", None) or getattr(args, "trace_out", None) \
-        or getattr(args, "log_level", None) or events_out or progress or profile_out
-    if not wanted:
+    if not _telemetry_wanted(args):
         return NULL_OBS
+    events_out = args.events_out
+    progress = "progress" in vars(args) and _progress_wanted(args)
     events = open_event_stream(events_out) if (events_out or progress) else None
     profiler = None
-    if profile_out:
+    if args.profile_out:
         from repro.obs.profile import DEFAULT_PROFILE_HZ, SamplingProfiler
 
-        hz = getattr(args, "profile_hz", None) or DEFAULT_PROFILE_HZ
-        profiler = SamplingProfiler(hz=hz)
+        profiler = SamplingProfiler(hz=args.profile_hz or DEFAULT_PROFILE_HZ)
     obs = enable_observability(log_level=args.log_level, events=events,
                                profiler=profiler)
     if profiler is not None:
-        # Per-span resource accounting rides with profiling; starting
-        # the sampler thread stays with the subcommand (the fleet's
-        # parent leaves it off so its merged profile is exactly the
-        # deterministic fold of the workers' profiles).
+        # Per-span resource accounting rides with profiling; whether the
+        # sampler thread starts is _run_with_telemetry's ``sample`` (the
+        # fleet's parent leaves it off so its merged profile is exactly
+        # the deterministic fold of the workers' profiles).
         from repro.obs.profile import SpanResourceProbe
 
         obs.tracer.resource_probe = SpanResourceProbe()
     return obs
 
 
-def _check_output_paths(args: argparse.Namespace) -> Optional[str]:
-    """Validate telemetry output paths *before* the (long) run starts.
+def _check_outputs(args: argparse.Namespace) -> Optional[str]:
+    """Validate output paths and telemetry settings *before* any work.
 
-    Returns an error message, or ``None`` when every path is writable.
+    Returns an error message, or ``None`` when every path is writable
+    and the logging environment parses.
     """
     import os
 
@@ -132,36 +138,93 @@ def _check_output_paths(args: argparse.Namespace) -> Optional[str]:
             return f"--profile-out: directory does not exist: {probe}"
         if not os.access(probe, os.W_OK):
             return f"--profile-out: directory is not writable: {probe}"
+    if _telemetry_wanted(args):
+        from repro.obs.logging import LogManager
+
+        try:
+            LogManager.from_env(default_level=args.log_level)
+        except ValueError as error:
+            return str(error)
     return None
 
 
 def _write_observability_outputs(obs, args: argparse.Namespace) -> None:
-    """Finalize telemetry outputs — called from ``finally`` blocks so
-    metrics/traces/events land on disk even when the run exits nonzero
-    (partial failures are exactly when telemetry matters most)."""
+    """Finalize telemetry outputs on every exit path of a run: partial
+    failures and interrupts are exactly when telemetry matters most."""
     import json
 
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(obs.metrics.to_dict(), handle, indent=2, sort_keys=True)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         obs.tracer.write_chrome_trace(args.trace_out)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
-    profile_out = getattr(args, "profile_out", None)
-    if profile_out and obs.profiler.enabled:
+    if args.profile_out and obs.profiler.enabled:
         from repro.obs.profile import write_profile_outputs
 
         obs.profiler.stop()
-        write_profile_outputs(obs.profiler.profile, profile_out,
+        write_profile_outputs(obs.profiler.profile, args.profile_out,
                               tracer=obs.tracer)
-        print(f"profile written to {profile_out} "
+        print(f"profile written to {args.profile_out} "
               f"({obs.profiler.profile.total_samples} samples)",
               file=sys.stderr)
-    events_out = getattr(args, "events_out", None)
     obs.events.close()
-    if events_out and events_out != "-":
-        print(f"events written to {events_out}", file=sys.stderr)
+    if args.events_out and args.events_out != "-":
+        print(f"events written to {args.events_out}", file=sys.stderr)
+
+
+def _run_with_telemetry(args: argparse.Namespace, work, *, sample: bool = True,
+                        on_interrupt: str = "telemetry outputs flushed") -> int:
+    """Run ``work(obs)``, the body of an observed subcommand; its exit code.
+
+    Builds the telemetry context and hands it to ``work``, which passes
+    it on explicitly (the study's pipeline installs it for its own run),
+    starts the profiler when ``sample`` (the fleet's workers sample
+    themselves), and guards SIGINT/SIGTERM.  An interrupt exits
+    ``128 + signum`` and an exception (the first failure of a fail-fast
+    run) exits ``1`` with its traceback logged at debug level; every
+    exit path writes the requested telemetry outputs first.
+    """
+    from repro.interrupt import interrupt_guard
+
+    obs = _build_observability(args)
+    if sample and obs.profiler.enabled:
+        obs.profiler.start()
+    try:
+        with interrupt_guard():
+            return work(obs)
+    except KeyboardInterrupt as interrupt:
+        code = getattr(interrupt, "exit_code", 130)
+        note = f"interrupted (exit {code}); {on_interrupt}"
+    except BrokenPipeError:
+        raise
+    except Exception as error:  # noqa: BLE001 - reported below, exit 1
+        import traceback
+
+        code, note = 1, f"error: {type(error).__name__}: {error}"
+        obs.logger("cli").debug("error_traceback", command=args.command,
+                                traceback=traceback.format_exc())
+    finally:
+        _write_observability_outputs(obs, args)
+    print(f"repro {args.command}: {note}", file=sys.stderr)
+    return code
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> int:
+    """Report a configuration error found before any work; exit code 2."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _print_failures(failures) -> None:
+    """List the analyses a keep-going run isolated into a partial report."""
+    if failures:
+        print()
+        print(f"{len(failures)} analysis failure(s) isolated "
+              f"(partial report):", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure.analysis}: {failure.error}", file=sys.stderr)
 
 
 class _FleetProgress:
@@ -169,7 +232,8 @@ class _FleetProgress:
 
     Subscribes to the run's :class:`~repro.obs.events.EventBus`; every
     shard lifecycle record that carries tallies redraws one
-    carriage-return line on stderr.
+    carriage-return line on stderr.  Leaving its ``with`` block ends
+    the line, so later output starts clean.
     """
 
     TERMINAL = ("shard_done", "shard_cached", "shard_failed",
@@ -197,8 +261,10 @@ class _FleetProgress:
             return
         self.active = True
 
-    def finish(self) -> None:
-        """Terminate the progress line so later output starts clean."""
+    def __enter__(self) -> "_FleetProgress":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
         if self.active:
             try:
                 self.stream.write("\n")
@@ -224,7 +290,15 @@ def _load_fault_plan(path: Optional[str]):
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    fault_plan, error = _load_fault_plan(args.fault_plan)
+    if error:
+        return _usage_error(args, error)
+    return _run_with_telemetry(args, lambda obs: _study(args, obs, fault_plan))
+
+
+def _study(args: argparse.Namespace, obs, fault_plan) -> int:
     from repro.core.pipeline import StudyPipeline
+    from repro.report.figures import render_figure2_bars, render_figure3_heatmap
     from repro.report.tables import (
         render_comparison,
         render_figure2,
@@ -233,18 +307,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         render_table4,
     )
 
-    error = _check_output_paths(args)
-    if error:
-        print(f"repro study: error: {error}", file=sys.stderr)
-        return 2
-    fault_plan, error = _load_fault_plan(getattr(args, "fault_plan", None))
-    if error:
-        print(f"repro study: error: {error}", file=sys.stderr)
-        return 2
-    obs = _build_observability(args)
-    if obs.profiler.enabled:
-        obs.profiler.start()
-    pipeline = StudyPipeline(
+    report = StudyPipeline(
         seed=args.seed,
         passive_duration=args.duration,
         app_sample_size=args.apps,
@@ -252,30 +315,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         obs=obs,
         fault_plan=fault_plan,
         keep_going=not args.fail_fast,
-    )
-    from repro.fleet.supervisor import interrupt_guard
-
-    try:
-        with interrupt_guard():
-            report = pipeline.run()
-    except KeyboardInterrupt as interrupt:
-        # SIGINT/SIGTERM: flush the telemetry collected so far — the
-        # interrupt path writes the same artifacts the failure path
-        # does — then honour the 128+signum exit convention.
-        _write_observability_outputs(obs, args)
-        code = getattr(interrupt, "exit_code", 130)
-        print(f"repro study: interrupted (exit {code}); "
-              "telemetry outputs flushed", file=sys.stderr)
-        return code
-    except Exception as error:
-        # Fail-fast runs re-raise the first analysis failure; flush the
-        # telemetry collected so far — a crashed run is exactly when the
-        # metrics/trace/events are needed — then report the failure.
-        _write_observability_outputs(obs, args)
-        print(f"repro study: error: {type(error).__name__}: {error}",
-              file=sys.stderr)
-        return 1
-    _write_observability_outputs(obs, args)
+    ).run()
     rows = []
     if report.device_graph is not None:
         summary = report.device_graph.summary()
@@ -292,8 +332,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         rows.append(("periodic discovery flows (App. D.1)", "88%",
                      f"{report.periodicity.periodic_fraction:.0%}"))
     print(render_comparison(rows, title="Headline results — paper vs this run"))
-    from repro.report.figures import render_figure2_bars, render_figure3_heatmap
-
     print()
     print(render_figure2_bars(report.census))
     print()
@@ -321,24 +359,24 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"fault plan {report.fault_summary['plan']!r}: "
               f"{report.fault_summary['total']} faults injected"
               + (f" ({detail})" if detail else ""))
-    if report.failures:
-        print()
-        print(f"{len(report.failures)} analysis failure(s) isolated "
-              f"(partial report):", file=sys.stderr)
-        for failure in report.failures:
-            print(f"  {failure.analysis}: {failure.error}", file=sys.stderr)
+    _print_failures(report.failures)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    return _run_with_telemetry(args, lambda obs: _classify(args, obs))
+
+
+def _classify(args: argparse.Namespace, obs) -> int:
     from collections import Counter
 
-    from repro.classify.crossval import cross_validate
+    from repro.core.analyses import run_analyses
     from repro.net.ingest import ingest_pcap
     from repro.report.tables import render_figure3, render_table
 
     try:
-        index = ingest_pcap(args.pcap).index
+        with obs.tracer.span("capture.decode_index"):
+            index = ingest_pcap(args.pcap).index
     except (OSError, ValueError) as error:
         print(f"error: cannot read {args.pcap}: {error}", file=sys.stderr)
         return 1
@@ -354,8 +392,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         title=f"{args.pcap}: {total} packets (nDPI+manual labels)",
     ))
     if args.crossval:
+        results, _ = run_analyses(("crossval",), index, {}, kind="classify",
+                                  obs=obs, keep_going=False)
         print()
-        print(render_figure3(cross_validate(index)))
+        print(render_figure3(results["crossval"]))
     return 0
 
 
@@ -394,67 +434,83 @@ def _load_device_map(path: Optional[str]):
     return macs, vendors, categories, None
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    import json
+#: ``repro ingest --json`` members that hold an analysis: the pass each
+#: serializes and how.  A pass that failed leaves its member ``null``.
+_INGEST_MEMBERS = {
+    "census_passive": ("census", lambda census: {
+        label: sorted(devices) for label, devices in census.passive.items()}),
+    "graph_summary": ("device_graph", lambda graph: graph.summary()),
+    "exposure": ("exposure", lambda exposure: {
+        protocol: {kind: sorted(devices) for kind, devices in cells.items()}
+        for protocol, cells in exposure.cells.items()}),
+    "responses_by_category": ("responses", lambda responses: responses.by_category()),
+    "periodicity": ("periodicity", lambda periodicity: {
+        "detections": len(periodicity.detections),
+        "periodic_fraction": periodicity.periodic_fraction,
+    }),
+    "threat": ("threat", lambda threat: {
+        "plaintext_http_devices": sorted(threat.plaintext_http_devices),
+        "http_servers": sorted(threat.http_servers),
+        "tls_devices": sorted(threat.tls_devices),
+    }),
+    "crossval": ("crossval", lambda crossval: {
+        "total_units": crossval.total_units,
+        "agree": crossval.agree,
+        "disagree": crossval.disagree,
+        "neither": crossval.neither,
+    }),
+}
 
-    from repro.classify.crossval import cross_validate
-    from repro.core.device_graph import build_device_graph
-    from repro.core.exposure import analyze_exposure
-    from repro.core.periodicity import analyze_periodicity
-    from repro.core.protocol_census import census_from_capture
-    from repro.core.responses import correlate_responses
-    from repro.core.threat_report import build_threat_report
+
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.chunk_records <= 0:
+        return _usage_error(
+            args, f"--chunk-records must be positive, got {args.chunk_records}")
+    device_macs, vendors, categories, error = _load_device_map(args.device_map)
+    if error:
+        return _usage_error(args, error)
+    return _run_with_telemetry(
+        args, lambda obs: _ingest(args, obs, device_macs, vendors, categories))
+
+
+def _ingest(args: argparse.Namespace, obs, device_macs, vendors, categories) -> int:
+    import json
+    import os
+
+    from repro.core.analyses import INGEST, run_analyses
     from repro.net.columnar import PacketTable
     from repro.net.decode import DecodeErrorLog
     from repro.net.ingest import IngestResult, IngestStats, ingest_pcap
     from repro.report.tables import render_table
 
-    error = (f"--chunk-records must be positive, got {args.chunk_records}"
-             if args.chunk_records <= 0 else _check_output_paths(args))
-    if error:
-        print(f"repro ingest: error: {error}", file=sys.stderr)
-        return 2
-    device_macs, vendors, categories, error = _load_device_map(args.device_map)
-    if error:
-        print(f"repro ingest: error: {error}", file=sys.stderr)
-        return 2
-    import os
-
     try:
-        if os.path.getsize(args.pcap) == 0:
-            # A zero-byte capture file is what a tcpdump that was killed
-            # before its first write leaves behind: an empty capture,
-            # not a malformed one.
-            result = IngestResult(PacketTable(), DecodeErrorLog(), IngestStats())
-        else:
-            result = ingest_pcap(args.pcap, chunk_records=args.chunk_records)
+        with obs.tracer.span("capture.decode_index"):
+            if os.path.getsize(args.pcap) == 0:
+                # A zero-byte capture file is what a tcpdump that was
+                # killed before its first write leaves behind: an empty
+                # capture, not a malformed one.
+                result = IngestResult(PacketTable(), DecodeErrorLog(), IngestStats())
+            else:
+                result = ingest_pcap(args.pcap, chunk_records=args.chunk_records)
+            index = result.index
     except (OSError, ValueError) as error:
         print(f"error: cannot ingest {args.pcap}: {error}", file=sys.stderr)
         return 1
-    index = result.index
     if device_macs is None:
         # No map supplied: every observed source MAC is its own device.
         device_macs = {mac: mac for mac in index.by_src_mac}
-    census = census_from_capture(index, device_macs)
-    graph = build_device_graph(index, device_macs, vendors)
-    exposure = analyze_exposure(index, device_macs)
-    responses = correlate_responses(index, device_macs, categories)
-    periodicity = analyze_periodicity(index, device_macs)
-    threat = build_threat_report(index, device_macs)
-    crossval = cross_validate(index)
+    results, failures = run_analyses(
+        INGEST, index, {"macs": device_macs, "vendors": vendors,
+                        "categories": categories, "findings": None},
+        kind="ingest", obs=obs, keep_going=not args.fail_fast)
 
     stats = result.stats
     counts = index.protocol_counts()
-    summary = graph.summary()
-    devices_line = (f"devices: {len(device_macs)} mapped, "
-                    f"{summary['devices_communicating']} communicating "
-                    f"locally, {summary['device_pairs']} device pairs")
     if len(index) == 0:
         # A header-only or zero-byte pcap is a normal outcome (a capture
         # that has not started yet, a quiet network): exit 0 with an
         # all-zero report of the same shape as a populated run.
         print(f"{args.pcap}: capture contains no packets (empty capture)")
-        print(devices_line)
     else:
         print(render_table(
             ["protocol", "packets", "share"],
@@ -463,9 +519,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             title=(f"{args.pcap}: {stats.packets} packets in {stats.chunks} "
                    f"chunk(s), {stats.quarantined_total} quarantined"),
         ))
-        print(f"\n{devices_line}")
+        print()
+    # Each summary line needs its pass; a failed pass drops its line.
+    graph, threat, crossval = (results[name] for name in ("device_graph", "threat", "crossval"))
+    if graph is not None:
+        summary = graph.summary()
+        print(f"devices: {len(device_macs)} mapped, "
+              f"{summary['devices_communicating']} communicating "
+              f"locally, {summary['device_pairs']} device pairs")
+    if len(index) and threat is not None:
         print(f"threats: {len(threat.plaintext_http_devices)} plaintext-HTTP "
               f"device(s), {threat.tls_device_count} local-TLS device(s)")
+    if len(index) and crossval is not None:
         print(f"classifiers: {crossval.total_units} units, "
               f"{crossval.disagree_fraction:.0%} disagree, "
               f"{crossval.neither_fraction:.0%} unlabeled")
@@ -481,32 +546,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             "chunks": stats.chunks,
             "quarantined": stats.quarantined,
             "protocol_counts": counts,
-            "census_passive": {label: sorted(devices)
-                               for label, devices in census.passive.items()},
-            "graph_summary": summary,
-            "exposure": {protocol: {kind: sorted(devices)
-                                    for kind, devices in cells.items()}
-                         for protocol, cells in exposure.cells.items()},
-            "responses_by_category": responses.by_category(),
-            "periodicity": {
-                "detections": len(periodicity.detections),
-                "periodic_fraction": periodicity.periodic_fraction,
-            },
-            "threat": {
-                "plaintext_http_devices": sorted(threat.plaintext_http_devices),
-                "http_servers": sorted(threat.http_servers),
-                "tls_devices": sorted(threat.tls_devices),
-            },
-            "crossval": {
-                "total_units": crossval.total_units,
-                "agree": crossval.agree,
-                "disagree": crossval.disagree,
-                "neither": crossval.neither,
-            },
         }
+        for member, (name, serialize) in _INGEST_MEMBERS.items():
+            payload[member] = None if results[name] is None else serialize(results[name])
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"artifacts written to {args.json}", file=sys.stderr)
+    _print_failures(failures)
     return 0
 
 
@@ -539,26 +585,26 @@ def _check_monitor_args(args: argparse.Namespace) -> Optional[str]:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     import os
 
-    from repro.monitor import Monitor, follow_pcap_chunks, simulated_chunks
-    from repro.net.ingest import iter_pcap_chunks
-
-    error = _check_monitor_args(args) or _check_output_paths(args)
+    error = _check_monitor_args(args)
     if error:
-        print(f"repro monitor: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(args, error)
     device_macs, _vendors, _categories, error = _load_device_map(args.device_map)
     if error:
-        print(f"repro monitor: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(args, error)
     if args.snapshot_dir:
         try:
             os.makedirs(args.snapshot_dir, exist_ok=True)
         except OSError as oserror:
-            print(f"repro monitor: error: --snapshot-dir: {oserror}",
-                  file=sys.stderr)
-            return 2
+            return _usage_error(args, f"--snapshot-dir: {oserror}")
+    return _run_with_telemetry(args, lambda obs: _monitor(args, obs, device_macs))
 
-    obs = _build_observability(args)
+
+def _monitor(args: argparse.Namespace, obs, device_macs) -> int:
+    import os
+
+    from repro.monitor import Monitor, follow_pcap_chunks, simulated_chunks
+    from repro.net.ingest import iter_pcap_chunks
+
     monitor = Monitor(
         device_macs=device_macs,
         window_packets=args.window_packets,
@@ -577,13 +623,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         chunks = iter_pcap_chunks(args.pcap,
                                   chunk_records=args.chunk_records)
 
-    from repro.fleet.supervisor import interrupt_guard
-
     interrupted: Optional[int] = None
     periodic = 0
     next_snapshot = args.snapshot_every
     try:
-        with interrupt_guard():
+        with obs.tracer.span("monitor.absorb"):
             for chunk in chunks:
                 monitor.absorb_chunk(chunk)
                 while (next_snapshot is not None
@@ -601,7 +645,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         # the 128+signum convention.
         interrupted = getattr(interrupt, "exit_code", 130)
     except (OSError, ValueError) as error:
-        _write_observability_outputs(obs, args)
         print(f"repro monitor: error: {error}", file=sys.stderr)
         return 1
 
@@ -615,10 +658,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if args.json:
             print(f"final snapshot written to {args.json}", file=sys.stderr)
     except OSError as error:
-        _write_observability_outputs(obs, args)
         print(f"repro monitor: error: {error}", file=sys.stderr)
         return 1
-    _write_observability_outputs(obs, args)
 
     window = document["window"]
     artifacts = document["artifacts"]
@@ -649,9 +690,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.max_findings < 0:
-        print(f"repro scan: error: --max-findings must be non-negative, "
-              f"got {args.max_findings}", file=sys.stderr)
-        return 2
+        return _usage_error(
+            args, f"--max-findings must be non-negative, got {args.max_findings}")
     from repro.devices.behaviors import build_testbed
     from repro.report.tables import render_table
     from repro.scan.portscan import PortScanner
@@ -734,28 +774,20 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    fault_plan, error = _load_fault_plan(args.fault_plan)
+    if error:
+        return _usage_error(args, error)
+    return _run_with_telemetry(
+        args, lambda obs: _fleet(args, obs, fault_plan), sample=False,
+        on_interrupt="manifest checkpointed — rerun with --resume to continue")
+
+
+def _fleet(args: argparse.Namespace, obs, fault_plan) -> int:
     import json
 
     from repro.fleet import FleetConfigError, FleetError, FleetRunner, FleetSpec
     from repro.report.tables import render_table2
 
-    error = _check_output_paths(args)
-    if error:
-        print(f"repro fleet: error: {error}", file=sys.stderr)
-        return 2
-    fault_plan, error = _load_fault_plan(getattr(args, "fault_plan", None))
-    if error:
-        print(f"repro fleet: error: {error}", file=sys.stderr)
-        return 2
-    obs = _build_observability(args)
-    profile_hz = 0.0
-    if args.profile_out:
-        from repro.obs.profile import DEFAULT_PROFILE_HZ
-
-        # Fleet profiling is worker-side: each computed shard samples
-        # itself and the parent's (never-started) profiler is only the
-        # merge target, so the merged profile is a deterministic fold.
-        profile_hz = args.profile_hz if args.profile_hz else DEFAULT_PROFILE_HZ
     spec_kwargs = dict(
         seed=args.seed,
         households=args.households,
@@ -774,48 +806,27 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             keep_going=not args.fail_fast,
             obs=obs,
-            profile_hz=profile_hz,
+            # Fleet profiling is worker-side: each computed shard samples
+            # itself and the parent's (never-started) profiler is only the
+            # merge target, so the merged profile is a deterministic fold.
+            profile_hz=obs.profiler.hz if args.profile_out else 0.0,
             retries=args.shard_retries,
             retry_backoff=args.retry_backoff,
             shard_deadline=args.shard_deadline,
         )
     except (FleetConfigError, ValueError) as error:
-        print(f"repro fleet: error: {error}", file=sys.stderr)
-        return 2
-    from repro.fleet.supervisor import interrupt_guard
-
-    progress = None
+        return _usage_error(args, str(error))
+    progress = _FleetProgress()
     if _progress_wanted(args) and obs.events.enabled:
-        progress = _FleetProgress()
         obs.events.subscribe(progress)
     try:
-        with interrupt_guard():
+        with progress:
             result = runner.run()
-    except KeyboardInterrupt as interrupt:
-        # SIGINT/SIGTERM: the runner already reaped its workers and
-        # journalled the unfinished shards as "interrupted";
-        # flush the telemetry artifacts and exit 128+signum so a later
-        # --resume continues from the checkpoint byte-identically.
-        if progress is not None:
-            progress.finish()
-        _write_observability_outputs(obs, args)
-        code = getattr(interrupt, "exit_code", 130)
-        print(f"repro fleet: interrupted (exit {code}); manifest "
-              "checkpointed — rerun with --resume to continue",
-              file=sys.stderr)
-        return code
     except FleetError as error:
-        # Telemetry still lands on disk on the failure paths: a fleet
-        # run that died mid-flight is the one you want to inspect.
-        code = 2 if isinstance(error, FleetConfigError) else 1
-        if progress is not None:
-            progress.finish()
-        _write_observability_outputs(obs, args)
+        # A fleet run that died mid-flight is the one to inspect: the
+        # telemetry outputs are still written on the way out.
         print(f"repro fleet: error: {error}", file=sys.stderr)
-        return code
-    if progress is not None:
-        progress.finish()
-    _write_observability_outputs(obs, args)
+        return 2 if isinstance(error, FleetConfigError) else 1
 
     if result.report is not None:
         print(render_table2(result.report))
@@ -881,14 +892,55 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _telemetry_flags() -> argparse.ArgumentParser:
+    """The six telemetry flags, shared by every observed subcommand."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--metrics-out", metavar="PATH", default=None,
+                       help="write a JSON metrics snapshot after the run")
+    flags.add_argument("--trace-out", metavar="PATH", default=None,
+                       help="write a Chrome trace_event file (chrome://tracing)")
+    flags.add_argument("--events-out", metavar="PATH", default=None,
+                       help="stream NDJSON progress events to PATH "
+                            "('-' streams to stderr; see docs/observability.md)")
+    flags.add_argument("--profile-out", metavar="DIR", default=None,
+                       help="continuously profile the run; write flame.txt, "
+                            "profile.speedscope.json and span_resources.json "
+                            "into DIR (created if missing)")
+    flags.add_argument("--profile-hz", type=float, default=None,
+                       help="profiler sampling rate in samples/second "
+                            "(default 97; requires --profile-out)")
+    flags.add_argument("--log-level", default=None,
+                       choices=["debug", "info", "warning", "error"],
+                       help="enable structured logging at this level "
+                            "(per-subsystem overrides via REPRO_LOG=sim=debug,...)")
+    return flags
+
+
+def _failure_flags() -> argparse.ArgumentParser:
+    """The ``--keep-going``/``--fail-fast`` pair (``args.fail_fast``)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    going = flags.add_mutually_exclusive_group()
+    going.add_argument("--keep-going", dest="fail_fast", action="store_false",
+                       default=False,
+                       help="isolate failed analyses or shards into a "
+                            "partial report (default)")
+    going.add_argument("--fail-fast", dest="fail_fast", action="store_true",
+                       help="exit 1 on the first failure, once the work in "
+                            "flight has finished")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolkit for 'In the Room Where It Happens' (IMC 2023)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    telemetry = _telemetry_flags()
+    failures = _failure_flags()
 
-    study = sub.add_parser("study", help="run the full study pipeline")
+    study = sub.add_parser("study", help="run the full study pipeline",
+                           parents=[telemetry, failures])
     study.add_argument("--seed", type=int, default=7)
     study.add_argument("--duration", type=float, default=900.0,
                        help="passive capture length in simulated seconds")
@@ -896,43 +948,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="app sample size (2335 = the full dataset)")
     study.add_argument("--crowdsourced", action="store_true",
                        help="also run the Table 2 crowdsourced analysis")
-    study.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write a JSON metrics snapshot after the run")
-    study.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write a Chrome trace_event file (chrome://tracing)")
-    study.add_argument("--events-out", metavar="PATH", default=None,
-                       help="stream NDJSON progress events to PATH "
-                            "('-' streams to stderr; see docs/observability.md)")
-    study.add_argument("--profile-out", metavar="DIR", default=None,
-                       help="continuously profile the run; write flame.txt, "
-                            "profile.speedscope.json and span_resources.json "
-                            "into DIR (created if missing)")
-    study.add_argument("--profile-hz", type=float, default=None,
-                       help="profiler sampling rate in samples/second "
-                            "(default 97; requires --profile-out)")
-    study.add_argument("--log-level", default=None,
-                       choices=["debug", "info", "warning", "error"],
-                       help="enable structured logging at this level "
-                            "(per-subsystem overrides via REPRO_LOG=sim=debug,...)")
     study.add_argument("--fault-plan", metavar="PATH", default=None,
                        help="inject faults from a JSON fault plan "
                             "(see docs/resilience.md)")
-    going = study.add_mutually_exclusive_group()
-    going.add_argument("--keep-going", dest="fail_fast", action="store_false",
-                       help="isolate analysis failures into a partial report "
-                            "(default)")
-    going.add_argument("--fail-fast", dest="fail_fast", action="store_true",
-                       help="re-raise the first analysis failure")
-    study.set_defaults(func=_cmd_study, fail_fast=False)
+    study.set_defaults(func=_cmd_study)
 
-    classify = sub.add_parser("classify", help="classify any classic-pcap capture")
+    classify = sub.add_parser("classify", help="classify any classic-pcap capture",
+                              parents=[telemetry])
     classify.add_argument("pcap", help="path to a pcap file")
     classify.add_argument("--crossval", action="store_true",
                           help="also print the tshark-vs-nDPI comparison")
     classify.set_defaults(func=_cmd_classify)
 
     ingest = sub.add_parser(
-        "ingest", help="stream an external pcap through the full analysis stack")
+        "ingest", help="stream an external pcap through the full analysis stack",
+        parents=[telemetry, failures])
     ingest.add_argument("pcap", help="path to a classic pcap file")
     ingest.add_argument("--device-map", metavar="JSON", default=None,
                         help="JSON file mapping MAC -> device name (or an "
@@ -948,7 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     monitor = sub.add_parser(
         "monitor",
-        help="online incremental analysis over a sliding window")
+        help="online incremental analysis over a sliding window",
+        parents=[telemetry])
     monitor.add_argument("pcap", nargs="?", default=None,
                          help="path to a classic pcap file (omit with "
                               "--simulate)")
@@ -998,15 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stop after absorbing at least N packets")
     monitor.add_argument("--json", metavar="PATH", default=None,
                          help="write the final window snapshot as JSON")
-    monitor.add_argument("--metrics-out", metavar="PATH", default=None,
-                         help="write a JSON metrics snapshot after the run")
-    monitor.add_argument("--events-out", metavar="PATH", default=None,
-                         help="stream NDJSON window_advanced / "
-                              "snapshot_written events to PATH "
-                              "('-' streams to stderr)")
-    monitor.add_argument("--log-level", default=None,
-                         choices=["debug", "info", "warning", "error"],
-                         help="enable structured logging at this level")
     monitor.set_defaults(func=_cmd_monitor)
 
     scan = sub.add_parser("scan", help="port- and vulnerability-scan the simulated lab")
@@ -1033,7 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
     capture.set_defaults(func=_cmd_capture)
 
     fleet = sub.add_parser(
-        "fleet", help="sharded multi-process Table 2 run with shard caching")
+        "fleet", help="sharded multi-process Table 2 run with shard caching",
+        parents=[telemetry, failures])
     fleet.add_argument("--seed", type=int, default=23)
     fleet.add_argument("--households", type=int, default=3860,
                        help="population size (3860 = the paper's §6.3 subset)")
@@ -1069,32 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "worker silent past it is reaped and the "
                             "shard rescheduled (default: derived from "
                             "shard size, min 60s)")
-    fleet_going = fleet.add_mutually_exclusive_group()
-    fleet_going.add_argument("--keep-going", dest="fail_fast",
-                             action="store_false",
-                             help="isolate shard failures into a partial "
-                                  "report (default)")
-    fleet_going.add_argument("--fail-fast", dest="fail_fast",
-                             action="store_true",
-                             help="exit 1 on the first shard failure "
-                                  "(after in-flight shards finish)")
-    fleet.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write a JSON metrics snapshot after the run")
-    fleet.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write a Chrome trace_event file (chrome://tracing)")
-    fleet.add_argument("--events-out", metavar="PATH", default=None,
-                       help="stream NDJSON shard-lifecycle events to PATH "
-                            "('-' streams to stderr; see docs/observability.md)")
-    fleet.add_argument("--profile-out", metavar="DIR", default=None,
-                       help="profile every computed shard worker and write "
-                            "the merged flame.txt / profile.speedscope.json / "
-                            "span_resources.json into DIR")
-    fleet.add_argument("--profile-hz", type=float, default=None,
-                       help="worker sampling rate in samples/second "
-                            "(default 97; requires --profile-out)")
-    fleet.add_argument("--log-level", default=None,
-                       choices=["debug", "info", "warning", "error"],
-                       help="enable structured logging at this level")
     progress_group = fleet.add_mutually_exclusive_group()
     progress_group.add_argument("--progress", dest="progress",
                                 action="store_true", default=None,
@@ -1103,13 +1100,15 @@ def build_parser() -> argparse.ArgumentParser:
     progress_group.add_argument("--no-progress", dest="progress",
                                 action="store_false",
                                 help="suppress the shard progress line")
-    fleet.set_defaults(func=_cmd_fleet, fail_fast=False)
+    fleet.set_defaults(func=_cmd_fleet)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = _check_outputs(args)
+    if error:
+        return _usage_error(args, error)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -1120,9 +1119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             pass
         return 0
     except KeyboardInterrupt as interrupt:
-        # An interrupt outside a guarded run section (argument parsing,
-        # report rendering): exit by the same 128+signum convention
-        # instead of dumping a traceback.
+        # An interrupt outside the telemetry lifecycle's guard (argument
+        # parsing, the unobserved subcommands): exit by the same
+        # 128+signum convention instead of dumping a traceback.
         return getattr(interrupt, "exit_code", 130)
 
 

@@ -12,6 +12,7 @@ Module                        Paper artifact
 ``fingerprint``               Table 2 / Section 6.3 (entropy)
 ``exfiltration``              Sections 6.1/6.2 (cloud dissemination)
 ``mitigations``               Section 7 (countermeasures, evaluated)
+``analyses``                  the capture passes and their one runner
 ``pipeline``                  end-to-end study orchestration
 ============================  =========================================
 """

@@ -10,47 +10,33 @@ from __future__ import annotations
 
 import random
 import time
-import traceback as _traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps.dataset import generate_app_dataset
 from repro.apps.runtime import AppRunResult, InstrumentedPhone
-from repro.classify.crossval import CrossValidation, cross_validate
-from repro.core.device_graph import DeviceGraph, build_device_graph
+from repro.classify.crossval import CrossValidation
+from repro.core.analyses import STUDY, AnalysisFailure, run_analyses
+from repro.core.device_graph import DeviceGraph
 from repro.core.exfiltration import ExfiltrationAudit, audit_app_runs
-from repro.core.exposure import ExposureMatrix, analyze_exposure
+from repro.core.exposure import ExposureMatrix
 from repro.core.fingerprint import FingerprintReport
-from repro.core.periodicity import PeriodicityResult, analyze_periodicity
+from repro.core.periodicity import PeriodicityResult
 from repro.core.protocol_census import (
     ProtocolCensus,
     add_app_results,
     add_scan_results,
     census_from_capture,
 )
-from repro.core.responses import (
-    ResponseCorrelation,
-    category_of_profile,
-    correlate_responses,
-)
-from repro.core.threat_report import ThreatReport, build_threat_report
+from repro.core.responses import ResponseCorrelation, category_of_profile
+from repro.core.threat_report import ThreatReport
 from repro.devices.behaviors import Testbed, build_testbed
 from repro.faults import FaultInjector, FaultPlan
-from repro.net.index import CaptureIndex
 from repro.obs import NULL_OBS, Observability, use_obs
 from repro.honeypot.farm import HoneypotFarm
 from repro.scan.portscan import PortScanner, ScanReport
 from repro.scan.vulnscan import VulnerabilityScanner
-
-
-@dataclass
-class AnalysisFailure:
-    """One analysis that raised and was isolated (keep-going mode)."""
-
-    analysis: str
-    error: str
-    traceback: str = ""
 
 
 @dataclass
@@ -265,70 +251,6 @@ class StudyPipeline:
             out["profile"] = profile
         return out
 
-    # -- the analysis stage ------------------------------------------------------------
-
-    def _run_analyses(
-        self,
-        index: CaptureIndex,
-        maps: Dict[str, Dict[str, str]],
-        findings,
-    ) -> Tuple[Dict[str, object], List[AnalysisFailure]]:
-        """Build the six independent capture analyses, one after another.
-
-        Every analysis reads the shared :class:`CaptureIndex` (and its
-        memoized labels) inside its own ``analysis.<name>`` span, which
-        nests under the open ``pipeline.analysis`` stage span.
-
-        A raising analysis does not abandon its siblings: every task
-        runs to completion, failures come back as
-        :class:`AnalysisFailure` entries with the failed slot ``None``.
-        In fail-fast mode (``keep_going=False``) the first failure is
-        re-raised once the siblings have finished.
-        """
-        obs = self.obs
-        tasks: Dict[str, Callable[[], object]] = {
-            "device_graph": lambda: build_device_graph(
-                index, maps["macs"], maps["vendors"]),
-            "exposure": lambda: analyze_exposure(index, maps["macs"]),
-            "responses": lambda: correlate_responses(
-                index, maps["macs"], maps["categories"]),
-            "periodicity": lambda: analyze_periodicity(index, maps["macs"]),
-            "crossval": lambda: cross_validate(index),
-            "threat": lambda: build_threat_report(index, maps["macs"], findings),
-        }
-
-        results: Dict[str, object] = {}
-        failures: List[AnalysisFailure] = []
-        errors: Dict[str, BaseException] = {}
-        for name, task in tasks.items():
-            try:
-                with obs.tracer.span(f"analysis.{name}", analysis=name):
-                    results[name] = task()
-            except Exception as exc:  # noqa: BLE001 - isolated below
-                results[name] = None
-                errors[name] = exc
-
-        for name, exc in errors.items():
-            failures.append(AnalysisFailure(
-                analysis=name,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback="".join(_traceback.format_exception(
-                    type(exc), exc, exc.__traceback__)),
-            ))
-            if obs.enabled:
-                obs.metrics.counter(
-                    "pipeline_analysis_failures_total",
-                    "analyses that raised and were isolated, per analysis",
-                ).inc(analysis=name)
-                obs.logger("pipeline").error(
-                    "analysis_failed", analysis=name,
-                    error=failures[-1].error)
-                obs.events.emit("analysis_failed", kind="study",
-                                analysis=name, error=failures[-1].error)
-        if errors and not self.keep_going:
-            raise next(iter(errors.values()))
-        return results, failures
-
     # -- the full study ----------------------------------------------------------------
 
     def run(self) -> StudyReport:
@@ -337,7 +259,7 @@ class StudyPipeline:
         Every exit path emits exactly one ``run_end`` with an
         ``outcome`` field: ``"ok"`` on success, ``"interrupted"`` on
         SIGINT/SIGTERM (:class:`KeyboardInterrupt` and its
-        :class:`~repro.fleet.supervisor.RunInterrupted` subclass), and
+        :class:`~repro.interrupt.RunInterrupted` subclass), and
         ``"failed"`` for everything else — so a truncated event stream
         still tells the reader how the run died.
         """
@@ -418,7 +340,9 @@ class StudyPipeline:
 
             with ExitStack() as stack:
                 self._stage(stack, "analysis")
-                analyses, failures = self._run_analyses(index, maps, findings)
+                analyses, failures = run_analyses(
+                    STUDY, index, dict(maps, findings=findings), kind="study",
+                    obs=obs, keep_going=self.keep_going)
                 report = StudyReport(
                     census=census,
                     device_graph=analyses["device_graph"],

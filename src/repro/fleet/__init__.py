@@ -34,12 +34,7 @@ from repro.fleet.runner import (
 )
 from repro.fleet.shard import ShardFaultInjected, run_shard
 from repro.fleet.spec import FleetSpec, ShardRange, code_version, shard_key
-from repro.fleet.supervisor import (
-    RunInterrupted,
-    ShardSupervisor,
-    default_shard_deadline,
-    interrupt_guard,
-)
+from repro.fleet.supervisor import ShardSupervisor, default_shard_deadline
 
 __all__ = [
     "FleetConfigError",
@@ -48,7 +43,6 @@ __all__ = [
     "FleetRunner",
     "FleetSpec",
     "QuarantinedShard",
-    "RunInterrupted",
     "ShardCache",
     "ShardFailure",
     "ShardFaultInjected",
@@ -57,7 +51,6 @@ __all__ = [
     "ShardSupervisor",
     "code_version",
     "default_shard_deadline",
-    "interrupt_guard",
     "merge_shard_results",
     "run_fleet",
     "run_shard",

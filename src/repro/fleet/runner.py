@@ -22,15 +22,15 @@ only dispatch, watch and reap:
 Failed attempts retry with exponential backoff up to ``retries`` times
 (default 0: byte-identical to the unsupervised path); a shard that
 exhausts its budget is quarantined, so a keep-going run still
-completes.  Failure contract (mirrors the analysis stage of
-:class:`~repro.core.pipeline.StudyPipeline`): every shard runs to
+completes.  Failure contract (mirrors the analysis runner,
+:func:`~repro.core.analyses.run_analyses`): every shard runs to
 completion regardless of sibling failures; keep-going isolates failures
 into :class:`ShardFailure` entries and merges the completed shards,
 fail-fast re-raises the first as :class:`FleetError` after the
 in-flight siblings finished, so their results still reached the cache.
 SIGINT/SIGTERM stop dispatch, reap the workers, journal every
 unfinished shard as ``"interrupted"``, flush the telemetry, and
-re-raise :class:`~repro.fleet.supervisor.RunInterrupted` so the CLI
+re-raise :class:`~repro.interrupt.RunInterrupted` so the CLI
 exits ``128 + signum``; a later ``--resume`` merges byte-identically.
 
 Observability: a ``fleet.run`` span, a ``fleet.shard`` span per shard,
@@ -74,7 +74,6 @@ from repro.fleet.spec import FleetSpec, ShardRange, code_version
 from repro.fleet.supervisor import (
     DEFAULT_RETRY_BACKOFF,
     WATCHDOG_POLL_SECONDS,
-    RunInterrupted,
     ShardSupervisor,
     ShardTask,
     read_claim_pid,
@@ -461,7 +460,7 @@ class FleetRunner:
         self._run_end_emitted = False
         try:
             return self._run()
-        except (RunInterrupted, KeyboardInterrupt):
+        except KeyboardInterrupt:
             raise  # run_end(outcome="interrupted") already flushed
         except FleetConfigError:
             raise
@@ -501,7 +500,7 @@ class FleetRunner:
                                  journal, run_span)
             try:
                 self._dispatch(ledger, self._scan_cache(ledger))
-            except (RunInterrupted, KeyboardInterrupt) as interrupt:
+            except KeyboardInterrupt as interrupt:
                 self._interrupted(ledger, getattr(interrupt, "signum", 2))
                 raise
             self._record_cache_metrics()

@@ -8,7 +8,7 @@ wall-clock deadline and a retry budget, and a signal guard that turns
 SIGINT/SIGTERM into an orderly checkpoint-and-exit instead of a
 traceback.
 
-Three cooperating pieces:
+Three cooperating pieces, the last shared with the CLI:
 
 * :class:`WorkerClaim` — the heartbeat channel.  Each dispatched shard
   gets a *claim file* in a per-run spool directory; the worker process
@@ -21,12 +21,10 @@ Three cooperating pieces:
 * :class:`ShardSupervisor` — per-shard bookkeeping: attempts consumed,
   exponential retry backoff gates, deadline derivation, and the
   watchdog scan that declares a silent worker hung.
-* :class:`RunInterrupted` / :func:`interrupt_guard` — SIGINT/SIGTERM
-  become a typed exception (a :class:`KeyboardInterrupt` subclass, so
-  unaware code still treats it as an interrupt) carrying the signal
-  number, which the runner catches to journal in-flight shards as
-  ``interrupted`` and exit ``128 + signum`` (130 for SIGINT, 143 for
-  SIGTERM).
+* :func:`repro.interrupt.interrupt_guard` — SIGINT/SIGTERM become a
+  :class:`~repro.interrupt.RunInterrupted`, which the runner catches to
+  journal in-flight shards as ``interrupted`` before the CLI exits
+  ``128 + signum`` (130 for SIGINT, 143 for SIGTERM).
 
 Nothing here runs on the zero-fault, zero-retry path beyond a cheap
 deadline computation — the supervised run's merged report stays
@@ -38,9 +36,7 @@ from __future__ import annotations
 import json
 import os
 import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -63,56 +59,6 @@ def default_shard_deadline(households: int) -> float:
     re-partition does not silently tighten the watchdog."""
     return max(MIN_SHARD_DEADLINE,
                DEADLINE_SECONDS_PER_HOUSEHOLD * max(1, households))
-
-
-class RunInterrupted(KeyboardInterrupt):
-    """A run stopped by SIGINT/SIGTERM (or a simulated interrupt).
-
-    Subclasses :class:`KeyboardInterrupt` so code that special-cases
-    user interrupts keeps working; carries the signal number so the
-    CLI can honour the ``128 + signum`` exit-code convention.
-    """
-
-    def __init__(self, signum: int = signal.SIGINT):
-        self.signum = int(signum)
-        super().__init__(f"interrupted by signal {self.signum}")
-
-    @property
-    def exit_code(self) -> int:
-        return 128 + self.signum
-
-
-@contextmanager
-def interrupt_guard():
-    """Convert SIGINT/SIGTERM into :class:`RunInterrupted` while active.
-
-    Installs handlers that raise in the main thread (so a blocking
-    ``wait()`` or worker loop unwinds through the caller's cleanup) and
-    restores the previous handlers on exit.  A no-op outside the main
-    thread — ``signal.signal`` is main-thread-only — and callers there
-    still see plain :class:`KeyboardInterrupt` from Ctrl-C.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _raise(signum, frame):  # noqa: ARG001 - signal handler signature
-        raise RunInterrupted(signum)
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _raise)
-        except (ValueError, OSError):  # pragma: no cover - exotic platforms
-            pass
-    try:
-        yield
-    finally:
-        for signum, handler in previous.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
 
 
 class WorkerClaim:

@@ -30,7 +30,6 @@ from repro.obs.events import (
     open_event_stream,
     process_stats,
 )
-from repro.obs.instrument import counted, timed
 from repro.obs.logging import LogManager, NullLogger, StructuredLogger
 from repro.obs.profile import (
     DEFAULT_PROFILE_HZ,
@@ -69,8 +68,6 @@ __all__ = [
     "get_obs",
     "set_obs",
     "use_obs",
-    "counted",
-    "timed",
     "LogManager",
     "NullLogger",
     "StructuredLogger",

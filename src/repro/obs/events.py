@@ -15,8 +15,9 @@ Every record carries ``{"v": SCHEMA_VERSION, "seq": N, "event": NAME,
 "wall": unix-seconds, "pid": ...}`` plus event-specific fields; see
 ``docs/observability.md`` for the full schema.  Events emitted today:
 
-* ``run_start`` / ``run_end`` — one pair per CLI run; ``run_end``
-  always carries ``outcome`` (``ok`` / ``failed`` / ``interrupted``)
+* ``run_start`` / ``run_end`` — one pair per study or fleet run;
+  ``run_end`` always carries ``outcome`` (``ok`` / ``failed`` /
+  ``interrupted``)
 * ``stage_start`` / ``stage_end`` — per :data:`StudyPipeline.STAGES` entry
 * ``shard_queued`` / ``shard_running`` / ``shard_cached`` /
   ``shard_done`` / ``shard_failed`` — the fleet shard lifecycle

@@ -52,15 +52,19 @@ class LogManager:
 
     @classmethod
     def from_env(cls, default_level: Optional[str] = None, **kwargs) -> "LogManager":
-        level = default_level or os.environ.get("REPRO_LOG_LEVEL", "warning")
-        manager = cls(default_level=level, **kwargs)
-        spec = os.environ.get("REPRO_LOG", "")
-        for item in spec.split(","):
-            if not item.strip():
-                continue
-            subsystem, _, name = item.partition("=")
-            if name:
-                manager.set_level(name.strip(), subsystem.strip())
+        """An unknown level raises a ValueError naming its variable."""
+        manager = cls(default_level=default_level or "warning", **kwargs)
+        variable = "REPRO_LOG_LEVEL"
+        try:
+            if not default_level:
+                manager.set_level(os.environ.get(variable, "warning"))
+            variable = "REPRO_LOG"
+            for item in os.environ.get(variable, "").split(","):
+                subsystem, _, name = item.partition("=")
+                if name:
+                    manager.set_level(name, subsystem.strip())
+        except ValueError as error:
+            raise ValueError(f"{variable}: {error}") from None
         return manager
 
     def set_level(self, level: str, subsystem: Optional[str] = None) -> None:

@@ -1,11 +1,12 @@
 """Run supervision: deadlines, retries, quarantine, graceful shutdown.
 
 Unit coverage for :mod:`repro.fleet.supervisor` (policy objects, the
-claim-file heartbeat channel, signal conversion) plus the integration
-contracts from the runner: transient failures retry to a byte-identical
-report, poison shards quarantine, hung workers are reaped within their
-deadline, a SIGTERM'd CLI run exits 143 with a flushed journal, and a
-``--resume`` after any interruption merges byte-identically.
+claim-file heartbeat channel) and :mod:`repro.interrupt` (signal
+conversion), plus the integration contracts from the runner: transient
+failures retry to a byte-identical report, poison shards quarantine,
+hung workers are reaped within their deadline, a SIGTERM'd CLI run
+exits 143 with a flushed journal, and a ``--resume`` after any
+interruption merges byte-identically.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan
-from repro.fleet import (
-    FleetError,
-    FleetSpec,
-    RunInterrupted,
-    default_shard_deadline,
-    interrupt_guard,
-    run_fleet,
-)
+from repro.fleet import FleetError, FleetSpec, default_shard_deadline, run_fleet
 from repro.fleet.runner import MANIFEST_NAME, FleetConfigError, FleetRunner
 from repro.fleet.spec import ShardRange
 from repro.fleet.supervisor import (
@@ -42,6 +36,7 @@ from repro.fleet.supervisor import (
     read_claim_pid,
     reap,
 )
+from repro.interrupt import RunInterrupted, interrupt_guard
 from repro.obs import MetricsRegistry, Tracer, use_obs
 from repro.obs.context import Observability
 from repro.obs.events import EventBus

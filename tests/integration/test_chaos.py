@@ -1,13 +1,18 @@
 """Chaos integration: the pipeline under a fault plan, and the
 zero-fault equivalence invariant that protects every other test."""
 
+import json
+
 import pytest
 
 from repro.classify.crossval import cross_validate
+from repro.core import device_graph
+from repro.core.analyses import INGEST, STUDY, AnalysisFailure, run_analyses
 from repro.core.device_graph import build_device_graph
 from repro.core.exposure import analyze_exposure
 from repro.core.periodicity import analyze_periodicity
 from repro.core.pipeline import StudyPipeline
+from repro.core.protocol_census import census_from_capture
 from repro.core.responses import correlate_responses
 from repro.core.threat_report import build_threat_report
 from repro.devices.behaviors import build_testbed
@@ -83,10 +88,29 @@ def _explode(*_args, **_kwargs):
     raise RuntimeError("synthetic analysis crash")
 
 
+#: The passes each caller of the one analysis runner declares.
+PASS_SETS = {"study": STUDY, "ingest": INGEST}
+#: The ``repro ingest --json`` member that holds each pass.
+INGEST_MEMBERS = {"census": "census_passive", "device_graph": "graph_summary",
+                  "exposure": "exposure", "responses": "responses_by_category",
+                  "periodicity": "periodicity", "crossval": "crossval",
+                  "threat": "threat"}
+
+
+@pytest.fixture(params=sorted(PASS_SETS))
+def kind(request):
+    return request.param
+
+
 class TestAnalysisIsolation:
+    """A raising pass is isolated the same way in a study and in
+    ``repro ingest``: both run their passes through one runner, which
+    looks each analysis up on its module per call."""
+
     @pytest.fixture(scope="class")
-    def small_index(self):
-        """A short real capture + maps for driving _run_analyses directly."""
+    def small_capture(self, tmp_path_factory):
+        """A short real capture: its index + maps for driving the runner
+        directly, and the pcap + device map ``repro ingest`` reads."""
         testbed = build_testbed(seed=3)
         testbed.run(30.0)
         from repro.core.responses import category_of_profile
@@ -97,52 +121,74 @@ class TestAnalysisIsolation:
             "categories": {node.name: category_of_profile(node.profile)
                            for node in testbed.devices},
         }
-        return testbed.lan.capture.index(), maps
+        files = tmp_path_factory.mktemp("isolation")
+        testbed.lan.capture.write_pcap(files / "lab.pcap")
+        (files / "devices.json").write_text(json.dumps({
+            mac: {"name": name, "vendor": maps["vendors"][name],
+                  "category": maps["categories"][name]}
+            for mac, name in maps["macs"].items()}))
+        return testbed.lan.capture.index(), dict(maps, findings=[]), files
 
-    def test_keep_going_isolates_the_failure(self, monkeypatch):
-        import repro.core.pipeline as pipeline_module
-
-        monkeypatch.setattr(pipeline_module, "build_device_graph", _explode)
+    @staticmethod
+    def _study(small_capture, tmp_path, capsys):
         report = StudyPipeline(seed=3, passive_duration=30.0, app_sample_size=4,
                                deploy_honeypots=False).run()
-        assert report.device_graph is None
         assert not report.complete
-        assert [failure.analysis for failure in report.failures] == ["device_graph"]
-        assert "synthetic analysis crash" in report.failures[0].error
         assert "RuntimeError" in report.failures[0].traceback
         assert report.fault_summary is None  # no plan installed
+        return {name: getattr(report, name) for name in STUDY}, report.failures
+
+    @staticmethod
+    def _ingest(small_capture, tmp_path, capsys):
+        from repro.cli import main
+
+        files, out = small_capture[2], tmp_path / "ingest.json"
+        assert main(["ingest", str(files / "lab.pcap"), "--device-map",
+                     str(files / "devices.json"), "--json", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "1 analysis failure(s) isolated (partial report):" in err
+        failures = [AnalysisFailure(*line.strip().split(": ", 1))
+                    for line in err.splitlines() if line.startswith("  ")]
+        payload = json.loads(out.read_text())
+        return {name: payload[member] for name, member in INGEST_MEMBERS.items()}, failures
+
+    def test_keep_going_isolates_the_failure(self, kind, monkeypatch, small_capture,
+                                             tmp_path, capsys):
+        monkeypatch.setattr(device_graph, "build_device_graph", _explode)
+        run = self._study if kind == "study" else self._ingest
+        slots, failures = run(small_capture, tmp_path, capsys)
+        assert slots["device_graph"] is None
+        assert [failure.analysis for failure in failures] == ["device_graph"]
+        assert "synthetic analysis crash" in failures[0].error
         # The siblings all completed despite the crash.
-        assert report.exposure is not None
-        assert report.responses is not None
-        assert report.periodicity is not None
-        assert report.crossval is not None
-        assert report.threat is not None
+        assert slots["exposure"] is not None
+        assert slots["responses"] is not None
+        assert slots["periodicity"] is not None
+        assert slots["crossval"] is not None
+        assert slots["threat"] is not None
 
-    def test_serial_path_isolates_too(self, monkeypatch, small_index):
-        import repro.core.pipeline as pipeline_module
-
-        index, maps = small_index
-        monkeypatch.setattr(pipeline_module, "build_device_graph", _explode)
-        results, failures = StudyPipeline(seed=3)._run_analyses(index, maps, [])
+    def test_serial_path_isolates_too(self, kind, monkeypatch, small_capture):
+        index, inputs, _ = small_capture
+        monkeypatch.setattr(device_graph, "build_device_graph", _explode)
+        results, failures = run_analyses(PASS_SETS[kind], index, inputs, kind=kind)
         assert results["device_graph"] is None
         assert [failure.analysis for failure in failures] == ["device_graph"]
         assert results["crossval"] is not None
         assert results["threat"] is not None
 
     def test_failed_analysis_leaves_the_span_stack_balanced(
-            self, monkeypatch, small_index):
+            self, kind, monkeypatch, small_capture):
         """A raising analysis closes its own span as an error; the
         analyses after it still nest under the stage span, in order."""
-        import repro.core.pipeline as pipeline_module
-
-        index, maps = small_index
-        monkeypatch.setattr(pipeline_module, "build_device_graph", _explode)
+        index, inputs, _ = small_capture
+        monkeypatch.setattr(device_graph, "build_device_graph", _explode)
         obs = enable_observability()
         with obs.tracer.span("pipeline.analysis") as stage:
-            StudyPipeline(seed=3, obs=obs)._run_analyses(index, maps, [])
+            run_analyses(PASS_SETS[kind], index, inputs, kind=kind, obs=obs)
             assert obs.tracer.current is stage
         assert obs.tracer.current is None
-        assert [(child.name, child.status) for child in stage.children] == [
+        census = [("analysis.census", "ok")] if kind == "ingest" else []
+        assert [(child.name, child.status) for child in stage.children] == census + [
             ("analysis.device_graph", "error"),
             ("analysis.exposure", "ok"),
             ("analysis.responses", "ok"),
@@ -151,12 +197,15 @@ class TestAnalysisIsolation:
             ("analysis.threat", "ok"),
         ]
 
-    def test_each_slot_holds_its_own_analysis(self, small_index):
+    def test_each_slot_holds_its_own_analysis(self, kind, small_capture):
         """Every result slot equals a direct call of that analysis on
         the same index and maps."""
-        index, maps = small_index
-        results, failures = StudyPipeline(seed=3)._run_analyses(index, maps, [])
+        index, maps, _ = small_capture
+        results, failures = run_analyses(PASS_SETS[kind], index, maps, kind=kind)
         assert failures == []
+        if kind == "ingest":
+            assert results["census"].passive == census_from_capture(
+                index, maps["macs"]).passive
         assert results["device_graph"].summary() == build_device_graph(
             index, maps["macs"], maps["vendors"]).summary()
         exposure = analyze_exposure(index, maps["macs"])
@@ -174,14 +223,12 @@ class TestAnalysisIsolation:
         assert results["crossval"].confusion == cross_validate(index).confusion
         assert results["threat"] == build_threat_report(index, maps["macs"], [])
 
-    def test_fail_fast_reraises(self, monkeypatch, small_index):
-        import repro.core.pipeline as pipeline_module
-
-        index, maps = small_index
-        monkeypatch.setattr(pipeline_module, "build_device_graph", _explode)
-        pipeline = StudyPipeline(seed=3, keep_going=False)
+    def test_fail_fast_reraises(self, kind, monkeypatch, small_capture):
+        index, inputs, _ = small_capture
+        monkeypatch.setattr(device_graph, "build_device_graph", _explode)
         with pytest.raises(RuntimeError, match="synthetic analysis crash"):
-            pipeline._run_analyses(index, maps, [])
+            run_analyses(PASS_SETS[kind], index, inputs, kind=kind,
+                         keep_going=False)
 
 
 class TestChaosCli:

@@ -153,6 +153,15 @@ class TestPcapMode:
                          "monitor_rss_bytes", "monitor_packets_total"):
             assert any(expected in str(name) for name in names), expected
 
+    def test_trace_holds_the_absorb_span(self, lab_pcap, tmp_path):
+        trace = tmp_path / "trace.json"
+        code = main(["monitor", str(lab_pcap), "--chunk-records", "512",
+                     "--trace-out", str(trace)])
+        assert code == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert [event["name"] for event in events
+                if event.get("ph") == "X"] == ["monitor.absorb"]
+
     def test_empty_pcap_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "header_only.pcap"
         PcapWriter(path).close()
@@ -177,6 +186,18 @@ class TestSimulateMode:
         assert outs[0] == outs[1]
         snapshot = json.loads(outs[0])
         assert snapshot["stream"]["packets_seen"] > 0
+
+    def test_simulate_metrics_hold_only_the_monitor(self, tmp_path):
+        """The telemetry context goes to the monitor, not to the simulated
+        testbed that feeds it: no ``sim_``, ``lan_`` or ``capture_``
+        families, and the simulator's callbacks stay untimed."""
+        metrics = tmp_path / "metrics.json"
+        code = main(["monitor", "--simulate", "--seed", "11",
+                     "--duration", "40", "--chunk-records", "256",
+                     "--metrics-out", str(metrics)])
+        assert code == 0
+        families = json.loads(metrics.read_text())
+        assert families and all(name.startswith("monitor_") for name in families)
 
 
 class TestFollowMode:

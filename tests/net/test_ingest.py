@@ -216,3 +216,74 @@ class TestIngestCli:
             assert code == 2
             assert capsys.readouterr().err == (
                 f"repro ingest: error: --chunk-records must be positive, got {value}\n")
+
+
+def _explode(*_args, **_kwargs):
+    raise RuntimeError("synthetic analysis crash")
+
+
+class TestIngestIsolation:
+    """``repro ingest`` runs its passes through the study's runner: one
+    that raises is isolated (keep-going) or ends the run (fail-fast)."""
+
+    def test_keep_going_leaves_the_failed_pass_out(self, mixed_pcap, tmp_path,
+                                                   capsys, monkeypatch):
+        import repro.core.threat_report as threat_report
+
+        path = mixed_pcap[0]
+        clean = _ingest_json(path, tmp_path / "clean.json")
+        clean_out = capsys.readouterr().out
+        monkeypatch.setattr(threat_report, "build_threat_report", _explode)
+        partial = _ingest_json(path, tmp_path / "partial.json", "--keep-going")
+        captured = capsys.readouterr()
+        assert partial.keys() == clean.keys()
+        assert partial["threat"] is None
+        assert {key: value for key, value in partial.items() if key != "threat"} \
+            == {key: value for key, value in clean.items() if key != "threat"}
+        assert "threats:" in clean_out
+        assert captured.out.splitlines() == [
+            line for line in clean_out.splitlines()
+            if not line.startswith("threats:")] + [""]
+        assert captured.err.endswith(
+            "1 analysis failure(s) isolated (partial report):\n"
+            "  threat: RuntimeError: synthetic analysis crash\n")
+
+    def test_fail_fast_exits_one_with_telemetry_written(self, mixed_pcap, tmp_path,
+                                                         capsys, monkeypatch):
+        import repro.core.threat_report as threat_report
+
+        monkeypatch.setattr(threat_report, "build_threat_report", _explode)
+        out, metrics, trace = (tmp_path / name for name in ("out.json", "m.json", "t.json"))
+        code = main(["ingest", str(mixed_pcap[0]), "--fail-fast", "--json", str(out),
+                     "--metrics-out", str(metrics), "--trace-out", str(trace)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "repro ingest: error: RuntimeError: synthetic analysis crash\n")
+        assert not out.exists()
+        failures = json.loads(metrics.read_text())["pipeline_analysis_failures_total"]
+        assert [(sample["labels"], sample["value"]) for sample in failures["samples"]] \
+            == [({"analysis": "threat"}, 1.0)]
+        spans = [event["name"] for event in json.loads(trace.read_text())["traceEvents"]
+                 if event.get("ph") == "X"]
+        assert spans == ["capture.decode_index"] + [
+            f"analysis.{name}" for name in ("census", "device_graph", "exposure",
+                                             "responses", "periodicity", "crossval",
+                                             "threat")]
+
+    def test_debug_log_holds_the_tracebacks(self, mixed_pcap, capsys, monkeypatch):
+        """The error line stays one line; ``--log-level debug`` also logs
+        where it came from: the pass's traceback and the run's."""
+        import repro.core.threat_report as threat_report
+
+        monkeypatch.setattr(threat_report, "build_threat_report", _explode)
+        assert main(["ingest", str(mixed_pcap[0]), "--fail-fast",
+                     "--log-level", "debug"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == "repro ingest: error: RuntimeError: synthetic analysis crash"
+        (analysis,) = [line for line in lines
+                       if line.startswith("DEBUG pipeline analysis_traceback ")]
+        (run,) = [line for line in lines if line.startswith("DEBUG cli error_traceback ")]
+        assert "analysis=threat" in analysis and "command=ingest" in run
+        for line in (analysis, run):
+            assert "in _explode" in line
+            assert "RuntimeError: synthetic analysis crash" in line

@@ -1,14 +1,12 @@
-"""Tests for the decorators and the observability context plumbing."""
+"""Tests for the observability context plumbing."""
 
 import pytest
 
 from repro.obs import (
     NULL_OBS,
-    counted,
     enable_observability,
     get_obs,
     set_obs,
-    timed,
     use_obs,
 )
 
@@ -51,77 +49,3 @@ class TestContext:
         assert span.sim_start == 42.0
         assert obs.logs.clock() == 42.0
 
-
-class TestTimed:
-    def test_records_histogram_when_enabled(self):
-        obs = enable_observability()
-
-        @timed("work_seconds")
-        def work():
-            return "done"
-
-        with use_obs(obs):
-            assert work() == "done"
-        hist = obs.metrics.get("work_seconds")
-        assert hist.count() == 1
-        assert hist.sum() >= 0.0
-
-    def test_span_option_traces_calls(self):
-        obs = enable_observability()
-
-        @timed("work_seconds", span="work")
-        def work():
-            return 1
-
-        with use_obs(obs):
-            work()
-            work()
-        assert len(obs.tracer.find("work")) == 2
-
-    def test_noop_when_disabled(self):
-        obs = enable_observability()
-
-        @timed("work_seconds")
-        def work():
-            return "done"
-
-        assert work() == "done"  # NULL_OBS active
-        assert obs.metrics.get("work_seconds") is None
-
-
-class TestCounted:
-    def test_counts_ok_and_error_outcomes(self):
-        obs = enable_observability()
-
-        @counted("calls_total", kind="test")
-        def sometimes(fail):
-            if fail:
-                raise ValueError("nope")
-            return True
-
-        with use_obs(obs):
-            sometimes(False)
-            sometimes(False)
-            with pytest.raises(ValueError):
-                sometimes(True)
-        counter = obs.metrics.get("calls_total")
-        assert counter.value(outcome="ok", kind="test") == 2
-        assert counter.value(outcome="error", kind="test") == 1
-
-    def test_noop_when_disabled(self):
-        obs = enable_observability()
-
-        @counted("calls_total")
-        def call():
-            return 7
-
-        assert call() == 7
-        assert obs.metrics.get("calls_total") is None
-
-    def test_wraps_preserves_metadata(self):
-        @counted("calls_total")
-        def documented():
-            """docstring survives"""
-
-        assert documented.__name__ == "documented"
-        assert "survives" in documented.__doc__

@@ -86,6 +86,17 @@ class TestEnvConfig:
         manager = LogManager.from_env(default_level="error", stream=io.StringIO())
         assert manager.level_of("x") == 40
 
+    @pytest.mark.parametrize("variable, value, level", [
+        ("REPRO_LOG_LEVEL", "bogus", "bogus"),
+        ("REPRO_LOG", "sim=debug,scan=loud", "loud"),
+    ])
+    def test_unknown_env_level_names_its_variable(self, monkeypatch, variable,
+                                                   value, level):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError,
+                           match=f"^{variable}: unknown log level '{level}'; "):
+            LogManager.from_env(stream=io.StringIO())
+
 
 class TestNullBackend:
     def test_null_logger_noops(self):

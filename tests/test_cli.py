@@ -4,6 +4,16 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: The five subcommands that share the telemetry flags, each with the
+#: least argv it parses with.
+OBSERVED = {
+    "study": ["study"],
+    "classify": ["classify", "x.pcap"],
+    "ingest": ["ingest", "x.pcap"],
+    "monitor": ["monitor", "x.pcap"],
+    "fleet": ["fleet"],
+}
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -40,12 +50,37 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["study", "--log-level", "chatty"])
 
-    def test_bad_output_dir_fails_before_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", OBSERVED)
+    def test_bad_output_dir_fails_before_run(self, command, tmp_path, capsys):
         """An unwritable --metrics-out must fail fast, not after the run."""
         missing = tmp_path / "no-such-dir" / "m.json"
-        assert main(["study", "--metrics-out", str(missing)]) == 2
+        assert main(OBSERVED[command] + ["--metrics-out", str(missing)]) == 2
         err = capsys.readouterr().err
-        assert "--metrics-out" in err and "does not exist" in err
+        assert err.startswith(f"repro {command}: error: --metrics-out")
+        assert "does not exist" in err
+
+    @pytest.mark.parametrize("command", OBSERVED)
+    @pytest.mark.parametrize("variable, value", [("REPRO_LOG_LEVEL", "bogus"),
+                                                 ("REPRO_LOG", "sim=loud")])
+    def test_malformed_log_env_exits_2_before_any_work(
+            self, command, variable, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(variable, value)
+        metrics = tmp_path / "m.json"
+        assert main(OBSERVED[command] + ["--metrics-out", str(metrics)]) == 2
+        level = value.partition("=")[2] or value
+        assert capsys.readouterr().err == (
+            f"repro {command}: error: {variable}: unknown log level {level!r}; "
+            "choose from debug, info, warning, error, off\n")
+        assert not metrics.exists()
+
+    def test_log_level_flag_wins_over_a_malformed_env_level(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.net.pcap import PcapWriter
+
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "bogus")
+        PcapWriter(tmp_path / "empty.pcap").close()
+        assert main(["ingest", str(tmp_path / "empty.pcap"),
+                     "--log-level", "info"]) == 0
 
 
 class TestCatalog:
@@ -247,16 +282,16 @@ class TestStudyObservability:
 
 
 class TestProfileFlags:
-    """`--profile-out` / `--profile-hz` on study and fleet."""
+    """`--profile-out` / `--profile-hz` on the observed subcommands."""
 
     TINY = ["--duration", "30", "--apps", "2"]
 
-    def test_profile_flags_parse_on_both_subcommands(self):
-        for command in ("study", "fleet"):
-            args = build_parser().parse_args(
-                [command, "--profile-out", "prof", "--profile-hz", "50"])
-            assert args.profile_out == "prof"
-            assert args.profile_hz == 50.0
+    @pytest.mark.parametrize("command", OBSERVED)
+    def test_profile_flags_parse_on_every_observed_subcommand(self, command):
+        args = build_parser().parse_args(
+            OBSERVED[command] + ["--profile-out", "prof", "--profile-hz", "50"])
+        assert args.profile_out == "prof"
+        assert args.profile_hz == 50.0
 
     def test_profile_hz_requires_profile_out(self, capsys):
         assert main(["study", "--profile-hz", "50"] + self.TINY) == 2
@@ -450,7 +485,7 @@ class TestFleet:
 
 
 class TestEventStream:
-    """`--events-out` NDJSON streaming on study and fleet."""
+    """`--events-out` NDJSON streaming on the observed subcommands."""
 
     FLEET = TestFleet.ARGS
 
@@ -464,10 +499,10 @@ class TestEventStream:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--progress", "--no-progress"])
 
-    def test_events_out_parses_on_both_subcommands(self):
-        for command in ("study", "fleet"):
-            args = build_parser().parse_args([command, "--events-out", "-"])
-            assert args.events_out == "-"
+    @pytest.mark.parametrize("command", OBSERVED)
+    def test_events_out_parses_on_every_observed_subcommand(self, command):
+        args = build_parser().parse_args(OBSERVED[command] + ["--events-out", "-"])
+        assert args.events_out == "-"
 
     def test_bad_events_dir_fails_before_run(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "e.ndjson"

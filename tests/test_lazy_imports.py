@@ -2,8 +2,9 @@
 
 A fresh interpreter that imports what ``repro fleet`` imports before it
 runs (the list perfbench's fleet workload times as set-up) must not load
-numpy, networkx or the simulator; every re-exported name must still
-resolve to the object its module defines.
+numpy, networkx or the simulator; a fresh ``repro ingest`` or ``repro
+classify --crossval`` must not load the study or fleet stacks; every
+re-exported name must still resolve to the object its module defines.
 """
 
 from __future__ import annotations
@@ -54,6 +55,44 @@ def test_fleet_setup_skips_numpy_networkx_and_the_simulator():
         "print(json.dumps(sorted(sys.modules)))\n")
     assert set(imports) <= loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+#: Packages a fresh ``repro ingest`` or ``repro classify`` never loads.
+STUDY_AND_FLEET = ("repro.fleet", "repro.core.pipeline", "repro.apps",
+                   "repro.honeypot", "repro.faults", "repro.inspector")
+
+
+@pytest.fixture(scope="module")
+def capture_files(tmp_path_factory, lab_records):
+    """A lab pcap with its device map, and a header-only pcap."""
+    from repro.devices.behaviors import build_testbed
+    from repro.net.pcap import PcapWriter, write_pcap
+
+    root = tmp_path_factory.mktemp("captures")
+    write_pcap(root / "lab.pcap", lab_records)
+    PcapWriter(root / "empty.pcap").close()
+    (root / "devices.json").write_text(json.dumps(
+        {str(node.mac): node.name for node in build_testbed(seed=7).devices}))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "lab.pcap", "--device-map", "devices.json"],
+    ["ingest", "empty.pcap"],
+    ["classify", "lab.pcap", "--crossval"],
+], ids=["ingest-lab", "ingest-empty", "classify-crossval"])
+def test_capture_commands_skip_the_study_and_fleet_stacks(argv, capture_files):
+    loaded = _modules_after(
+        "import contextlib, io, json, os, sys\n"
+        "from repro.cli import main\n"
+        f"os.chdir({str(capture_files)!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert "repro.core.analyses" in loaded
+    assert [name for name in sorted(loaded)
+            if name.startswith(tuple(f"{package}." for package in STUDY_AND_FLEET))
+            or name in STUDY_AND_FLEET] == []
 
 
 def test_a_study_import_still_loads_the_analyses():
