@@ -262,6 +262,16 @@ _TCP_PORT_LABELS = {
     80: "http", 8080: "http", 554: "rtsp", 443: "tls", 8443: "tls",
     8883: "tls", 9999: "tplink-shp", 23: "telnet",
 }
+_PORT_LABELS = {"udp": (_UDP_PORT_LABELS, "udp-other"),
+                "tcp": (_TCP_PORT_LABELS, "tcp-other")}
+
+
+def port_protocol(transport: str, dst_port: int, src_port: int) -> str:
+    """The :func:`quick_protocol` tag of a ``"udp"`` or ``"tcp"`` frame
+    between two ports: the destination's label, else the source's."""
+    labels, other = _PORT_LABELS[transport]
+    label = labels.get(dst_port)
+    return label if label is not None else labels.get(src_port, other)
 
 
 def quick_protocol(packet: DecodedPacket) -> str:
@@ -277,15 +287,9 @@ def quick_protocol(packet: DecodedPacket) -> str:
     if packet.igmp is not None:
         return "igmp"
     if packet.udp is not None:
-        label = _UDP_PORT_LABELS.get(packet.udp.dst_port)
-        if label is None:
-            label = _UDP_PORT_LABELS.get(packet.udp.src_port, "udp-other")
-        return label
+        return port_protocol("udp", packet.udp.dst_port, packet.udp.src_port)
     if packet.tcp is not None:
-        label = _TCP_PORT_LABELS.get(packet.tcp.dst_port)
-        if label is None:
-            label = _TCP_PORT_LABELS.get(packet.tcp.src_port, "tcp-other")
-        return label
+        return port_protocol("tcp", packet.tcp.dst_port, packet.tcp.src_port)
     if packet.ipv4 is not None or packet.ipv6 is not None:
         return "ip-other"
     return "l2-other"

@@ -1,11 +1,23 @@
-"""The nmap analogue: TCP SYN, UDP, and IP-protocol scans over real frames.
+"""The nmap analogue: TCP SYN, UDP, and IP-protocol scans of the lab's stacks.
 
-Every probe is a real encoded frame delivered through the LAN to the
-target's stack; replies (SYN/ACK, RST, ICMP port-unreachable, echo
-replies) come back the same way.  §3.1: "We run TCP SYN scans on all
-ports (1-65535), UDP scans on popular ports (1-1024), and IP-level
-protocol scans.  Note that only 54 and 20 devices responded to TCP SYN
-and UDP scans, respectively, and 58 to IP protocol scans."
+A probe goes on the LAN as a real frame, delivered to the target's
+stack, and its reply (SYN/ACK, RST, ICMP port-unreachable, echo reply)
+comes back the same way, whenever something besides the two stacks
+could see or change it: an active fault injector, a capture that keeps
+bytes or has a frame tap, a raw hook on either node, a node that does
+not own its MAC and IP on the LAN (:meth:`Lan.unseen_between`), or a
+UDP port with a registered handler (the mDNS, SSDP and TuyaLP
+responders, sinks).  ICMP echo probes always go on the wire.
+Otherwise the target's reply rule answers the probe
+(:meth:`Node.syn_answer`, :meth:`Node.udp_unreachable`, which its
+receive path runs too), and the LAN counts the frames the wire would
+have carried (:meth:`Lan.count_unseen`).  Attempts, retries, waits,
+ephemeral ports and silence streaks are the same either way.
+
+§3.1: "We run TCP SYN scans on all ports (1-65535), UDP scans on
+popular ports (1-1024), and IP-level protocol scans.  Note that only 54
+and 20 devices responded to TCP SYN and UDP scans, respectively, and 58
+to IP protocol scans."
 """
 
 from __future__ import annotations
@@ -13,14 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.net.decode import DecodedPacket
+from repro.net.decode import DecodedPacket, port_protocol, quick_protocol
+from repro.net.ether import EthernetFrame
 from repro.net.icmp import IcmpType
-from repro.net.mac import MacAddress
+from repro.net.ipv4 import Ipv4Packet, LazyBytes
+from repro.net.mac import BROADCAST_MAC
 from repro.net.tcp import TcpFlags, TcpSegment
+from repro.net.udp import UdpDatagram
 from repro.obs import get_obs
 from repro.scan.nmap_services import correct_service_label, nmap_service_name
 from repro.simnet.lan import Lan
-from repro.simnet.node import Node
+from repro.simnet.node import Node, port_unreachable
 
 
 @dataclass
@@ -62,12 +77,6 @@ class HostScanResult:
     def has_open_ports(self) -> bool:
         return bool(self.open_tcp or self.open_udp)
 
-    @property
-    def unreachable(self) -> bool:
-        """True when nothing answered at all (crashed/flapping target)."""
-        return not (self.responded_tcp or self.responded_udp
-                    or self.responded_ip_proto or self.has_open_ports)
-
 
 @dataclass
 class ScanReport:
@@ -76,10 +85,6 @@ class ScanReport:
     hosts: List[HostScanResult] = field(default_factory=list)
     #: Per-target failures that were isolated instead of aborting the sweep.
     errors: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def unreachable_hosts(self) -> int:
-        return sum(1 for host in self.hosts if host.unreachable)
 
     @property
     def devices_with_open_ports(self) -> int:
@@ -124,6 +129,75 @@ def default_tcp_ports(lan: Lan, well_known_limit: int = 1024) -> List[int]:
     return sorted(ports)
 
 
+#: The UDP probe's payload.
+_UDP_PROBE = bytes(8)
+#: What the answer to a SYN (:meth:`Node.syn_answer`) tells the scanner.
+_SYN_VERDICTS = {TcpFlags.SYN | TcpFlags.ACK: "open",
+                 TcpFlags.RST | TcpFlags.ACK: "closed", None: "silent"}
+
+
+def _frame_length(transport) -> int:
+    """Bytes of an Ethernet/IPv4 frame around ``transport``, from the
+    layers' own lengths: nothing is encoded."""
+    packet = Ipv4Packet("0.0.0.0", "0.0.0.0", 0, LazyBytes(transport))
+    return len(EthernetFrame(BROADCAST_MAC, BROADCAST_MAC, 0, LazyBytes(packet)))
+
+
+#: A SYN and its SYN/ACK or RST answer are each a bare TCP header.
+_TCP_FRAME = _frame_length(TcpSegment(0, 0))
+_UDP_PROBE_FRAME = _frame_length(UdpDatagram(0, 0, _UDP_PROBE))
+_UNREACHABLE_FRAME = _frame_length(port_unreachable())
+_UNREACHABLE_TAG = quick_protocol(DecodedPacket(0.0, None, icmp=port_unreachable()))
+
+
+class _StackAnswers:
+    """A target's stack answering one scan call's probes off the wire.
+
+    Each probe asks the target's reply rule and tallies the frames the
+    wire would have carried, the probe and its answer if any, for
+    :meth:`flush` to hand to the LAN in one call.
+    """
+
+    __slots__ = ("target", "frames", "length", "protocols")
+
+    def __init__(self, target: Node, tagged: bool):
+        self.target = target
+        self.frames = 0
+        self.length = 0
+        #: Frames per ``quick_protocol`` tag, kept with telemetry on.
+        self.protocols: Optional[Dict[str, int]] = {} if tagged else None
+
+    def _tag(self, tag: str) -> None:
+        self.protocols[tag] = self.protocols.get(tag, 0) + 1
+
+    def syn(self, port: int, src_port: int) -> str:
+        flags = self.target.syn_answer(port)
+        frames = 1 if flags is None else 2
+        self.frames += frames
+        self.length += frames * _TCP_FRAME
+        if self.protocols is not None:
+            self._tag(port_protocol("tcp", port, src_port))
+            if flags is not None:
+                self._tag(port_protocol("tcp", src_port, port))
+        return _SYN_VERDICTS[flags]
+
+    def udp(self, port: int, src_port: int) -> str:
+        self.frames += 1
+        self.length += _UDP_PROBE_FRAME
+        if self.protocols is not None:
+            self._tag(port_protocol("udp", port, src_port))
+        if not self.target.udp_unreachable(port):
+            return "silent"
+        self.frames += 1
+        self.length += _UNREACHABLE_FRAME
+        if self.protocols is not None:
+            self._tag(_UNREACHABLE_TAG)
+        return "closed"
+
+    def flush(self, lan: Lan) -> None:
+        lan.count_unseen(self.frames, self.length, self.protocols or {})
+
+
 class PortScanner(Node):
     """A scanner host attached to the LAN (the paper's scan machine).
 
@@ -161,7 +235,6 @@ class PortScanner(Node):
     ):
         super().__init__(name=name, mac=mac, ip="0.0.0.0", vendor="scanner")
         self._replies: List[DecodedPacket] = []
-        self.add_raw_hook(lambda _node, packet: self._replies.append(packet))
         self.probes_sent = 0
         self.retries_used = 0
         self.max_retries = max_retries
@@ -169,7 +242,7 @@ class PortScanner(Node):
         self.retry_backoff = retry_backoff
         self.wait_for_replies = wait_for_replies
         self.silent_target_threshold = silent_target_threshold
-        self._silence_streaks: Dict[MacAddress, int] = {}
+        self._silence_streaks: Dict[Node, int] = {}
         obs = get_obs()
         self._obs = obs
         if obs.enabled:
@@ -182,6 +255,11 @@ class PortScanner(Node):
                 "open_ports_total", "open ports discovered, per transport")
             self._sweep_seconds = metrics.histogram(
                 "sweep_seconds", "wall-clock duration of full sweeps")
+
+    def receive(self, packet: DecodedPacket) -> None:
+        """Keep every frame delivered here for the probe awaiting it."""
+        self._replies.append(packet)
+        super().receive(packet)
 
     def _count_probe(self, kind: str) -> None:
         self.probes_sent += 1
@@ -211,15 +289,22 @@ class PortScanner(Node):
         """False once a target has looked dead for too many ports in a row."""
         if self.max_retries <= 0:
             return False
-        streak = self._silence_streaks.get(target.mac, 0)
+        streak = self._silence_streaks.get(target, 0)
         return streak < self.silent_target_threshold
 
     def _note_outcome(self, target: Node, silent: bool) -> None:
-        key = target.mac
         if silent:
-            self._silence_streaks[key] = self._silence_streaks.get(key, 0) + 1
+            self._silence_streaks[target] = self._silence_streaks.get(target, 0) + 1
         else:
-            self._silence_streaks[key] = 0
+            self._silence_streaks[target] = 0
+
+    def _stack_answers(self, target: Node) -> Optional[_StackAnswers]:
+        """The target's stack as the answerer of one scan call's probes,
+        or ``None`` when they go on the wire (see the module docstring)."""
+        lan = self.lan
+        if lan is None or not lan.unseen_between(self, target):
+            return None
+        return _StackAnswers(target, self._obs.enabled)
 
     # -- TCP SYN scan ------------------------------------------------------------
 
@@ -234,16 +319,23 @@ class PortScanner(Node):
                 outcome = "closed"
         return outcome
 
-    def _tcp_probe(self, target: Node, port: int) -> str:
-        """One SYN probe with retries; returns 'open', 'closed', or 'silent'."""
+    def _tcp_probe(self, target: Node, port: int, stack: Optional[_StackAnswers]) -> str:
+        """One SYN probe with retries; returns 'open', 'closed', or 'silent'.
+
+        ``stack``, when given, answers each attempt in place of the wire.
+        """
         persist = self._persists_against(target)
         attempts = (self.max_retries + 1) if persist else 1
         for attempt in range(attempts):
-            segment = TcpSegment(self.ephemeral_port(), port, seq=7, flags=TcpFlags.SYN)
+            src_port = self.ephemeral_port()
             self._replies.clear()
-            self.send_tcp_segment(target.ip, segment, dst_mac=target.mac)
+            if stack is not None:
+                outcome = stack.syn(port, src_port)
+            else:
+                segment = TcpSegment(src_port, port, seq=7, flags=TcpFlags.SYN)
+                self.send_tcp_segment(target.ip, segment, dst_mac=target.mac)
+                outcome = self._classify_tcp(port)
             self._count_probe("tcp")
-            outcome = self._classify_tcp(port)
             if outcome == "silent" and persist:
                 self._wait(self._attempt_timeout(attempt))
                 outcome = self._classify_tcp(port)
@@ -259,13 +351,18 @@ class PortScanner(Node):
         """SYN-probe each port; returns (open_ports, responded_at_all)."""
         open_ports: List[int] = []
         responded = False
-        for port in ports:
-            outcome = self._tcp_probe(target, port)
-            if outcome == "open":
-                open_ports.append(port)
-                responded = True
-            elif outcome == "closed":
-                responded = True
+        stack = self._stack_answers(target)
+        try:
+            for port in ports:
+                outcome = self._tcp_probe(target, port, stack)
+                if outcome == "open":
+                    open_ports.append(port)
+                    responded = True
+                elif outcome == "closed":
+                    responded = True
+        finally:
+            if stack is not None:
+                stack.flush(self.lan)
         return open_ports, responded
 
     # -- UDP scan -----------------------------------------------------------------
@@ -279,15 +376,21 @@ class PortScanner(Node):
                 outcome = "closed"
         return outcome
 
-    def _udp_probe(self, target: Node, port: int) -> str:
-        """One UDP probe with retries; returns 'open', 'closed', or 'silent'."""
+    def _udp_probe(self, target: Node, port: int, stack: Optional[_StackAnswers]) -> str:
+        """One UDP probe with retries; returns 'open', 'closed', or 'silent'.
+
+        ``stack``, when given, answers each attempt in place of the wire.
+        """
         persist = self._persists_against(target)
         attempts = (self.max_retries + 1) if persist else 1
         for attempt in range(attempts):
             self._replies.clear()
-            self.send_udp(target.ip, port, b"\x00" * 8, dst_mac=target.mac)
+            if stack is not None:
+                outcome = stack.udp(port, self.ephemeral_port())
+            else:
+                self.send_udp(target.ip, port, _UDP_PROBE, dst_mac=target.mac)
+                outcome = self._classify_udp(port)
             self._count_probe("udp")
-            outcome = self._classify_udp(port)
             if outcome == "silent" and persist:
                 self._wait(self._attempt_timeout(attempt))
                 outcome = self._classify_udp(port)
@@ -305,19 +408,27 @@ class PortScanner(Node):
         nmap marks a UDP port 'open' on a protocol response and
         'open|filtered' on silence; like the paper we only count ports
         we can positively attribute, i.e. response or known listener.
+        A port with a registered handler is probed on the wire, where
+        the handler runs and may answer.
         """
         open_ports: List[int] = []
         responded = False
-        for port in ports:
-            outcome = self._udp_probe(target, port)
-            if outcome == "open":
-                open_ports.append(port)
-                responded = True
-            elif outcome == "closed":
-                responded = True
-            elif target.services.is_open("udp", port):
-                # open|filtered that a follow-up protocol probe confirms
-                open_ports.append(port)
+        stack = self._stack_answers(target)
+        handlers = target._udp_handlers
+        try:
+            for port in ports:
+                outcome = self._udp_probe(target, port, None if handlers.get(port) else stack)
+                if outcome == "open":
+                    open_ports.append(port)
+                    responded = True
+                elif outcome == "closed":
+                    responded = True
+                elif target.services.is_open("udp", port):
+                    # open|filtered that a follow-up protocol probe confirms
+                    open_ports.append(port)
+        finally:
+            if stack is not None:
+                stack.flush(self.lan)
         return open_ports, responded
 
     # -- IP protocol scan -----------------------------------------------------------

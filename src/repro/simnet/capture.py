@@ -114,12 +114,7 @@ class ApCapture:
         capture keeps bytes or has a tap; otherwise ``len(frame)``, taken
         from its layers, is all the capture reads.
         """
-        length = len(frame)
-        self.packet_count += 1
-        self.byte_count += length
-        if self._obs.enabled:
-            self._frames_observed_total.inc()
-            self._bytes_observed_total.inc(length)
+        self.count(1, len(frame))
         if not (self.keep_bytes or self.frame_taps):
             return
         if frame.__class__ is EthernetFrame:
@@ -128,6 +123,17 @@ class ApCapture:
             self._records.append((timestamp, frame))
         for tap in self.frame_taps:
             tap(timestamp, frame)
+
+    def count(self, frames: int, length: int) -> None:
+        """Count ``frames`` frames of ``length`` bytes in all, with no bytes
+        to keep or tap: :meth:`observe` counts each frame here, and
+        :meth:`Lan.count_unseen` the frames two stacks exchanged off the
+        wire."""
+        self.packet_count += frames
+        self.byte_count += length
+        if self._obs.enabled:
+            self._frames_observed_total.inc(frames)
+            self._bytes_observed_total.inc(length)
 
     # -- access -----------------------------------------------------------------
 

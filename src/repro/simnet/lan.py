@@ -40,7 +40,6 @@ class Lan:
         self._nodes_by_mac: Dict[MacAddress, Node] = {}
         self._nodes_by_ip: Dict[str, Node] = {}
         self._next_host = 10
-        self.frames_delivered = 0
         #: Set via :meth:`install_injector`; when present and active,
         #: every transmit is routed through the fault layer.
         self.injector = None
@@ -185,7 +184,6 @@ class Lan:
             ]
         for receiver in receivers:
             receiver.receive(packet)
-            self.frames_delivered += 1
         if self._obs.enabled:
             protocol = quick_protocol(packet)
             if self.capture.keep_bytes:
@@ -194,6 +192,43 @@ class Lan:
                 self._frames_delivered_total.inc(protocol=protocol)
             else:
                 self._frames_dropped_total.inc(protocol=protocol)
+
+    def unseen_between(self, a: Node, b: Node) -> bool:
+        """True when nothing but the stacks of ``a`` and ``b`` can see or
+        change a unicast frame between them.
+
+        That takes no active fault injector, a capture that keeps no bytes
+        and has no frame tap, two distinct nodes without a raw hook, and
+        each owning its MAC and IP here, so that a frame to it reaches it
+        alone.  The capture only counts such a frame: a sender that knows
+        the answer it would get may count the exchange with
+        :meth:`count_unseen` instead of transmitting it.
+        """
+        injector = self.injector
+        capture = self.capture
+        if ((injector is not None and injector.active) or capture.keep_bytes
+                or capture.frame_taps or a._raw_hooks or b._raw_hooks):
+            return False
+        return a is not b and self._owns(a) and self._owns(b)
+
+    def _owns(self, node: Node) -> bool:
+        return (node.mac.is_unicast and self._nodes_by_mac.get(node.mac) is node
+                and self._nodes_by_ip.get(node.ip) is node)
+
+    def count_unseen(self, frames: int, length: int, protocols: Dict[str, int]) -> None:
+        """Count unicast frames that two stacks exchanged off the wire
+        (see :meth:`unseen_between`) as their delivery would have.
+
+        ``frames`` frames of ``length`` bytes in all go to the capture's
+        counts; with telemetry on, ``protocols`` holds how many of them
+        carry each :func:`quick_protocol` tag, for the delivered family.
+        """
+        if not frames:
+            return
+        self.capture.count(frames, length)
+        if self._obs.enabled:
+            for protocol, count in protocols.items():
+                self._frames_delivered_total.inc(count, protocol=protocol)
 
     def _receivers_of(self, sender: Node, packet: DecodedPacket) -> List[Node]:
         dst = packet.frame.dst

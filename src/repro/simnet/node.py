@@ -5,7 +5,9 @@ memberships, and handler registries.  Its default packet handling
 reproduces the stack behaviours the paper's scans depend on: ARP
 replies (broadcast vs unicast policies differ per §5.1), SYN/ACK vs RST
 for open/closed TCP ports, ICMP port-unreachable for closed UDP ports,
-and ICMP echo replies.
+and ICMP echo replies.  The two scan-reply rules are methods
+(:meth:`Node.syn_answer`, :meth:`Node.udp_unreachable`) that the port
+scanner asks too, when nothing else could see its probe.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ _DEST_UNREACHABLE = int(IcmpType.DEST_UNREACHABLE)
 #: constructor.
 _SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 _RST_ACK = TcpFlags.RST | TcpFlags.ACK
+#: The first port of the ephemeral range client sockets are taken from.
+_EPHEMERAL_FIRST = 49152
+
+
+def port_unreachable() -> IcmpMessage:
+    """The ICMP port-unreachable a stack answers a closed UDP port with."""
+    return IcmpMessage(_DEST_UNREACHABLE, 3, bytes(4))
+
 
 #: signature: handler(node, packet) -> None
 UdpHandler = Callable[["Node", DecodedPacket], None]
@@ -81,7 +91,7 @@ class Node:
         self._udp_handlers: Dict[int, List[UdpHandler]] = {}
         self._tcp_handlers: Dict[int, List[TcpHandler]] = {}
         self._raw_hooks: List[Callable[["Node", DecodedPacket], None]] = []
-        self._next_ephemeral = 49152
+        self._next_ephemeral = _EPHEMERAL_FIRST
 
     # -- wiring ---------------------------------------------------------------
 
@@ -107,7 +117,7 @@ class Node:
 
     def ephemeral_port(self) -> int:
         if self._next_ephemeral > 65535:
-            self._next_ephemeral = 49152
+            self._next_ephemeral = _EPHEMERAL_FIRST
         port = self._next_ephemeral
         self._next_ephemeral += 1
         return port
@@ -254,6 +264,31 @@ class Node:
             return
         self.send_arp_reply(arp.sender_mac, arp.sender_ip)
 
+    # -- scan replies: what the receive path answers, asked by the scanner too --
+
+    def syn_answer(self, port: int) -> Optional[TcpFlags]:
+        """The flags this stack answers a SYN to ``port`` with, or ``None``.
+
+        SYN/ACK when the port is open, RST/ACK when it is closed and the
+        stack answers scans (§3.1: only 54 devices did), and silence
+        otherwise.
+        """
+        if self.services.is_open("tcp", port):
+            return _SYN_ACK
+        return _RST_ACK if self.responds_to_tcp_scan else None
+
+    def udp_unreachable(self, port: int) -> bool:
+        """True when a datagram to ``port`` that no handler takes earns an
+        ICMP port-unreachable.
+
+        Only a closed port below the ephemeral range does, and only on a
+        stack whose ``udp_closed_behavior`` is ``"icmp"``.  An ephemeral
+        port may be a client socket this node opened for a discovery
+        query, still listening for (and consuming) unicast replies.
+        """
+        return (self.udp_closed_behavior == "icmp" and port < _EPHEMERAL_FIRST
+                and not self.services.is_open("udp", port))
+
     def _handle_udp(self, packet: DecodedPacket) -> None:
         port = packet.udp.dst_port
         handlers = self._udp_handlers.get(port)
@@ -261,42 +296,27 @@ class Node:
             for handler in list(handlers):
                 handler(self, packet)
             return
-        if self.services.is_open("udp", port):
-            return  # open but no active responder registered
-        if port >= 49152:
-            # Ephemeral range: a client socket this node opened for a
-            # discovery query is still listening for (and consuming)
-            # unicast replies, so no port-unreachable is generated.
-            return
         if (
-            self.udp_closed_behavior == "icmp"
+            self.udp_unreachable(port)
             and packet.is_unicast
             and packet.src_ip is not None
             and packet.ipv4 is not None
         ):
-            unreachable = IcmpMessage(_DEST_UNREACHABLE, 3, bytes(4))
+            unreachable = port_unreachable()
             reply = Ipv4Packet(self.ip, packet.src_ip, _ICMP, LazyBytes(unreachable))
             self.send_frame(packet.frame.src, _IPV4, LazyBytes(reply), ipv4=reply, icmp=unreachable)
 
     def _handle_tcp(self, packet: DecodedPacket) -> None:
         segment = packet.tcp
         if segment.is_syn:
-            if self.services.is_open("tcp", segment.dst_port):
+            flags = self.syn_answer(segment.dst_port)
+            if flags is not None:
                 reply = TcpSegment(
                     segment.dst_port,
                     segment.src_port,
-                    seq=1000,
+                    seq=1000 if flags is _SYN_ACK else 0,
                     ack=segment.seq + 1,
-                    flags=_SYN_ACK,
-                )
-                self.send_tcp_segment(packet.src_ip, reply, dst_mac=packet.frame.src)
-            elif self.responds_to_tcp_scan:
-                reply = TcpSegment(
-                    segment.dst_port,
-                    segment.src_port,
-                    seq=0,
-                    ack=segment.seq + 1,
-                    flags=_RST_ACK,
+                    flags=flags,
                 )
                 self.send_tcp_segment(packet.src_ip, reply, dst_mac=packet.frame.src)
             return

@@ -10,8 +10,21 @@ from repro.scan.nmap_services import (
 )
 from repro.scan.portscan import PortScanner, default_tcp_ports
 from repro.scan.vulnscan import VulnerabilityScanner
+from repro.simnet.lan import Lan
 from repro.simnet.node import Node
 from repro.simnet.services import ServiceInfo, ServiceTable
+
+
+@pytest.fixture(params=["stack", "wire"])
+def lan(request, simulator):
+    """A LAN whose capture keeps no bytes, as a study's sweep runs, so the
+    targets' stacks answer the probes; under ``wire`` a no-op frame tap
+    puts every probe on the wire instead."""
+    lan = Lan(simulator)
+    lan.capture.keep_bytes = False
+    if request.param == "wire":
+        lan.capture.frame_taps.append(lambda timestamp, frame: None)
+    return lan
 
 
 @pytest.fixture

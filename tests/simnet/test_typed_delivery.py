@@ -288,13 +288,17 @@ def test_layers_that_do_not_round_trip_go_out_raw(monkeypatch):
 
 def test_bytes_off_sweep_encodes_no_typed_frame(monkeypatch):
     """With ``keep_bytes=False``, no frame tap and no injector, nothing
-    reads a typed frame's bytes during a sweep: only raw frames are
-    encoded, by their senders.  Each packet receivers got still equals
-    the decode of the bytes built from it afterwards."""
+    reads a typed frame's bytes during a sweep on the wire: only raw
+    frames are encoded, by their senders.  Each packet receivers got
+    still equals the decode of the bytes built from it afterwards.  A
+    no-op raw hook on every device keeps the probes on the wire; without
+    one, the targets' stacks answer them and no frame is built at all."""
     testbed, _ = _lab()
     lan = testbed.lan
     lan.capture.keep_bytes = False
     assert not lan.capture.frame_taps and lan.injector is None
+    for node in testbed.devices:
+        node.add_raw_hook(lambda _node, _packet: None)
     encoded, raw, typed = [], [], []
     encode, transmit = EthernetFrame.encode, Lan.transmit
     built_packet = lan_module.DecodedPacket
