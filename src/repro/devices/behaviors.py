@@ -26,6 +26,7 @@ from repro.protocols.mdns import (
     ServiceAdvertisement,
     hue_instance_name,
     mdns_query,
+    parse_mdns,
 )
 from repro.protocols.rtp import RtpPacket
 from repro.protocols.ssdp import SSDP_GROUP_V4, SSDP_PORT, SsdpMessage, device_description_xml
@@ -414,17 +415,14 @@ class DeviceNode(Node):
 
 def _mdns_responder(node: DeviceNode, packet: DecodedPacket) -> None:
     payload = packet.udp.payload
-    # Only queries are answered.  Every stack on the LAN receives each
-    # multicast, so drop what cannot be one before decoding it: a
-    # payload shorter than the 12-byte DNS header, or one whose QR bit
-    # (top bit of the flags word) marks a response.
+    # Only queries are answered.  Every responder receives each mDNS
+    # multicast, most of them responses, so drop what cannot be a query
+    # before parsing it: a payload shorter than the 12-byte DNS header,
+    # or one whose QR bit (top bit of the flags word) marks a response.
     if len(payload) < 12 or payload[2] & 0x80:
         return
-    try:
-        message = DnsMessage.decode(payload)
-    except ValueError:
-        return
-    if not message.questions:
+    message = parse_mdns(payload)
+    if message is None or not message.questions:
         return
     config = node.profile.mdns
     advertisements = node.mdns_advertisements()

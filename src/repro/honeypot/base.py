@@ -48,18 +48,11 @@ class HoneypotLog:
                     "garbage payloads tolerated per honeypot protocol",
                 ).inc(protocol=event.protocol, honeypot=event.honeypot)
 
-    @property
-    def malformed_count(self) -> int:
-        return sum(1 for event in self.events if event.malformed)
-
     def contacts_by_source(self) -> Dict[str, List[HoneypotEvent]]:
         by_source: Dict[str, List[HoneypotEvent]] = {}
         for event in self.events:
             by_source.setdefault(event.src_mac, []).append(event)
         return by_source
-
-    def events_for_protocol(self, protocol: str) -> List[HoneypotEvent]:
-        return [event for event in self.events if event.protocol == protocol]
 
     def markers(self) -> List[str]:
         return [event.marker for event in self.events if event.marker]

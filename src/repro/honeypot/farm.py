@@ -36,13 +36,6 @@ class HoneypotFarm:
                 "farm_deployed", honeypots=len(farm.honeypots))
         return farm
 
-    def contacts_per_type(self) -> Dict[str, int]:
-        """Contact counts keyed by honeypot protocol."""
-        counts: Dict[str, int] = {}
-        for event in self.log.events:
-            counts[event.protocol] = counts.get(event.protocol, 0) + 1
-        return counts
-
     def scanners_observed(self) -> Dict[str, List[str]]:
         """Which sources contacted which honeypot protocols."""
         observed: Dict[str, List[str]] = {}

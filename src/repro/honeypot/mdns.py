@@ -7,7 +7,7 @@ from typing import List, Optional
 from repro.honeypot.base import Honeypot, HoneypotLog
 from repro.net.decode import DecodedPacket
 from repro.protocols.dns import DnsMessage
-from repro.protocols.mdns import MDNS_GROUP_V4, MDNS_PORT, ServiceAdvertisement
+from repro.protocols.mdns import MDNS_GROUP_V4, MDNS_PORT, ServiceAdvertisement, parse_mdns
 
 
 class MdnsHoneypot(Honeypot):
@@ -48,9 +48,8 @@ class MdnsHoneypot(Honeypot):
         ]
 
     def _on_mdns(self, packet: DecodedPacket) -> None:
-        try:
-            message = DnsMessage.decode(packet.udp.payload)
-        except ValueError:
+        message = parse_mdns(packet.udp.payload)
+        if message is None:
             self.record_contact(packet, "undecodable mDNS payload", malformed=True)
             return
         if message.is_response:

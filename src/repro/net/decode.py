@@ -132,14 +132,6 @@ class DecodedPacket:
         return b""
 
     @property
-    def ip_protocol(self) -> Optional[int]:
-        if self.ipv4 is not None:
-            return self.ipv4.protocol
-        if self.ipv6 is not None:
-            return self.ipv6.next_header
-        return None
-
-    @property
     def is_multicast(self) -> bool:
         return self.frame.is_multicast and not self.frame.is_broadcast
 

@@ -4,7 +4,12 @@ Delivery semantics mirror a Wi-Fi network in infrastructure mode as
 seen from the AP (where the paper runs tcpdump, §3.1): the capture
 observes *every* frame; broadcast reaches all nodes, IPv4/IPv6
 multicast reaches group members (non-members' NICs filter it), unicast
-reaches the owner of the destination MAC.
+reaches the owner of the destination MAC.  That is what the NICs take
+and what the telemetry counts.  Of a broadcast or multicast frame, the
+LAN then calls only the stacks that act on it
+(:func:`~repro.simnet.node.stacks_acting_on`), such as the node an ARP
+request asks for or the nodes with a handler on a datagram's port.
+Under an active fault injector every NIC's stack is called.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.net.mac import MacAddress
 from repro.net.tcp import TcpFlags, TcpSegment
 from repro.obs import get_obs
 from repro.simnet.capture import ApCapture
-from repro.simnet.node import Node
+from repro.simnet.node import Node, stacks_acting_on
 from repro.simnet.simulator import Simulator
 
 
@@ -165,7 +170,12 @@ class Lan:
         Receivers get a fresh packet of the sender's ``layers`` stamped
         with this delivery's time, or, for a frame without them (raw
         bytes, or bytes the fault layer changed), the decode of the
-        bytes.
+        bytes.  The NICs that take the frame decide its telemetry; of a
+        broadcast or multicast frame only the stacks that act on it are
+        called (:func:`stacks_acting_on`), unless a fault injector is
+        active, which decides for each NIC's stack.  Stacks are called
+        in attach order, and each answers inside this loop, so that is
+        the order of their replies in the capture.
         """
         timestamp = self.simulator.now
         self.capture.observe(timestamp, frame)
@@ -176,13 +186,16 @@ class Lan:
         else:
             packet = DecodedPacket(timestamp, **layers)
         receivers = self._receivers_of(sender, packet)
+        stacks = receivers
         injector = self.injector
         if injector is not None and injector.active:
-            receivers = [
+            receivers = stacks = [
                 receiver for receiver in receivers
                 if injector.allow_delivery(receiver, packet, timestamp)
             ]
-        for receiver in receivers:
+        elif packet.frame.dst.is_multicast:
+            stacks = stacks_acting_on(receivers, packet)
+        for receiver in stacks:
             receiver.receive(packet)
         if self._obs.enabled:
             protocol = quick_protocol(packet)

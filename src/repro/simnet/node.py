@@ -74,6 +74,9 @@ class Node:
         self.mac = MacAddress(mac)
         self.ip = str(ipaddress.IPv4Address(ip))
         self.ipv6_link_local = link_local_from_mac(self.mac)
+        #: The same address packed, which a neighbour solicitation's
+        #: target is compared with.
+        self.ipv6_link_local_packed = ipaddress.IPv6Address(self.ipv6_link_local).packed
         self.hostname = hostname or name
         self.vendor = vendor
         self.ipv6_enabled = True
@@ -242,7 +245,11 @@ class Node:
     # -- receive path -----------------------------------------------------------
 
     def receive(self, packet: DecodedPacket) -> None:
-        """Entry point called by the LAN for every frame addressed here."""
+        """Entry point called by the LAN for every frame addressed here.
+
+        Of a broadcast or multicast frame, the LAN calls only the stacks
+        that :func:`stacks_acting_on` picks, which restates this dispatch.
+        """
         for hook in self._raw_hooks:
             hook(self, packet)
         if packet.arp is not None:
@@ -337,7 +344,7 @@ class Node:
         if message.icmp_type != Icmpv6Type.NEIGHBOR_SOLICITATION:
             return
         target = message.body[4:20]
-        if len(target) == 16 and str(ipaddress.IPv6Address(target)) == self.ipv6_link_local:
+        if target == self.ipv6_link_local_packed:
             advert = Icmpv6Message.neighbor_advertisement(target, self.mac)
             reply = Ipv6Packet(
                 self.ipv6_link_local,
@@ -350,3 +357,40 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.name!r}, mac={self.mac}, ip={self.ip})"
+
+
+def stacks_acting_on(receivers: List[Node], packet: DecodedPacket) -> List[Node]:
+    """The ``receivers`` of ``packet``, a broadcast or multicast frame,
+    whose :meth:`Node.receive` acts on it, in their order.
+
+    This restates ``receive``'s dispatch for a frame that is not unicast.
+    A node with a raw hook, or whose class has a ``receive`` of its own,
+    takes every frame.  Of the rest, an ARP request reaches the stack
+    whose ``ip`` it asks for, and other ARP none; UDP reaches the stacks
+    with a handler on its port, as ``_handle_udp`` answers nothing else
+    that is not unicast; TCP and ICMP reach every stack; an ICMPv6
+    neighbour solicitation reaches the IPv6 stack whose link-local
+    address it asks for; and anything else (IGMP, EAPOL, LLC, other
+    ICMPv6) reaches none.  It reads the nodes' own tables when the frame
+    airs, so handlers and hooks registered after attach count.
+    """
+    receive = Node.receive
+    if packet.arp is not None:
+        arp = packet.arp
+        target = arp.target_ip if arp.op is ArpOp.REQUEST else None
+        return [node for node in receivers if node.ip == target
+                or node._raw_hooks or type(node).receive is not receive]
+    if packet.udp is not None:
+        port = packet.udp.dst_port
+        return [node for node in receivers if node._udp_handlers.get(port)
+                or node._raw_hooks or type(node).receive is not receive]
+    if packet.tcp is not None or packet.icmp is not None:
+        return receivers
+    message = packet.icmpv6
+    if message is not None and message.icmp_type == Icmpv6Type.NEIGHBOR_SOLICITATION:
+        target = message.body[4:20]
+        return [node for node in receivers
+                if (node.ipv6_enabled and node.ipv6_link_local_packed == target)
+                or node._raw_hooks or type(node).receive is not receive]
+    return [node for node in receivers
+            if node._raw_hooks or type(node).receive is not receive]

@@ -18,6 +18,7 @@ from repro.protocols.mdns import (
     hue_instance_name,
     mdns_query,
     mdns_response,
+    parse_mdns,
     reverse_v6_name,
     spotify_connect_path,
 )
@@ -332,6 +333,20 @@ class TestServiceAdvertisement:
         message = mdns_query(["_a._tcp.local", "_b._tcp.local"], unicast_response=True)
         assert len(message.questions) == 2
         assert all(question.unicast_response for question in message.questions)
+
+
+class TestParseMdns:
+    def test_one_shared_message_per_payload(self):
+        payload = mdns_query(["_hue._tcp.local"]).encode()
+        message = parse_mdns(payload)
+        assert message == DnsMessage.decode(payload)
+        assert parse_mdns(bytes(bytearray(payload))) is message  # equal bytes, another object
+        # The codec itself remembers nothing.
+        assert DnsMessage.decode(payload) is not DnsMessage.decode(payload)
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00" * 11, b"\x00\x01garbage"])
+    def test_undecodable_payload_is_none(self, payload):
+        assert parse_mdns(payload) is None
 
 
 class TestNamingSchemes:
