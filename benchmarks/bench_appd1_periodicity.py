@@ -13,7 +13,7 @@ from repro.report.tables import render_comparison, render_table
 
 
 def bench_appd1_periodicity(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
     result = benchmark.pedantic(
         analyze_periodicity, args=(lab_index, maps["macs"]), rounds=1, iterations=1
     )

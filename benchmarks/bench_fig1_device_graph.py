@@ -9,7 +9,7 @@ from repro.report.tables import render_comparison
 
 
 def bench_fig1_device_graph(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
     graph = benchmark.pedantic(
         build_device_graph,
         args=(lab_index, maps["macs"], maps["vendors"]),

@@ -15,7 +15,7 @@ from repro.report.tables import render_comparison, render_figure2
 
 
 def bench_fig2_protocol_census(benchmark, lab_run, lab_index, scan_report, app_runs):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
 
     def build():
         census = census_from_capture(lab_index, maps["macs"])

@@ -11,7 +11,7 @@ from repro.report.tables import render_comparison, render_figure3
 
 
 def bench_fig3_crossval(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
     result = benchmark.pedantic(cross_validate, args=(lab_index,), rounds=1, iterations=1)
     print()
     print(render_figure3(result))

@@ -19,20 +19,20 @@ def bench_fig4_vendor_clusters(benchmark, lab_run, lab_index):
     for vendor in ("Google", "Amazon", "Apple"):
         for transport in ("tcp", "udp"):
             cluster = graph.vendor_cluster(vendor, transport)
-            connected = sum(1 for node in cluster.nodes if cluster.degree(node) > 0)
-            rows.append((vendor, transport, connected, cluster.number_of_edges()))
+            connected = len(cluster.communicating_devices)
+            rows.append((vendor, transport, connected, len(cluster.edges)))
     print()
     print(render_table(["vendor", "transport", "devices connected", "edges"], rows,
                        title="Figure 4 — vendor cluster sizes"))
     coordinator = graph.coordinator_of("Amazon", "udp")
     amazon_udp = graph.vendor_cluster("Amazon", "udp")
-    degrees = sorted((amazon_udp.degree(node) for node in amazon_udp.nodes), reverse=True)
+    degrees = sorted(amazon_udp.degrees().values(), reverse=True)
     print()
     print(render_comparison([
         ("Amazon UDP cluster has clear coordinator (Fig. 4e)", "yes",
          f"{coordinator} (degree {degrees[0]} vs next {degrees[1] if len(degrees) > 1 else 0})"),
         ("Apple cluster present (Fig. 4c/4f)", "yes",
-         graph.vendor_cluster("Apple").number_of_edges() > 0),
+         len(graph.vendor_cluster("Apple").edges) > 0),
     ], title="Figure 4 anchors"))
     assert coordinator is not None
     assert degrees[0] >= 3 * max(degrees[1], 1)

@@ -10,11 +10,11 @@ from repro.core.arp_analysis import analyze_arp
 from repro.report.tables import render_comparison
 
 
-def bench_sec51_arp(benchmark, lab_run):
-    testbed, packets, maps = lab_run
+def bench_sec51_arp(benchmark, lab_run, lab_index):
+    testbed, _, maps = lab_run
     ips = {node.name: node.ip for node in testbed.devices}
     analysis = benchmark.pedantic(
-        analyze_arp, args=(packets, maps["macs"], ips), rounds=1, iterations=1
+        analyze_arp, args=(lab_index, maps["macs"], ips), rounds=1, iterations=1
     )
     sweepers = analysis.sweepers()
     echo_coverage = (

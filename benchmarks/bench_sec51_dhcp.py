@@ -10,10 +10,10 @@ from repro.core.discovery_census import dhcp_census, mdns_service_census
 from repro.report.tables import render_comparison, render_table
 
 
-def bench_sec51_dhcp(benchmark, lab_run):
-    testbed, packets, maps = lab_run
+def bench_sec51_dhcp(benchmark, lab_run, lab_index):
+    testbed, _, maps = lab_run
     census = benchmark.pedantic(
-        dhcp_census, args=(packets, maps["macs"]), rounds=1, iterations=1
+        dhcp_census, args=(lab_index, maps["macs"]), rounds=1, iterations=1
     )
     total = len(testbed.devices)
     print()
@@ -29,7 +29,7 @@ def bench_sec51_dhcp(benchmark, lab_run):
         ("old/custom DHCP clients", 37, len(census.old_or_custom_clients())),
     ], title="§5.1 DHCP — paper vs measured"))
 
-    services = mdns_service_census(packets, maps["macs"])
+    services = mdns_service_census(lab_index, maps["macs"])
     rows = [(family, len(devices)) for family, devices in sorted(services.by_family.items())]
     print()
     print(render_table(["mDNS service family", "devices revealing it"], rows,

@@ -14,7 +14,7 @@ from repro.scan.vulnscan import VulnerabilityScanner
 
 
 def bench_sec5_threats(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
 
     def build():
         findings = VulnerabilityScanner().scan(testbed.devices)

@@ -21,7 +21,7 @@ PAPER_TABLE1 = {
 
 
 def bench_table1_exposure(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
     matrix = benchmark.pedantic(
         analyze_exposure, args=(lab_index, maps["macs"]), rounds=1, iterations=1
     )

@@ -22,7 +22,7 @@ PAPER_TABLE4 = {
 
 
 def bench_table4_responses(benchmark, lab_run, lab_index):
-    testbed, packets, maps = lab_run
+    testbed, _, maps = lab_run
     correlation = benchmark.pedantic(
         correlate_responses, args=(lab_index, maps["macs"], maps["categories"]),
         rounds=1, iterations=1,

@@ -24,7 +24,6 @@ from repro.apps.dataset import generate_app_dataset
 from repro.apps.runtime import InstrumentedPhone
 from repro.core.responses import category_of_profile
 from repro.devices.behaviors import build_testbed
-from repro.net.index import CaptureIndex
 from repro.scan.portscan import PortScanner
 
 PASSIVE_DURATION = 2400.0  # simulated seconds
@@ -46,31 +45,26 @@ def _timed_stage(name: str):
 
 @pytest.fixture(scope="session")
 def lab_run():
-    """(testbed, decoded_packets, device_maps) after the passive phase.
-
-    The packets feed the list-taking analyses (ARP, DHCP, mDNS
-    services); the seven index entry points read ``lab_index``.
-    """
+    """(testbed, capture_index, device_maps) after the passive phase."""
     with _timed_stage("testbed_build"):
         testbed = build_testbed(seed=7)
     with _timed_stage("passive_run"):
         testbed.run(PASSIVE_DURATION)
-    with _timed_stage("capture_decode"):
-        packets = testbed.lan.capture.table().packets()
+    with _timed_stage("capture_index"):
+        index = testbed.lan.capture.index()
     maps = {
         "macs": {str(node.mac): node.name for node in testbed.devices},
         "vendors": {node.name: node.vendor for node in testbed.devices},
         "categories": {node.name: category_of_profile(node.profile) for node in testbed.devices},
     }
-    return testbed, packets, maps
+    return testbed, index, maps
 
 
 @pytest.fixture(scope="session")
 def lab_index(lab_run):
     """The decode-once :class:`CaptureIndex` shared by analysis benches."""
-    testbed, _, _ = lab_run
+    _, index, _ = lab_run
     with _timed_stage("capture_index"):
-        index = testbed.lan.capture.index()
         index.ensure_labels()
     return index
 

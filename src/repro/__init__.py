@@ -33,7 +33,7 @@ import importlib
 
 #: Each re-export and where it lives (``module`` or ``module:name``).
 #: They load on first access (PEP 562), so ``import repro.fleet`` does
-#: not import the simulator, the analyses, numpy or networkx.
+#: not import the simulator, the analyses or numpy.
 _EXPORTS = {
     "StudyPipeline": "repro.core.pipeline",
     "StudyReport": "repro.core.pipeline",

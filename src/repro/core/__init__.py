@@ -47,8 +47,6 @@ _EXPORTS = {
     "dhcp_census": "discovery_census",
     "MdnsServiceCensus": "discovery_census",
     "mdns_service_census": "discovery_census",
-    "CommunicationPatterns": "patterns",
-    "analyze_patterns": "patterns",
     "PropagationReport": "propagation",
     "trace_markers": "propagation",
     "MitigationOutcome": "mitigations",

@@ -8,7 +8,8 @@ ones...  Six devices also send requests for public IPs."
 
 This module extracts all of that from a capture: who sweeps, who
 unicast-probes, per-device response rates to broadcast vs unicast
-requests, and public-IP probing.
+requests, and public-IP probing.  It reads the index's ARP rows and
+materializes no other packet.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import ipaddress
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.arp import ArpOp
-from repro.net.decode import DecodedPacket
+from repro.net.index import CaptureIndex
 
 
 @dataclass
@@ -76,7 +77,7 @@ class ArpAnalysis:
 
 
 def analyze_arp(
-    packets: Iterable[DecodedPacket],
+    index: CaptureIndex,
     device_macs: Dict[str, str],
     device_ips: Optional[Dict[str, str]] = None,
 ) -> ArpAnalysis:
@@ -87,16 +88,19 @@ def analyze_arp(
     """
     analysis = ArpAnalysis()
     inferred_ips: Dict[str, str] = dict(device_ips or {})
-    packets = list(packets)
+    table = index.table
+    src_col, dst_col = table.src_mac, table.dst_mac
+    # One device_macs lookup per interned MAC, not per packet.
+    device_of = [device_macs.get(mac) for mac in table.mac_strings]
+    # (row id, sending device, packet) of each mapped sender's ARP row.
+    rows = [(rid, device_of[src_col[rid]], table.packet(rid))
+            for rid in index.arp if device_of[src_col[rid]] is not None]
 
     # Infer IPs from ARP sender fields when not provided.
     if not device_ips:
-        for packet in packets:
-            if packet.arp is None:
-                continue
-            device = device_macs.get(str(packet.frame.src))
-            if device is not None and packet.arp.sender_ip != "0.0.0.0":
-                inferred_ips.setdefault(device, packet.arp.sender_ip)
+        for _, sender, packet in rows:
+            if packet.arp.sender_ip != "0.0.0.0":
+                inferred_ips.setdefault(sender, packet.arp.sender_ip)
     ip_to_device = {ip: name for name, ip in inferred_ips.items()}
 
     broadcast_requests: Dict[str, int] = defaultdict(int)
@@ -108,12 +112,9 @@ def analyze_arp(
     last_request: Dict[Tuple[str, str], Tuple[float, str]] = {}
     reply_window = 5.0
 
-    for packet in packets:
+    for rid, sender, packet in rows:
         arp = packet.arp
-        if arp is None:
-            continue
-        sender = device_macs.get(str(packet.frame.src))
-        if arp.op is ArpOp.REQUEST and sender is not None:
+        if arp.op is ArpOp.REQUEST:
             scanner = analysis.scanners.get(sender)
             if scanner is None:
                 scanner = analysis.scanners[sender] = ArpScanner(device=sender)
@@ -135,8 +136,8 @@ def analyze_arp(
                 if target_device is not None and target_device != sender:
                     unicast_requests[target_device] += 1
                     last_request[(sender, target_device)] = (packet.timestamp, "unicast")
-        elif arp.op is ArpOp.REPLY and sender is not None:
-            requester = device_macs.get(str(packet.frame.dst))
+        elif arp.op is ArpOp.REPLY:
+            requester = device_of[dst_col[rid]]
             if requester is None:
                 continue
             entry = last_request.get((requester, sender))

@@ -7,10 +7,9 @@ responses) are excluded, as are smartphone interactions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.classify.labels import DISCOVERY_LABELS, Label
 from repro.net.columnar import F_UDP, TRANSPORT_UDP
@@ -23,51 +22,62 @@ _DISCOVERY_PORTS = {53, 67, 68, 137, 1900, 5353, 5683, 6666, 6667, 9999}
 
 @dataclass
 class DeviceGraph:
-    """The transport-layer communication graph."""
+    """The transport-layer communication graph.
 
-    graph: nx.MultiGraph
+    ``nodes`` are device names in first-seen order, each once.
+    ``edges`` are :func:`conversation_edges` keys ``(a, b, transport)``
+    with ``a <= b``, each once; both ends of every edge are nodes.
+    """
+
+    nodes: List[str]
+    edges: List[Tuple[str, str, str]]
     device_vendor: Dict[str, str]
+
+    def degrees(self) -> Dict[str, int]:
+        """Edges at each node, in node order.
+
+        A pair that talks over TCP and UDP has two edges.
+        """
+        degrees = dict.fromkeys(self.nodes, 0)
+        for a, b, _ in self.edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        return degrees
 
     @property
     def communicating_devices(self) -> List[str]:
-        return [node for node in self.graph.nodes if self.graph.degree(node) > 0]
+        return [node for node, degree in self.degrees().items() if degree > 0]
 
-    def edge_transports(self, a: str, b: str) -> Set[str]:
-        if not self.graph.has_edge(a, b):
-            return set()
-        return {data.get("transport") for data in self.graph[a][b].values()}
-
-    def vendor_cluster(self, vendor: str, transport: Optional[str] = None) -> nx.MultiGraph:
+    def vendor_cluster(self, vendor: str, transport: Optional[str] = None) -> DeviceGraph:
         """The Figure 4 view: the subgraph among one vendor's devices."""
         members = [
             node for node, owner in self.device_vendor.items() if owner == vendor
         ]
-        subgraph = nx.MultiGraph()
-        subgraph.add_nodes_from(members)
-        for a, b, data in self.graph.edges(data=True):
-            if a in subgraph and b in subgraph:
-                if transport is None or data.get("transport") == transport:
-                    subgraph.add_edge(a, b, **data)
-        return subgraph
+        inside = set(members)
+        edges = [
+            (a, b, kind) for a, b, kind in self.edges
+            if a in inside and b in inside and (transport is None or kind == transport)
+        ]
+        return DeviceGraph(members, edges, self.device_vendor)
 
     def coordinator_of(self, vendor: str, transport: Optional[str] = None) -> Optional[str]:
-        """Highest-degree device in a vendor cluster (Fig. 4e's Echo)."""
+        """Highest-degree device in a vendor cluster (Fig. 4e's Echo).
+
+        A tie goes to the first member in ``device_vendor`` order.
+        """
         cluster = self.vendor_cluster(vendor, transport)
-        if cluster.number_of_edges() == 0:
+        if not cluster.edges:
             return None
-        return max(cluster.nodes, key=lambda node: cluster.degree(node))
+        degrees = cluster.degrees()
+        return max(degrees, key=degrees.get)
 
     def summary(self) -> Dict[str, object]:
-        pair_transports: Dict[Tuple[str, str], Set[str]] = {}
-        for a, b, data in self.graph.edges(data=True):
-            pair = tuple(sorted((a, b)))
-            pair_transports.setdefault(pair, set()).add(data.get("transport"))
-        both = sum(1 for transports in pair_transports.values() if len(transports) > 1)
+        per_pair = Counter((a, b) for a, b, _ in self.edges)
         return {
-            "devices_total": self.graph.number_of_nodes(),
+            "devices_total": len(self.nodes),
             "devices_communicating": len(self.communicating_devices),
-            "device_pairs": len(pair_transports),
-            "pairs_tcp_and_udp": both,
+            "device_pairs": len(per_pair),
+            "pairs_tcp_and_udp": sum(1 for count in per_pair.values() if count > 1),
         }
 
 
@@ -117,10 +127,8 @@ def build_device_graph(
 
     ``device_macs``: MAC -> device name for IoT devices only (so phone
     and gateway traffic is excluded, as the figure caption requires).
-    Edges are added in :func:`conversation_edges` order.
+    Nodes keep the map's first-seen order, edges
+    :func:`conversation_edges` order.
     """
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(device_macs.values())
-    for a, b, transport in conversation_edges(index, device_macs):
-        graph.add_edge(a, b, transport=transport)
-    return DeviceGraph(graph=graph, device_vendor=device_vendor)
+    return DeviceGraph(list(dict.fromkeys(device_macs.values())),
+                       conversation_edges(index, device_macs), device_vendor)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.net.decode import DecodedPacket
+from repro.net.index import CaptureIndex
 from repro.protocols.dhcp import DhcpMessage, DhcpOption
 from repro.protocols.dns import DnsMessage, DnsType
 
@@ -67,17 +67,20 @@ class DhcpCensus:
         return len(self.client_versions) / total_devices if total_devices else 0.0
 
 
-def dhcp_census(packets: Iterable[DecodedPacket], device_macs: Dict[str, str]) -> DhcpCensus:
+def dhcp_census(index: CaptureIndex, device_macs: Dict[str, str]) -> DhcpCensus:
     """Mine DHCP requests for the §5.1 option/hostname/version stats."""
     census = DhcpCensus()
-    for packet in packets:
-        if packet.udp is None or packet.udp.dst_port != 67:
+    table = index.table
+    src_col, dport_col = table.src_mac, table.dst_port
+    device_of = [device_macs.get(mac) for mac in table.mac_strings]
+    for rid in index.udp:
+        if dport_col[rid] != 67:
             continue
-        device = device_macs.get(str(packet.frame.src))
+        device = device_of[src_col[rid]]
         if device is None:
             continue
         try:
-            message = DhcpMessage.decode(packet.udp.payload)
+            message = DhcpMessage.decode(table.app_payload(rid))
         except ValueError:
             continue
         if message.op != 1:
@@ -133,18 +136,22 @@ def classify_service(name: str) -> Optional[str]:
 
 
 def mdns_service_census(
-    packets: Iterable[DecodedPacket], device_macs: Dict[str, str]
+    index: CaptureIndex, device_macs: Dict[str, str]
 ) -> MdnsServiceCensus:
     """Mine mDNS traffic for the service families devices reveal."""
     census = MdnsServiceCensus()
-    for packet in packets:
-        if packet.udp is None or 5353 not in (packet.udp.src_port, packet.udp.dst_port):
+    table = index.table
+    src_col = table.src_mac
+    sport_col, dport_col = table.src_port, table.dst_port
+    device_of = [device_macs.get(mac) for mac in table.mac_strings]
+    for rid in index.udp:
+        if sport_col[rid] != 5353 and dport_col[rid] != 5353:
             continue
-        device = device_macs.get(str(packet.frame.src))
+        device = device_of[src_col[rid]]
         if device is None:
             continue
         try:
-            message = DnsMessage.decode(packet.udp.payload)
+            message = DnsMessage.decode(table.app_payload(rid))
         except ValueError:
             continue
         names: List[str] = [question.name for question in message.questions]

@@ -33,10 +33,6 @@ class ProtocolCensus:
     def app_fraction(self, label: str) -> float:
         return len(self.apps.get(label, ())) / self.total_apps if self.total_apps else 0.0
 
-    def passive_labels(self) -> List[str]:
-        """Labels observed passively, by descending prevalence."""
-        return sorted(self.passive, key=lambda label: -len(self.passive[label]))
-
     def protocols_per_device(self) -> Dict[str, int]:
         """Distinct passive protocols per device (§4.1: average ~8)."""
         per_device: Dict[str, int] = defaultdict(int)

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.net.index import CaptureIndex
 from repro.protocols.http import HttpRequest
 from repro.protocols.tls import CertificateInfo, HandshakeType, iter_records
-from repro.scan.vulnscan import Finding
+
+if TYPE_CHECKING:  # repro.scan imports the simulator, which no capture pass needs
+    from repro.scan.vulnscan import Finding
 
 
 @dataclass
@@ -36,10 +38,6 @@ class TlsPosture:
         if not self.certificates:
             return None
         return max(cert.validity_years for cert in self.certificates)
-
-    @property
-    def uses_self_signed(self) -> bool:
-        return any(cert.self_signed for cert in self.certificates)
 
     @property
     def ip_common_names(self) -> bool:

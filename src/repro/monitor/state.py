@@ -187,21 +187,15 @@ class IncrementalDeviceGraph(IncrementalState):
         self.observed.update(other.observed)
 
     def finalize(self) -> DeviceGraph:
-        import networkx as nx
-
-        graph = nx.MultiGraph()
-        identity = self.device_macs is None
-        if identity:
-            graph.add_nodes_from(self.observed)
-        else:
-            graph.add_nodes_from(self.device_macs.values())
-        for a, b, transport in self.edges:
-            if identity and (a not in self.observed or b not in self.observed):
-                continue
-            graph.add_edge(a, b, transport=transport)
         # No vendor map: the snapshot artifact writes nodes, edges and
         # the summary only.
-        return DeviceGraph(graph, {})
+        if self.device_macs is not None:
+            return DeviceGraph(list(dict.fromkeys(self.device_macs.values())),
+                               list(self.edges), {})
+        observed = self.observed
+        return DeviceGraph(sorted(observed),
+                           [(a, b, transport) for a, b, transport in self.edges
+                            if a in observed and b in observed], {})
 
 
 class IncrementalExposure(IncrementalState):

@@ -12,7 +12,7 @@ We reproduce the same three-clause predicate over decoded packets.
 from __future__ import annotations
 
 import ipaddress
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from repro.net.decode import DecodedPacket
 
@@ -50,9 +50,6 @@ class LocalTrafficFilter:
 
     def apply(self, packets: Iterable[DecodedPacket]) -> List[DecodedPacket]:
         return [packet for packet in packets if self.matches(packet)]
-
-    def iterate(self, packets: Iterable[DecodedPacket]) -> Iterator[DecodedPacket]:
-        return (packet for packet in packets if self.matches(packet))
 
 
 def is_private_conversation(src_ip: str, dst_ip: str) -> bool:

@@ -89,9 +89,6 @@ class OuiRegistry:
     def ouis_of(self, vendor: str) -> List[str]:
         return list(self._vendor_to_ouis.get(vendor, []))
 
-    def knows_vendor(self, vendor: str) -> bool:
-        return vendor in self._vendor_to_ouis
-
     @property
     def vendors(self) -> List[str]:
         return sorted(self._vendor_to_ouis)

@@ -33,17 +33,10 @@ def census_artifact(census) -> Dict[str, object]:
 
 
 def device_graph_artifact(graph) -> Dict[str, object]:
-    """The device communication graph (Figures 1/4) as canonical data.
-
-    Edge endpoints are pair-normalized (lexicographic) before sorting:
-    ``MultiGraph.edges`` orients each edge by node insertion order,
-    which is a construction detail, not part of the graph's identity.
-    """
-    edges = sorted({tuple(sorted((str(a), str(b)))) + (str(data.get("transport")),)
-                    for a, b, data in graph.graph.edges(data=True)})
+    """The device communication graph (Figures 1/4) as canonical data."""
     return {
-        "nodes": sorted(str(node) for node in graph.graph.nodes),
-        "edges": [list(edge) for edge in edges],
+        "nodes": sorted(graph.nodes),
+        "edges": [list(edge) for edge in sorted(graph.edges)],
         "summary": graph.summary(),
     }
 

@@ -77,10 +77,13 @@ def mini_capture(mini_testbed):
 
 @pytest.fixture(scope="session")
 def full_testbed_run():
-    """The full 93-device lab run for 20 simulated minutes (built once)."""
+    """The full 93-device lab run for 20 simulated minutes (built once).
+
+    Returns the testbed and its capture's :class:`CaptureIndex`.
+    """
     testbed = build_testbed(seed=7)
     testbed.run(1200.0)
-    return testbed, testbed.lan.capture.table().packets()
+    return testbed, testbed.lan.capture.index()
 
 
 @pytest.fixture(scope="session")

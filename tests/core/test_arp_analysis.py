@@ -8,10 +8,10 @@ from tests.conftest import device_maps
 
 @pytest.fixture(scope="module")
 def arp_analysis(full_testbed_run):
-    testbed, packets = full_testbed_run
+    testbed, index = full_testbed_run
     macs, _, _ = device_maps(testbed)
     ips = {node.name: node.ip for node in testbed.devices}
-    return testbed, analyze_arp(packets, macs, ips)
+    return testbed, analyze_arp(index, macs, ips)
 
 
 class TestArpAnalysis:
@@ -52,7 +52,7 @@ class TestArpAnalysis:
         assert hue is None or not hue.is_sweeper
 
     def test_inferred_ips_work_without_map(self, full_testbed_run):
-        testbed, packets = full_testbed_run
+        testbed, index = full_testbed_run
         macs, _, _ = device_maps(testbed)
-        analysis = analyze_arp(packets, macs)  # no IP map given
+        analysis = analyze_arp(index, macs)  # no IP map given
         assert len(analysis.sweepers()) == 17

@@ -13,9 +13,9 @@ from tests.conftest import device_maps
 
 @pytest.fixture(scope="module")
 def censuses(full_testbed_run):
-    testbed, packets = full_testbed_run
+    testbed, index = full_testbed_run
     macs, _, _ = device_maps(testbed)
-    return testbed, dhcp_census(packets, macs), mdns_service_census(packets, macs)
+    return testbed, dhcp_census(index, macs), mdns_service_census(index, macs)
 
 
 class TestDhcpCensus:

@@ -193,10 +193,10 @@ class TestIdentifiers:
 
 class TestClusters:
     def test_amazon_tls_star(self, full_testbed_run):
-        testbed, packets = full_testbed_run
+        testbed, index = full_testbed_run
         amazon_macs = {str(n.mac) for n in testbed.devices_of_vendor("Amazon")}
         tls_pairs = set()
-        for packet in packets:
+        for packet in map(index.table.packet, index.tcp_payload):
             if (packet.tcp and packet.tcp.payload[:1] == b"\x16"
                     and str(packet.frame.src) in amazon_macs
                     and str(packet.frame.dst) in amazon_macs):
@@ -206,10 +206,10 @@ class TestClusters:
     def test_apple_uses_tls13(self, full_testbed_run):
         from repro.protocols.tls import HandshakeType, TlsVersion, iter_records
 
-        testbed, packets = full_testbed_run
+        testbed, index = full_testbed_run
         apple_macs = {str(n.mac) for n in testbed.devices_of_vendor("Apple")}
         versions = set()
-        for packet in packets:
+        for packet in map(index.table.packet, index.tcp_payload):
             if packet.tcp and str(packet.frame.src) in apple_macs and packet.tcp.payload:
                 for record in iter_records(packet.tcp.payload):
                     handshake = record.handshake()
@@ -220,21 +220,21 @@ class TestClusters:
         assert TlsVersion.TLS_1_3 in versions
 
     def test_echo_arp_sweep_covers_ip_space(self, full_testbed_run):
-        testbed, packets = full_testbed_run
+        testbed, index = full_testbed_run
         echo_macs = {str(n.mac) for n in testbed.devices
                      if n.vendor == "Amazon" and n.profile.category == "Voice Assistant"}
         sweep_targets = {
-            p.arp.target_ip for p in packets
+            p.arp.target_ip for p in map(index.table.packet, index.arp)
             if p.arp and p.arp.op == 1 and str(p.frame.src) in echo_macs and p.is_broadcast
         }
         assert len(sweep_targets) > 200  # the whole /24 swept
 
     def test_interop_edges_exist(self, full_testbed_run):
-        testbed, packets = full_testbed_run
+        testbed, index = full_testbed_run
         # Controller -> TP-Link TCP 9999 (unauthenticated control, §5.1).
         tplink_macs = {str(n.mac) for n in testbed.devices_of_vendor("TP-Link")}
         control = [
-            p for p in packets
+            p for p in map(index.table.packet, index.tcp_payload)
             if p.tcp and p.tcp.dst_port == 9999 and str(p.frame.dst) in tplink_macs
             and p.tcp.payload
         ]

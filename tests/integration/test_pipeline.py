@@ -26,7 +26,7 @@ class TestPipeline:
     def test_all_artifacts_produced(self, study):
         assert study.capture_packets > 1000
         assert study.census.passive
-        assert study.device_graph.graph.number_of_nodes() == 93
+        assert len(study.device_graph.nodes) == 93
         assert study.exposure.cells
         assert study.responses.per_device
         assert study.periodicity.detections

@@ -26,7 +26,9 @@ from repro.classify.labels import Label
 from repro.classify.ndpi_like import NdpiLikeClassifier
 from repro.classify.rules import CorrectedClassifier
 from repro.classify.tshark_like import TsharkLikeClassifier
+from repro.core.arp_analysis import analyze_arp
 from repro.core.device_graph import build_device_graph
+from repro.core.discovery_census import dhcp_census, mdns_service_census
 from repro.core.exposure import (
     ExposureMatrix,
     _mine_dhcp,
@@ -182,6 +184,12 @@ def lab_maps():
     return device_maps(build_testbed(seed=7))
 
 
+@pytest.fixture(scope="module")
+def lab_ips():
+    """The seed-7 lab's MAC -> IP map."""
+    return {str(node.mac): node.ip for node in build_testbed(seed=7).devices}
+
+
 @pytest.fixture(scope="module", params=["lab", "chaos", "damage"])
 def both_indexes(request):
     """(columnar, eager) indexes over one corpus's records."""
@@ -259,6 +267,30 @@ class TestAnalysisEquality:
         assert from_columns == from_packets
         assert list(from_columns.tls_devices) == list(from_packets.tls_devices)
         assert list(from_columns.user_agents) == list(from_packets.user_agents)
+
+    @pytest.mark.parametrize("with_ips", [False, True], ids=["inferred-ips", "device-ips"])
+    def test_arp(self, both_indexes, maps, lab_ips, with_ips):
+        columnar, eager = both_indexes
+        macs, _, _ = maps
+        ips = {name: lab_ips[mac] for mac, name in macs.items() if mac in lab_ips} \
+            if with_ips else None
+        from_columns = analyze_arp(columnar, macs, ips)
+        assert from_columns.scanners
+        assert from_columns == analyze_arp(eager, macs, ips)
+
+    def test_dhcp_census(self, both_indexes, maps):
+        columnar, eager = both_indexes
+        macs, _, _ = maps
+        from_columns = dhcp_census(columnar, macs)
+        assert from_columns.requesting_devices
+        assert from_columns == dhcp_census(eager, macs)
+
+    def test_mdns_service_census(self, both_indexes, maps):
+        columnar, eager = both_indexes
+        macs, _, _ = maps
+        from_columns = mdns_service_census(columnar, macs)
+        assert from_columns.by_family
+        assert from_columns == mdns_service_census(eager, macs)
 
 
 @pytest.fixture(scope="module", params=["lab", "chaos", "damage"])

@@ -3,8 +3,10 @@
 A fresh interpreter that imports what ``repro fleet`` imports before it
 runs (the list perfbench's fleet workload times as set-up) must not load
 numpy, networkx or the simulator; a fresh ``repro ingest`` or ``repro
-classify --crossval`` must not load the study or fleet stacks; every
-re-exported name must still resolve to the object its module defines.
+classify --crossval`` must not load the study or fleet stacks, networkx
+or the simulator, and a fresh ``repro monitor`` neither networkx nor the
+simulator; every re-exported name must still resolve to the object its
+module defines.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ def _modules_after(script: str):
     return set(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
+def _cli_modules(argv, directory):
+    """The modules a fresh interpreter holds after ``repro <argv>`` exits 0."""
+    return _modules_after(
+        "import contextlib, io, json, os, sys\n"
+        "from repro.cli import main\n"
+        f"os.chdir({str(directory)!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+
+
 def test_fleet_setup_skips_numpy_networkx_and_the_simulator():
     imports = _fleet_setup_imports()
     assert "repro.cli" in imports and "repro.fleet" in imports
@@ -60,6 +73,13 @@ def test_fleet_setup_skips_numpy_networkx_and_the_simulator():
 #: Packages a fresh ``repro ingest`` or ``repro classify`` never loads.
 STUDY_AND_FLEET = ("repro.fleet", "repro.core.pipeline", "repro.apps",
                    "repro.honeypot", "repro.faults", "repro.inspector")
+#: Packages no fresh capture command loads: networkx and the simulator.
+NETWORKX_AND_SIMULATOR = ("networkx", "repro.simnet", "repro.devices", "repro.scan")
+
+
+def _loaded_under(loaded, packages):
+    return [name for name in sorted(loaded)
+            if name in packages or name.startswith(tuple(f"{package}." for package in packages))]
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +102,15 @@ def capture_files(tmp_path_factory, lab_records):
     ["classify", "lab.pcap", "--crossval"],
 ], ids=["ingest-lab", "ingest-empty", "classify-crossval"])
 def test_capture_commands_skip_the_study_and_fleet_stacks(argv, capture_files):
-    loaded = _modules_after(
-        "import contextlib, io, json, os, sys\n"
-        "from repro.cli import main\n"
-        f"os.chdir({str(capture_files)!r})\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = _cli_modules(argv, capture_files)
     assert "repro.core.analyses" in loaded
-    assert [name for name in sorted(loaded)
-            if name.startswith(tuple(f"{package}." for package in STUDY_AND_FLEET))
-            or name in STUDY_AND_FLEET] == []
+    assert _loaded_under(loaded, STUDY_AND_FLEET + NETWORKX_AND_SIMULATOR) == []
+
+
+def test_monitor_skips_networkx_and_the_simulator(capture_files):
+    loaded = _cli_modules(["monitor", "lab.pcap"], capture_files)
+    assert "repro.monitor.state" in loaded
+    assert _loaded_under(loaded, NETWORKX_AND_SIMULATOR) == []
 
 
 def test_a_study_import_still_loads_the_analyses():

@@ -1,4 +1,4 @@
-"""Every import under ``src/`` is read.
+"""Every import under ``src/`` is read, and every package it imports is declared.
 
 An ``ast`` scan of each module: a name an ``import`` binds must be read
 somewhere in the module, by an expression or inside a string annotation
@@ -6,15 +6,24 @@ somewhere in the module, by an expression or inside a string annotation
 the name again does not count as a read.
 ``__init__.py`` files are exempt, since their imports are the package's
 re-exports, and so is ``from __future__ import ...``.
+
+The top-level packages imported under ``src/`` that are neither the
+standard library nor ``repro`` must be exactly ``pyproject.toml``'s
+``dependencies``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 from typing import Iterator, List, Set
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _annotations(tree: ast.AST) -> Iterator[ast.AST]:
@@ -83,3 +92,34 @@ def test_the_scan_sees_string_annotations_and_dunder_all():
         "    return []\n"
     )
     assert unused_imports(source) == ["1: Dict", "2: os", "3: E", "3: F"]
+
+
+def imported_packages(source: str) -> Set[str]:
+    """The top-level package of every absolute import in a module."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def declared_dependencies() -> Set[str]:
+    """``pyproject.toml``'s ``dependencies``, as import names.
+
+    Read with a pattern, since ``tomllib`` is new in Python 3.11.
+    """
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    array = re.search(r"^dependencies\s*=\s*(\[[^\]]*\])", text, re.MULTILINE).group(1)
+    return {re.split(r"[\s<>=!~;\[]", requirement)[0].lower().replace("-", "_")
+            for requirement in ast.literal_eval(array)}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10), reason="needs sys.stdlib_module_names")
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set()
+    for path in SRC.rglob("*.py"):
+        imported |= imported_packages(path.read_text(encoding="utf-8"))
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert sorted(third_party) == sorted(declared_dependencies())
