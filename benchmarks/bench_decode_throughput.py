@@ -21,9 +21,8 @@ columnar index agrees with the eager reference
 (``PacketTable.from_packets`` of a per-record decode), and prints the
 numbers as JSON.  ``--profile`` adds the
 profiler overhead gate: the same decode with a
-:class:`repro.obs.profile.SamplingProfiler` running must stay within
-:data:`DEFAULT_PROFILE_OVERHEAD_MAX` (override via
-``REPRO_PROFILE_OVERHEAD_MAX``) of the unprofiled time, and the sampled
+:class:`repro.obs.profile.SamplingProfiler` recording must stay within
+:data:`PROFILE_OVERHEAD_MAX` of the unprofiled time, and the sampled
 flamegraph must actually contain decode-path frames.
 """
 
@@ -182,9 +181,8 @@ def run_smoke(duration: float = 300.0, seed: int = 7) -> dict:
 
 
 #: Allowed profiled-vs-plain decode slowdown (10%) — the overhead
-#: contract of ``repro.obs.profile``; REPRO_PROFILE_OVERHEAD_MAX
-#: overrides it for noisy CI machines.
-DEFAULT_PROFILE_OVERHEAD_MAX = 0.10
+#: contract of ``repro.obs.profile``.
+PROFILE_OVERHEAD_MAX = 0.10
 
 
 def run_profile_smoke(duration: float = 900.0, seed: int = 7,
@@ -192,7 +190,7 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
     """Profiler overhead gate: sampled decode vs plain decode.
 
     Ingests the same capture and materializes every row (so the
-    layered decoder in ``repro/net/decode.py`` runs) under a running
+    layered decoder in ``repro/net/decode.py`` runs) under a recording
     :class:`~repro.obs.profile.SamplingProfiler` (with the
     :class:`~repro.obs.profile.SpanResourceProbe` installed, i.e. the
     full ``--profile-out`` configuration) and plain, **interleaved**
@@ -201,8 +199,6 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
     checks the sampled flamegraph contains decode frames.  Returns the
     numbers; raises ``SystemExit`` on a broken contract.
     """
-    import os
-
     from repro.devices.behaviors import build_testbed
     from repro.obs import enable_observability, use_obs
     from repro.obs.profile import SamplingProfiler, SpanResourceProbe
@@ -232,9 +228,9 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
     plain_seconds = profiled_seconds = float("inf")
     for _ in range(repeats):
         plain_seconds = min(plain_seconds, timed(decode_once))
-        # The sampler runs only while the profiled side is timed;
-        # start/stop stay outside the clock (a CLI run pays them
-        # once, not per decode).
+        # The profiler records (and arms the timer) only while the
+        # profiled side is timed; start/stop stay outside the clock (a
+        # CLI run pays them once, not per decode).
         profiler.start()
         try:
             profiled_seconds = min(profiled_seconds, timed(profiled_once))
@@ -243,14 +239,12 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
 
     flame = profiler.profile.to_collapsed()
     overhead = (profiled_seconds / plain_seconds - 1.0) if plain_seconds else 0.0
-    limit = float(os.environ.get("REPRO_PROFILE_OVERHEAD_MAX",
-                                 DEFAULT_PROFILE_OVERHEAD_MAX))
     results = {
         "packets": len(records),
         "plain_seconds": plain_seconds,
         "profiled_seconds": profiled_seconds,
         "overhead": overhead,
-        "overhead_limit": limit,
+        "overhead_limit": PROFILE_OVERHEAD_MAX,
         "profile_samples": profiler.profile.total_samples,
         "decode_frames_sampled": "repro/net/decode.py" in flame,
     }
@@ -258,12 +252,12 @@ def run_profile_smoke(duration: float = 900.0, seed: int = 7,
         raise SystemExit(
             "profiled decode produced no decode-path samples "
             f"({results['profile_samples']} samples total) — "
-            "span attribution or the sampler thread is broken")
-    if overhead > limit:
+            "span attribution or the sampling timer is broken")
+    if overhead > PROFILE_OVERHEAD_MAX:
         raise SystemExit(
-            f"profiler overhead {overhead:.1%} exceeds the {limit:.0%} "
-            f"contract ({profiled_seconds:.4f}s profiled vs "
-            f"{plain_seconds:.4f}s plain)")
+            f"profiler overhead {overhead:.1%} exceeds the "
+            f"{PROFILE_OVERHEAD_MAX:.0%} contract ({profiled_seconds:.4f}s "
+            f"profiled vs {plain_seconds:.4f}s plain)")
     return results
 
 

@@ -95,7 +95,7 @@ def _build_observability(args: argparse.Namespace):
                                profiler=profiler)
     if profiler is not None:
         # Per-span resource accounting rides with profiling; whether the
-        # sampler thread starts is _run_with_telemetry's ``sample`` (the
+        # profiler records is _run_with_telemetry's ``sample`` (the
         # fleet's parent leaves it off so its merged profile is exactly
         # the deterministic fold of the workers' profiles).
         from repro.obs.profile import SpanResourceProbe
@@ -125,8 +125,13 @@ def _check_outputs(args: argparse.Namespace) -> Optional[str]:
     profile_hz = getattr(args, "profile_hz", None)
     if profile_hz is not None and not profile_out:
         return "--profile-hz requires --profile-out"
-    if profile_hz is not None and profile_hz <= 0:
-        return f"--profile-hz must be positive, got {profile_hz}"
+    if profile_hz is not None:
+        from repro.obs.profile import SamplingProfiler
+
+        try:
+            SamplingProfiler(hz=profile_hz)
+        except ValueError as error:
+            return f"--profile-hz: {error}"
     if profile_out:
         target = os.path.abspath(profile_out)
         # The directory itself is created on demand; its parent must
@@ -180,15 +185,18 @@ def _run_with_telemetry(args: argparse.Namespace, work, *, sample: bool = True,
 
     Builds the telemetry context and hands it to ``work``, which passes
     it on explicitly (the study's pipeline installs it for its own run),
-    starts the profiler when ``sample`` (the fleet's workers sample
-    themselves), and guards SIGINT/SIGTERM.  An interrupt exits
-    ``128 + signum`` and an exception (the first failure of a fail-fast
-    run) exits ``1`` with its traceback logged at debug level; every
-    exit path writes the requested telemetry outputs first.
+    arms the profiling timer for the whole run and starts the profiler
+    when ``sample`` (the fleet's workers sample themselves), and guards
+    SIGINT/SIGTERM.  An interrupt exits ``128 + signum`` and an
+    exception (the first failure of a fail-fast run) exits ``1`` with
+    its traceback logged at debug level; every exit path disarms the
+    timer and then writes the requested telemetry outputs.
     """
     from repro.interrupt import interrupt_guard
+    from repro.obs.profile import arm_timer
 
     obs = _build_observability(args)
+    disarm = arm_timer(obs.profiler.hz) if obs.profiler.enabled else None
     if sample and obs.profiler.enabled:
         obs.profiler.start()
     try:
@@ -206,6 +214,8 @@ def _run_with_telemetry(args: argparse.Namespace, work, *, sample: bool = True,
         obs.logger("cli").debug("error_traceback", command=args.command,
                                 traceback=traceback.format_exc())
     finally:
+        if disarm is not None:
+            disarm()
         _write_observability_outputs(obs, args)
     print(f"repro {args.command}: {note}", file=sys.stderr)
     return code

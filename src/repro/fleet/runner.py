@@ -69,7 +69,7 @@ from repro.fleet.ledger import (
     read_header,
 )
 from repro.fleet.merge import merge_shard_results
-from repro.fleet.shard import is_shard_payload, run_shard
+from repro.fleet.shard import arm_worker_timer, is_shard_payload, run_shard
 from repro.fleet.spec import FleetSpec, ShardRange, code_version
 from repro.fleet.supervisor import (
     DEFAULT_RETRY_BACKOFF,
@@ -81,6 +81,7 @@ from repro.fleet.supervisor import (
 )
 from repro.inspector.generate import derive_rng
 from repro.obs import Observability, ObsSnapshot, ObsSnapshotError, get_obs
+from repro.obs.profile import arm_timer
 
 
 class FleetError(RuntimeError):
@@ -245,8 +246,13 @@ class _PoolDispatch:
         finally:
             shutil.rmtree(self.claim_dir, ignore_errors=True)
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        hz = self.runner.profile_hz
+        return ProcessPoolExecutor(max_workers=self.width, initargs=(hz,),
+                                   initializer=arm_worker_timer if hz > 0.0 else None)
+
     def _loop(self) -> None:
-        self.pool = ProcessPoolExecutor(max_workers=self.width)
+        self.pool = self._new_pool()
         while self.queue or self.inflight:
             now = self.supervisor.clock()
             for task in [t for t in self.queue if t.not_before <= now]:
@@ -363,7 +369,7 @@ class _PoolDispatch:
             if self.ledger.obs.enabled:
                 self.ledger.logger.warning("pool_rebuilt", rebuilds=self.rebuilds,
                                            requeued=len(broken))
-            self.pool = ProcessPoolExecutor(max_workers=self.width)
+            self.pool = self._new_pool()
 
 
 class FleetRunner:
@@ -458,6 +464,7 @@ class FleetRunner:
         emit nothing — no run ever started).
         """
         self._run_end_emitted = False
+        disarm = arm_timer(self.profile_hz) if self.profile_hz > 0.0 else None
         try:
             return self._run()
         except KeyboardInterrupt:
@@ -469,6 +476,9 @@ class FleetRunner:
                 self.obs.events.emit("run_end", kind="fleet",
                                      complete=False, outcome="failed")
             raise
+        finally:
+            if disarm is not None:
+                disarm()
 
     def _run(self) -> FleetResult:
         """Plan → cache scan → dispatch → merge."""

@@ -21,11 +21,13 @@ byte-identical at any worker count.
 Two opt-in extras ride along, both off by default so an unprofiled
 fleet's shard payloads stay byte-identical to earlier builds:
 
-* ``profile_hz > 0`` runs a :class:`~repro.obs.profile.SamplingProfiler`
-  (plus a :class:`~repro.obs.profile.SpanResourceProbe`) for the
-  shard's lifetime; the sampled profile travels inside the ``"obs"``
-  snapshot and — because the cache stores the payload verbatim — cache
-  hits replay the stored profile on later runs.
+* ``profile_hz > 0`` samples the shard's own spans with a
+  :class:`~repro.obs.profile.SamplingProfiler` (plus a
+  :class:`~repro.obs.profile.SpanResourceProbe`) under a timer armed
+  once per process, which keeps its phase from shard to shard; the
+  sampled profile travels inside the ``"obs"`` snapshot and — because
+  the cache stores the payload verbatim — cache hits replay the stored
+  profile on later runs.
 * ``events_path`` appends ``kind="worker"`` heartbeat records (shard
   index + pid + RSS/CPU) to the parent's NDJSON event stream, so a
   ``tail -f`` shows worker liveness, not just the parent's merge loop.
@@ -33,6 +35,7 @@ fleet's shard payloads stay byte-identical to earlier builds:
 
 from __future__ import annotations
 
+import atexit
 import functools
 import time
 from typing import Dict, List, Optional
@@ -44,7 +47,7 @@ from repro.inspector.schema import InspectorDataset
 from repro.obs import MetricsRegistry, Observability, ObsSnapshot, Tracer, use_obs
 from repro.obs.events import NULL_EVENT_BUS, open_event_stream
 from repro.obs.logging import NullLogManager
-from repro.obs.profile import NULL_PROFILER, SamplingProfiler, SpanResourceProbe
+from repro.obs.profile import NULL_PROFILER, SamplingProfiler, SpanResourceProbe, arm_timer
 
 
 #: The payload keys :func:`~repro.fleet.merge.merge_shard_results` reads.
@@ -73,6 +76,13 @@ def population_context(seed: int, households: int, target_devices: int,
     return build_context(seed=seed, households=households,
                          target_devices=target_devices,
                          vendor_count=vendor_count, product_count=product_count)
+
+
+def arm_worker_timer(hz: float) -> None:
+    """Pool initializer: arm this fresh worker's profiling timer for its
+    life (a forked worker inherits none); ``atexit`` disarms it before
+    the interpreter restores ``SIGPROF``'s deadly default action."""
+    atexit.register(arm_timer(hz))
 
 
 class ShardFaultInjected(RuntimeError):
@@ -150,11 +160,9 @@ def run_shard(
                         logs=NullLogManager(), enabled=True, profiler=profiler)
     events = (open_event_stream(events_path, append=True)
               if events_path else NULL_EVENT_BUS)
-    probe: Optional[SpanResourceProbe] = None
     if profiler.enabled:
         profiler.bind(tracer)
-        probe = SpanResourceProbe()
-        tracer.resource_probe = probe
+        tracer.resource_probe = SpanResourceProbe()
         profiler.start()
     try:
         with use_obs(obs), obs.tracer.span("fleet.worker", start=start, stop=stop):
@@ -202,8 +210,7 @@ def run_shard(
     finally:
         if profiler.enabled:
             profiler.stop()
-            if probe is not None:
-                probe.close()
+            tracer.resource_probe.close()
         events.close()
 
     return {

@@ -5,7 +5,6 @@ outputs, and the fleet runner journals its in-flight shards first."""
 from __future__ import annotations
 
 import signal
-import threading
 from contextlib import contextmanager
 
 
@@ -33,13 +32,9 @@ def interrupt_guard():
     Installs handlers that raise in the main thread (so a blocking
     ``wait()`` or worker loop unwinds through the caller's cleanup) and
     restores the previous handlers on exit.  A no-op outside the main
-    thread — ``signal.signal`` is main-thread-only — and callers there
-    still see plain :class:`KeyboardInterrupt` from Ctrl-C.
+    thread — ``signal.signal`` raises ``ValueError`` there — and callers
+    there still see plain :class:`KeyboardInterrupt` from Ctrl-C.
     """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
     def _raise(signum, frame):  # noqa: ARG001 - signal handler signature
         raise RunInterrupted(signum)
 
@@ -47,7 +42,7 @@ def interrupt_guard():
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             previous[signum] = signal.signal(signum, _raise)
-        except (ValueError, OSError):  # pragma: no cover - exotic platforms
+        except (ValueError, OSError):  # off the main thread
             pass
     try:
         yield

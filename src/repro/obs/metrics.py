@@ -26,6 +26,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 
 def _freeze_labels(labels: Mapping[str, str]) -> LabelValues:
+    if not labels:  # the common unlabelled call skips the sort
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

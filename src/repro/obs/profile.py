@@ -3,15 +3,16 @@
 Two instruments, one question — *which frames burned the time and which
 stage allocated the memory*:
 
-* :class:`SamplingProfiler` — a background timer thread walking
-  ``sys._current_frames()`` at a configurable rate (default
-  :data:`DEFAULT_PROFILE_HZ`).  Every sample is attributed to the
-  tracer span currently open **on the sampled thread** (via
-  :meth:`Tracer.active_span_name`), so the resulting profile is grouped
-  by pipeline stage / analysis / shard out of the box.  Samples
-  accumulate into a :class:`Profile`, which exports as collapsed-stack
-  flamegraph text (``flamegraph.pl`` / ``inferno`` input) and as
-  speedscope JSON (https://www.speedscope.app).
+* :class:`SamplingProfiler` — one ``ITIMER_PROF`` timer per process
+  (:func:`arm_timer`) raises ``SIGPROF`` every ``1/hz`` CPU seconds
+  (default :data:`DEFAULT_PROFILE_HZ`); the handler runs on the main
+  thread, where every span opens, and bills the interrupted frame to
+  the innermost open span of the profiler recording at that moment, so
+  the profile is grouped by pipeline stage / analysis / shard out of
+  the box (docs/observability.md lists what the timer cannot do).
+  Samples accumulate into a :class:`Profile`, which exports as
+  collapsed-stack flamegraph text (``flamegraph.pl`` / ``inferno``
+  input) and as speedscope JSON (https://www.speedscope.app).
 
 * :class:`SpanResourceProbe` — deterministic per-span resource
   accounting hooked into :meth:`Tracer.span`: thread CPU time
@@ -22,10 +23,10 @@ stage allocated the memory*:
   ``mem_peak_bytes``).
 
 The overhead contract: with profiling **off** (the default) nothing in
-this module runs — no probe on the tracer, no sampler thread, no
-``profile`` key in any snapshot — so every artifact stays byte-identical
-to an unprofiled build.  With profiling **on**, the sampler costs one
-frame walk per tick and the probe a few clock reads per span; tracemalloc
+this module runs — no probe on the tracer, no timer, no ``profile``
+key in any snapshot — so every artifact stays byte-identical to an
+unprofiled build.  With profiling **on**, the sampler costs one stack
+walk per sample and the probe a few clock reads per span; tracemalloc
 (the expensive part) stays opt-in.  ``benchmarks/bench_decode_throughput
 --smoke --profile`` pins the slowdown bound in CI.
 
@@ -40,13 +41,13 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
-import sys
-import threading
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Default sampling rate (samples/second).  Prime, so the sampler does
 #: not phase-lock with second-aligned periodic work.
@@ -55,7 +56,7 @@ DEFAULT_PROFILE_HZ = 97.0
 #: Bump when the serialized profile payload changes shape.
 PROFILE_SCHEMA_VERSION = 1
 
-#: Span bucket for samples taken on threads with no open span.
+#: Span bucket for samples taken while no span is open.
 UNATTRIBUTED = "(no-span)"
 
 #: Frames kept per sampled stack (leaf-most frames win on overflow).
@@ -85,7 +86,7 @@ def _frame_label(code) -> str:
 
 
 def collect_stack(frame, max_depth: int = MAX_STACK_DEPTH) -> List[str]:
-    """Root-first frame labels for one thread's current frame."""
+    """Root-first frame labels for ``frame`` and its callers."""
     leaf_first: List[str] = []
     while frame is not None and len(leaf_first) < max_depth:
         leaf_first.append(_frame_label(frame.f_code))
@@ -231,97 +232,109 @@ class Profile:
         return ranked[:top]
 
 
-class SamplingProfiler:
-    """The background sampler; one instance per profiled run.
+#: The longest sampling period ``signal.setitimer`` accepts: it converts
+#: seconds to signed 64-bit nanoseconds.
+_MAX_PERIOD_S = 2 ** 63 / 1e9
 
-    ``tracer`` (bindable later via :meth:`bind`) supplies the
-    span-attribution lookup; without one, every sample lands in the
-    :data:`UNATTRIBUTED` bucket.  ``start``/``stop`` manage the daemon
-    timer thread; :meth:`sample_once` is the single-tick core, exposed
-    for deterministic tests.
+#: The profiler the ``SIGPROF`` handler fills (the last one started and
+#: not yet stopped); module state, as the process has one timer.
+_recorder: Optional["SamplingProfiler"] = None
+
+
+def _on_sigprof(signum, frame) -> None:
+    """Bill the interrupted frame to the recorder's innermost open span."""
+    recorder = _recorder
+    if recorder is None:
+        return
+    span = recorder.tracer.current if recorder.tracer is not None else None
+    recorder.profile.record(span.name if span is not None else None,
+                            collect_stack(frame, recorder.max_depth))
+
+
+def arm_timer(hz: float) -> Optional[Callable[[], None]]:
+    """Arm this process's ``ITIMER_PROF`` at ``hz`` unless it is armed.
+
+    Returns the function that disarms it and restores the previous
+    ``SIGPROF`` handler, or ``None`` when the timer already runs.  No
+    process may end with it armed: at shutdown Python restores
+    ``SIGPROF``'s default action, which terminates the process.
+    """
+    previous = signal.signal(signal.SIGPROF, _on_sigprof)
+    if signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0):
+        return None
+    period = 1.0 / hz
+    signal.setitimer(signal.ITIMER_PROF, period, period)
+
+    def disarm() -> None:
+        # Disarm first: signal.signal runs a SIGPROF still pending
+        # before it puts the previous handler back.
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, previous)
+
+    return disarm
+
+
+class SamplingProfiler:
+    """Samples the main thread's CPU time; one instance per profiled run.
+
+    ``tracer`` (bindable later via :meth:`bind`) supplies the spans the
+    samples are billed to; without one, every sample lands in the
+    :data:`UNATTRIBUTED` bucket.  :meth:`start` makes this profiler the
+    recorder, arming the timer if nothing has; :meth:`stop` ends the
+    recording and disarms what :meth:`start` armed.  Merge into or
+    iterate over :attr:`profile` only while it is not recording: a
+    sample inside a dict iteration would change the dict's size.
     """
 
     enabled = True
 
     def __init__(self, hz: float = DEFAULT_PROFILE_HZ, tracer=None,
                  max_depth: int = MAX_STACK_DEPTH):
-        if hz <= 0:
-            raise ValueError(f"profile hz must be positive, got {hz}")
+        if not (math.isfinite(hz) and hz > 0 and 1.0 / hz < _MAX_PERIOD_S):
+            raise ValueError(f"profile hz must be finite and positive, with a "
+                             f"period under {_MAX_PERIOD_S:.4g} s; got {hz}")
         self.hz = float(hz)
         self.tracer = tracer
         self.max_depth = max_depth
         self.profile = Profile(hz=self.hz)
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._disarm: Optional[Callable[[], None]] = None
 
     def bind(self, tracer) -> None:
         """Late-bind the tracer whose spans attribute the samples."""
         self.tracer = tracer
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self) -> None:
-        if self.running:
-            return
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True)
-        self._thread.start()
+        global _recorder
+        self._disarm = self._disarm or arm_timer(self.hz)
+        _recorder = self
 
     def stop(self) -> None:
-        self._stop_event.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        interval = 1.0 / self.hz
-        while not self._stop_event.wait(interval):
-            self.sample_once()
-
-    def sample_once(self) -> int:
-        """Walk every thread's current frame; returns samples recorded."""
-        own = threading.get_ident()
-        sampler_tid = self._thread.ident if self._thread is not None else None
-        tracer = self.tracer
-        recorded = 0
-        for tid, frame in sys._current_frames().items():
-            if tid == own or tid == sampler_tid:
-                continue
-            stack = collect_stack(frame, self.max_depth)
-            span = None
-            if tracer is not None:
-                span = tracer.active_span_name(tid)
-            with self._lock:
-                self.profile.record(span, stack)
-            recorded += 1
-        return recorded
+        global _recorder
+        if _recorder is self:
+            _recorder = None
+        disarm, self._disarm = self._disarm, None
+        if disarm is not None:
+            disarm()
 
     def merge(self, raw: Mapping[str, object]) -> None:
         """Fold a serialized :class:`Profile` (e.g. a fleet worker's
         snapshot payload) into this profiler's accumulated profile."""
-        incoming = Profile.from_dict(raw)
-        with self._lock:
-            self.profile.merge(incoming)
+        self.profile.merge(Profile.from_dict(raw))
 
     def snapshot(self) -> Optional[Dict[str, object]]:
         """The profile as plain data, or ``None`` when empty — so an
-        unprofiled (or zero-sample) run adds no key to its snapshot."""
-        with self._lock:
-            if not self.profile.samples:
-                return None
-            return self.profile.to_dict()
+        unprofiled (or zero-sample) run adds no key to its snapshot.
+        Safe while recording: ``to_dict`` copies each dict in one
+        ``sorted`` call, which no signal handler interrupts."""
+        if not self.profile.samples:
+            return None
+        return self.profile.to_dict()
 
 
 class NullProfiler:
     """API-compatible profiler that records nothing (profiling off)."""
 
     enabled = False
-    running = False
     hz = 0.0
     profile = Profile()
 
@@ -333,9 +346,6 @@ class NullProfiler:
 
     def stop(self) -> None:
         return None
-
-    def sample_once(self) -> int:
-        return 0
 
     def merge(self, raw) -> None:
         return None

@@ -20,7 +20,6 @@ excluded) or as a Chrome ``trace_event`` file loadable in
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
@@ -101,11 +100,10 @@ class Span:
 class Tracer:
     """Records a forest of spans; one instance per observed run.
 
-    Thread-aware: each thread has its own open-span stack, so spans
-    opened on different threads never nest under one another, and the
-    sampling profiler reads any thread's innermost span
-    (:meth:`active_span_name`).  A span nests under one that is not the
-    innermost open span — the fleet's per-shard spans under
+    Spans open and close on the main thread, so one open-span list
+    serves the run; the profiler's ``SIGPROF`` handler, which runs there
+    too, reads its innermost span.  A span nests under one that is not
+    the innermost open span — the fleet's per-shard spans under
     ``fleet.run`` — by passing that span explicitly as ``_parent``.
     """
 
@@ -117,12 +115,7 @@ class Tracer:
         self._wall_clock = wall_clock
         self._wall_epoch = wall_clock()
         self.roots: List[Span] = []
-        self._local = threading.local()
-        self._roots_lock = threading.Lock()
-        #: thread ident -> that thread's open-span stack (the same list
-        #: object as its ``_local.stack``); lets the sampling profiler
-        #: attribute another thread's samples to its innermost span.
-        self._thread_stacks: Dict[int, List[Span]] = {}
+        self._stack: List[Span] = []
         #: Optional per-span resource accounting hook (see
         #: :class:`repro.obs.profile.SpanResourceProbe`); ``None`` — the
         #: default — leaves span entry/exit byte-identical to an
@@ -138,37 +131,14 @@ class Tracer:
         return self._sim_clock() if self._sim_clock is not None else None
 
     @property
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-            self._thread_stacks[threading.get_ident()] = stack
-        return stack
-
-    @property
     def current(self) -> Optional[Span]:
-        """The innermost open span *on the calling thread*."""
-        stack = self._stack
-        return stack[-1] if stack else None
-
-    def active_span_name(self, thread_id: int) -> Optional[str]:
-        """The innermost open span's name on ``thread_id``, or ``None``.
-
-        Called from the profiler's sampler thread; reading another
-        thread's stack is a GIL-atomic list peek, never a mutation.
-        """
-        stack = self._thread_stacks.get(thread_id)
-        if not stack:
-            return None
-        try:
-            return stack[-1].name
-        except IndexError:  # pragma: no cover - popped between checks
-            return None
+        """The innermost open span."""
+        return self._stack[-1] if self._stack else None
 
     @contextmanager
     def span(self, name: str, _parent: Optional[Span] = None,
              **attrs: object) -> Iterator[Span]:
-        """Open a span nested under the calling thread's current span.
+        """Open a span nested under the current span.
 
         ``_parent`` overrides the implicit nesting, attaching the span
         under a given span instead of the innermost open one.
@@ -176,12 +146,10 @@ class Tracer:
         parent = _parent if _parent is not None else self.current
         record = Span(name, dict(attrs), parent, self._sim_now(), self._wall_clock())
         if parent is None:
-            with self._roots_lock:
-                self.roots.append(record)
+            self.roots.append(record)
         else:
-            parent.children.append(record)  # list.append is atomic (GIL)
-        stack = self._stack
-        stack.append(record)
+            parent.children.append(record)
+        self._stack.append(record)
         probe = self.resource_probe
         token = probe.enter() if probe is not None else None
         try:
@@ -203,7 +171,7 @@ class Tracer:
                     probe.exit(token, record)
                 except Exception:  # noqa: BLE001 - accounting never kills work
                     pass
-            stack.pop()
+            self._stack.pop()
 
     # -- queries ------------------------------------------------------------------
 
@@ -246,8 +214,7 @@ class Tracer:
             if extra_attrs:
                 span.attrs.update(extra_attrs)
             if parent is None:
-                with self._roots_lock:
-                    self.roots.append(span)
+                self.roots.append(span)
             else:
                 parent.children.append(span)
             absorbed.append(span)
@@ -317,9 +284,6 @@ class NullTracer:
         yield _NULL_SPAN
 
     def set_sim_clock(self, sim_clock) -> None:
-        return None
-
-    def active_span_name(self, thread_id: int) -> None:
         return None
 
     @property

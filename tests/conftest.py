@@ -7,6 +7,7 @@ dataset) are session-scoped so the suite builds them once.
 from __future__ import annotations
 
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,25 @@ from repro.simnet.lan import Lan
 from repro.simnet.node import Node
 from repro.simnet.services import ServiceInfo, ServiceTable
 from repro.simnet.simulator import Simulator
+
+
+#: The SIGPROF handler the session started with.
+_SIGPROF_HANDLER = signal.getsignal(signal.SIGPROF)
+
+
+@pytest.fixture(autouse=True)
+def _profiling_timer_disarmed():
+    """Fail a test that leaves the profiling timer armed or its handler
+    installed: at interpreter shutdown Python restores SIGPROF's default
+    action, and an armed timer then kills the session."""
+    yield
+    armed = signal.getitimer(signal.ITIMER_PROF)
+    handler = signal.getsignal(signal.SIGPROF)
+    if armed != (0.0, 0.0) or handler is not _SIGPROF_HANDLER:
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, _SIGPROF_HANDLER)
+        pytest.fail(f"test left ITIMER_PROF at {armed} with SIGPROF "
+                    f"handler {handler!r}")
 
 
 @pytest.fixture

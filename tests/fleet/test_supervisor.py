@@ -191,6 +191,23 @@ class TestInterruptConversion:
             assert signal.getsignal(signal.SIGTERM) is not before
         assert signal.getsignal(signal.SIGTERM) is before
 
+    def test_guard_is_a_no_op_off_the_main_thread(self):
+        import threading
+
+        before = signal.getsignal(signal.SIGTERM)
+        entered = []
+
+        def guarded():
+            with interrupt_guard():
+                entered.append(signal.getsignal(signal.SIGTERM))
+
+        thread = threading.Thread(target=guarded)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert entered == [before]
+        assert signal.getsignal(signal.SIGTERM) is before
+
     def test_reap_refuses_bad_targets(self):
         assert reap(None) is False
         assert reap(0) is False

@@ -1,6 +1,7 @@
 """Tests for continuous profiling (``repro.obs.profile``)."""
 
 import json
+import signal
 import sys
 import threading
 import time
@@ -22,6 +23,7 @@ from repro.obs.profile import (
     ProfileError,
     SamplingProfiler,
     SpanResourceProbe,
+    arm_timer,
     collect_stack,
     span_resource_table,
     write_profile_outputs,
@@ -173,68 +175,108 @@ class TestCollectStack:
         assert MAX_STACK_DEPTH >= 32
 
 
+def _burn_cpu(seconds: float) -> float:
+    """Spin until ``seconds`` of process CPU time pass; returns the CPU
+    seconds actually spent."""
+    started = time.process_time()
+    while time.process_time() - started < seconds:
+        sum(i * i for i in range(1000))
+    return time.process_time() - started
+
+
 class TestSamplingProfiler:
-    def test_rejects_nonpositive_hz(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=0)
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=-5)
+    @pytest.mark.parametrize("hz", [0, -5, float("nan"), float("inf"), 1e-300])
+    def test_rejects_nonpositive_hz(self, hz):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SamplingProfiler(hz=hz)
 
     def test_default_hz_is_prime_ish(self):
         assert SamplingProfiler().hz == DEFAULT_PROFILE_HZ
 
-    def test_sample_once_attributes_to_another_threads_span(self):
+    def test_handler_bills_the_interrupted_frame_to_the_innermost_span(self):
         tracer = Tracer()
-        profiler = SamplingProfiler(hz=50.0, tracer=tracer)
-        ready = threading.Event()
-        done = threading.Event()
-
-        def worker():
-            with tracer.span("busy.section"):
-                ready.set()
-                done.wait(timeout=5.0)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
+        # One tick per CPU second: only the raised signal samples here.
+        profiler = SamplingProfiler(hz=1.0, tracer=tracer)
+        profiler.start()
         try:
-            assert ready.wait(timeout=5.0)
-            recorded = profiler.sample_once()
+            with tracer.span("outer"), tracer.span("inner"):
+                signal.raise_signal(signal.SIGPROF)
         finally:
-            done.set()
-            thread.join()
-        assert recorded >= 1
-        assert "busy.section" in profiler.profile.samples
+            profiler.stop()
+        assert profiler.profile.span_sample_counts() == {"inner": 1}
+        (stack,) = profiler.profile.samples["inner"]
+        assert stack.endswith(
+            ":test_handler_bills_the_interrupted_frame_to_the_innermost_span")
 
-    def test_sample_once_skips_the_calling_thread_itself(self):
-        profiler = SamplingProfiler(hz=50.0)
-        profiler.sample_once()
-        # Only this thread exists (pytest main): nothing recorded.
-        for stacks in profiler.profile.samples.values():
-            for stack in stacks:
-                assert "sample_once" not in stack
+    def test_cpu_bound_loop_collects_hz_samples_per_cpu_second(self):
+        profiler = SamplingProfiler(hz=97.0)
+        profiler.start()
+        try:
+            cpu_seconds = _burn_cpu(0.5)
+        finally:
+            profiler.stop()
+        expected = 97.0 * cpu_seconds
+        assert abs(profiler.profile.total_samples - expected) <= 0.1 * expected
+
+    def test_owner_disarm_restores_the_previous_handler(self):
+        def previous(signum, frame):
+            return None
+
+        original = signal.signal(signal.SIGPROF, previous)
+        try:
+            profiler = SamplingProfiler(hz=97.0)
+            profiler.start()
+            assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is not previous
+            profiler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is previous
+        finally:
+            signal.signal(signal.SIGPROF, original)
+
+    def test_start_inside_an_armed_run_leaves_the_timer_to_its_owner(self):
+        disarm = arm_timer(199.0)
+        try:
+            profiler = SamplingProfiler(hz=199.0)
+            profiler.start()
+            assert arm_timer(199.0) is None
+            _burn_cpu(0.05)
+            profiler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+            recorded = profiler.profile.total_samples
+            _burn_cpu(0.05)  # the timer still fires; nothing records
+            assert profiler.profile.total_samples == recorded > 0
+        finally:
+            disarm()
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_start_off_the_main_thread_raises(self):
+        errors = []
+
+        def start():
+            try:
+                SamplingProfiler(hz=97.0).start()
+            except ValueError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=start)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1
 
     def test_start_stop_lifecycle(self):
         profiler = SamplingProfiler(hz=200.0)
-        assert not profiler.running
         profiler.start()
         profiler.start()  # idempotent
-        assert profiler.running
-        deadline = time.time() + 5.0
-        while profiler.profile.total_samples == 0 and time.time() < deadline:
-            time.sleep(0.01)
-        profiler.stop()
-        assert not profiler.running
+        assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+        try:
+            _burn_cpu(0.1)
+        finally:
+            profiler.stop()
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
         profiler.stop()  # idempotent
         assert profiler.profile.total_samples > 0
-
-    def test_sampler_thread_excludes_itself(self):
-        profiler = SamplingProfiler(hz=500.0)
-        profiler.start()
-        time.sleep(0.05)
-        profiler.stop()
-        for stacks in profiler.profile.samples.values():
-            for stack in stacks:
-                assert "profile.py:_run" not in stack
 
     def test_snapshot_none_when_empty_else_payload(self):
         profiler = SamplingProfiler(hz=97.0)
@@ -260,10 +302,9 @@ class TestSamplingProfiler:
 class TestNullProfiler:
     def test_is_inert(self):
         null = NullProfiler()
-        assert not null.enabled and not null.running
+        assert not null.enabled
         null.bind(object())
         null.start()
-        assert null.sample_once() == 0
         null.merge({"schema": 1})
         assert null.snapshot() is None
         null.stop()

@@ -155,54 +155,6 @@ class TestNullTracer:
 
 
 class TestThreadSafety:
-    def test_worker_threads_have_independent_stacks(self):
-        import threading
-
-        tracer = Tracer()
-        errors = []
-        barrier = threading.Barrier(4)
-
-        def worker(i):
-            try:
-                barrier.wait(timeout=5)
-                for _ in range(50):
-                    with tracer.span(f"worker-{i}") as outer:
-                        with tracer.span(f"inner-{i}") as inner:
-                            assert tracer.current is inner
-                        assert tracer.current is outer
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        # Worker spans have no main-thread parent: they are all roots.
-        assert len(tracer.roots) == 200
-        assert all(len(root.children) == 1 for root in tracer.roots)
-
-    def test_explicit_parent_attaches_cross_thread(self):
-        import threading
-
-        tracer = Tracer()
-        with tracer.span("coordinator") as coordinator:
-            def worker(i):
-                with tracer.span(f"task-{i}", _parent=coordinator):
-                    pass
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert [root.name for root in tracer.roots] == ["coordinator"]
-        assert sorted(child.name for child in coordinator.children) == [
-            "task-0", "task-1", "task-2"]
-        # The workers' spans never leaked onto the main thread's stack.
-        assert tracer.current is None
-
     def test_explicit_parent_same_thread_matches_implicit(self):
         tracer = Tracer()
         with tracer.span("outer") as outer:

@@ -297,11 +297,14 @@ class TestProfileFlags:
         assert main(["study", "--profile-hz", "50"] + self.TINY) == 2
         assert "--profile-out" in capsys.readouterr().err
 
-    def test_non_positive_profile_hz_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("hz", ["-5", "nan", "inf", "1e-300"])
+    def test_non_positive_profile_hz_exits_2(self, tmp_path, capsys, hz):
         out = str(tmp_path / "prof")
         assert main(["study", "--profile-out", out,
-                     "--profile-hz", "-5"] + self.TINY) == 2
-        assert "positive" in capsys.readouterr().err
+                     "--profile-hz", hz] + self.TINY) == 2
+        err = capsys.readouterr().err
+        assert "--profile-hz" in err and "finite and positive" in err
+        assert not (tmp_path / "prof").exists()
 
     def test_profile_out_under_missing_dir_fails_before_run(
             self, tmp_path, capsys):
