@@ -30,7 +30,13 @@ from repro.devices.behaviors import DeviceNode
 from repro.net.decode import DecodedPacket
 from repro.obs import get_obs
 from repro.protocols.dns import DnsMessage
-from repro.protocols.mdns import MDNS_GROUP_V4, MDNS_PORT, ServiceAdvertisement, mdns_query
+from repro.protocols.mdns import (
+    MDNS_GROUP_V4,
+    MDNS_PORT,
+    ServiceAdvertisement,
+    encode_advertisements,
+    mdns_query,
+)
 from repro.protocols.netbios import NetbiosNsQuery
 from repro.protocols.ssdp import SSDP_GROUP_V4, SSDP_PORT, SsdpMessage, ST_ALL, ST_IGD
 from repro.protocols.tls import TlsRecord, TlsVersion
@@ -177,7 +183,7 @@ class InstrumentedPhone(Node):
             txt={"VP": "65521+32769", "CM": "1"},
         )
         self.join_group(MDNS_GROUP_V4)
-        self.send_udp(MDNS_GROUP_V4, MDNS_PORT, advert.to_response().encode(), src_port=MDNS_PORT)
+        self.send_udp(MDNS_GROUP_V4, MDNS_PORT, encode_advertisements([advert]), src_port=MDNS_PORT)
         result.lan_packets_sent += 1
         result.protocols_used.add("matter")
 

@@ -18,12 +18,12 @@ from typing import Dict, List, Optional
 from repro.net.decode import DecodedPacket
 from repro.net.oui import DEFAULT_OUI_REGISTRY, OuiRegistry
 from repro.protocols.dhcp import DhcpMessage, DhcpMessageType, DHCP_CLIENT_PORT, DHCP_SERVER_PORT
-from repro.protocols.dns import DnsMessage
 from repro.protocols.http import HttpRequest, HttpResponse
 from repro.protocols.mdns import (
     MDNS_GROUP_V4,
     MDNS_PORT,
     ServiceAdvertisement,
+    encode_advertisements,
     hue_instance_name,
     mdns_query,
     parse_mdns,
@@ -288,7 +288,7 @@ class DeviceNode(Node):
     def _announce_mdns(self) -> None:
         for advertisement in self.mdns_advertisements():
             self.send_udp(
-                MDNS_GROUP_V4, MDNS_PORT, advertisement.to_response().encode(), src_port=MDNS_PORT
+                MDNS_GROUP_V4, MDNS_PORT, encode_advertisements([advertisement]), src_port=MDNS_PORT
             )
 
     def _send_ssdp_msearch(self) -> None:
@@ -398,7 +398,7 @@ class DeviceNode(Node):
             txt={"SII": "5000", "SAI": "300", "T": "1"},
             address_v6=self.ipv6_link_local,
         )
-        self.send_udp6("ff02::fb", MDNS_PORT, advert.to_response().encode(), src_port=MDNS_PORT)
+        self.send_udp6("ff02::fb", MDNS_PORT, encode_advertisements([advert]), src_port=MDNS_PORT)
 
     def _send_icmpv6_ns(self) -> None:
         others = [
@@ -434,16 +434,12 @@ def _mdns_responder(node: DeviceNode, packet: DecodedPacket) -> None:
     ]
     if not matching:
         return
-    response = DnsMessage(is_response=True, authoritative=True)
-    for advert in matching:
-        part = advert.to_response()
-        response.answers.extend(part.answers)
-        response.additionals.extend(part.additionals)
     unicast_wanted = any(question.unicast_response for question in message.questions)
     if unicast_wanted and config.respond_unicast:
-        node.send_udp(packet.src_ip, packet.udp.src_port, response.encode(), src_port=MDNS_PORT)
+        node.send_udp(packet.src_ip, packet.udp.src_port, encode_advertisements(matching),
+                      src_port=MDNS_PORT)
     elif config.respond_multicast:
-        node.send_udp(MDNS_GROUP_V4, MDNS_PORT, response.encode(), src_port=MDNS_PORT)
+        node.send_udp(MDNS_GROUP_V4, MDNS_PORT, encode_advertisements(matching), src_port=MDNS_PORT)
 
 
 def _ssdp_responder(node: DeviceNode, packet: DecodedPacket) -> None:

@@ -6,8 +6,13 @@ from typing import List, Optional
 
 from repro.honeypot.base import Honeypot, HoneypotLog
 from repro.net.decode import DecodedPacket
-from repro.protocols.dns import DnsMessage
-from repro.protocols.mdns import MDNS_GROUP_V4, MDNS_PORT, ServiceAdvertisement, parse_mdns
+from repro.protocols.mdns import (
+    MDNS_GROUP_V4,
+    MDNS_PORT,
+    ServiceAdvertisement,
+    encode_advertisements,
+    parse_mdns,
+)
 
 
 class MdnsHoneypot(Honeypot):
@@ -62,15 +67,13 @@ class MdnsHoneypot(Honeypot):
             self.record_contact(packet, f"query for {asked}")
             return
         marker = self.next_marker()
-        response = DnsMessage(is_response=True, authoritative=True)
-        for advertisement in self.advertisements(marker):
-            if advertisement.service_type in wanted or "_services._dns-sd._udp.local" in wanted:
-                part = advertisement.to_response()
-                response.answers.extend(part.answers)
-                response.additionals.extend(part.additionals)
+        response = encode_advertisements([
+            advertisement for advertisement in self.advertisements(marker)
+            if advertisement.service_type in wanted or "_services._dns-sd._udp.local" in wanted
+        ])
         unicast = any(question.unicast_response for question in message.questions)
         if unicast:
-            self.send_udp(packet.src_ip, packet.udp.src_port, response.encode(), src_port=MDNS_PORT)
+            self.send_udp(packet.src_ip, packet.udp.src_port, response, src_port=MDNS_PORT)
         else:
-            self.send_udp(MDNS_GROUP_V4, MDNS_PORT, response.encode(), src_port=MDNS_PORT)
+            self.send_udp(MDNS_GROUP_V4, MDNS_PORT, response, src_port=MDNS_PORT)
         self.record_contact(packet, f"query for {wanted}", marker=marker)

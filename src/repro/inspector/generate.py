@@ -37,7 +37,7 @@ from repro.inspector.schema import (
     InspectorDataset,
     hashed_device_id,
 )
-from repro.protocols.mdns import ServiceAdvertisement
+from repro.protocols.mdns import ServiceAdvertisement, encode_advertisements
 from repro.protocols.ssdp import SsdpMessage, ST_ROOT_DEVICE
 
 
@@ -261,7 +261,8 @@ def _build_device(
 ) -> InspectedDevice:
     oui = oui_map[spec.vendor]
     oui_hex = oui.replace(":", "")
-    octets = bytes.fromhex(oui_hex) + bytes(rng.randrange(256) for _ in range(3))
+    nic = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+    octets = bytes.fromhex(oui_hex) + bytes(nic)
     mac_text = octets.hex(":")
     compact = octets.hex()
     exposure = spec.exposure.types
@@ -330,7 +331,7 @@ def _build_device(
         address=f"192.168.1.{rng.randrange(2, 254)}",
         txt=txt,
     )
-    device.mdns_responses.append(advertisement.to_response().encode())
+    device.mdns_responses.append(encode_advertisements([advertisement]))
     return device
 
 

@@ -8,7 +8,6 @@ responses.  It does *not* collect other payloads.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -16,8 +15,7 @@ from typing import Dict, List
 
 def hashed_device_id(mac: str, user_salt: bytes) -> str:
     """The privacy-preserving device id: HMAC-SHA256(salt, MAC) (§3.3)."""
-    digest = hmac.new(user_salt, mac.lower().encode("utf-8"), hashlib.sha256)
-    return digest.hexdigest()
+    return hmac.digest(user_salt, mac.lower().encode("utf-8"), "sha256").hex()
 
 
 @dataclass

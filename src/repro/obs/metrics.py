@@ -28,6 +28,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 def _freeze_labels(labels: Mapping[str, str]) -> LabelValues:
     if not labels:  # the common unlabelled call skips the sort
         return ()
+    if len(labels) == 1:  # and so does the common one-label call
+        ((key, value),) = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

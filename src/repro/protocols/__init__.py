@@ -12,7 +12,6 @@ from repro.protocols.mdns import (
     MDNS_GROUP_V4,
     MDNS_PORT,
     mdns_query,
-    mdns_response,
     ServiceAdvertisement,
 )
 from repro.protocols.ssdp import SsdpMessage, SSDP_GROUP_V4, SSDP_PORT
@@ -39,7 +38,6 @@ __all__ = [
     "MDNS_GROUP_V4",
     "MDNS_PORT",
     "mdns_query",
-    "mdns_response",
     "ServiceAdvertisement",
     "SsdpMessage",
     "SSDP_GROUP_V4",

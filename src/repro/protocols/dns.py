@@ -35,6 +35,7 @@ MDNS_FLUSH_OR_QU = 0x8000
 _POINTER = struct.Struct("!H").pack
 _QUESTION_TAIL = struct.Struct("!HH").pack
 _RECORD_TAIL = struct.Struct("!HHIH").pack
+_SRV_FIELDS = struct.Struct("!HHH").pack
 
 
 def encode_name(name: str, compression: Dict[str, int] = None, offset: int = 0) -> bytes:
@@ -52,23 +53,50 @@ def _write_name(out: bytearray, name: str, compression: Optional[Dict[str, int]]
         out.append(0)
         return
     suffix = name.rstrip(".")
+    if compression is None:
+        for text in suffix.split("."):
+            label = text.encode("utf-8")
+            if len(label) > 63:
+                raise ValueError(f"DNS label too long: {text!r}")
+            out.append(len(label))
+            out += label
+        out.append(0)
+        return
     for text in suffix.split("."):
-        if compression is not None:
-            # ``suffix`` is this label and every label after it.
-            pointer = compression.get(suffix)
-            if pointer is not None:
-                out += _POINTER(0xC000 | pointer)
-                return
-            position = offset + len(out)
-            if position < 0x3FFF:
-                compression[suffix] = position
-            suffix = suffix[len(text) + 1:]
+        # ``suffix`` is this label and every label after it.
+        pointer = compression.get(suffix)
+        if pointer is not None:
+            out += _POINTER(0xC000 | pointer)
+            return
+        position = offset + len(out)
+        if position < 0x3FFF:
+            compression[suffix] = position
+        suffix = suffix[len(text) + 1:]
         label = text.encode("utf-8")
         if len(label) > 63:
             raise ValueError(f"DNS label too long: {text!r}")
         out.append(len(label))
         out += label
     out.append(0)
+
+
+def txt_rdata(entries: Dict[str, Optional[str]]) -> bytes:
+    """TXT rdata: one length-prefixed ``key=value`` string per entry (the
+    bare key when the value is ``None``), each cut to 255 bytes; no
+    entries make one empty string."""
+    rdata = bytearray()
+    for key, value in entries.items():
+        item = f"{key}={value}".encode("utf-8") if value is not None else key.encode("utf-8")
+        if len(item) > 255:
+            item = item[:255]
+        rdata.append(len(item))
+        rdata += item
+    return bytes(rdata) if rdata else b"\x00"
+
+
+def srv_rdata(target: str, port: int) -> bytes:
+    """SRV rdata: priority 0, weight 0, ``port`` and the uncompressed target."""
+    return _SRV_FIELDS(0, 0, port) + encode_name(target)
 
 
 def decode_name(data: bytes, offset: int) -> Tuple[str, int]:
@@ -162,21 +190,11 @@ class DnsRecord:
 
     @classmethod
     def txt(cls, name: str, entries: Dict[str, str], ttl: int = 4500, flush: bool = True) -> "DnsRecord":
-        rdata = bytearray()
-        for key, value in entries.items():
-            item = f"{key}={value}".encode("utf-8") if value is not None else key.encode("utf-8")
-            if len(item) > 255:
-                item = item[:255]
-            rdata.append(len(item))
-            rdata += item
-        if not rdata:
-            rdata = bytearray(b"\x00")
-        return cls(name, DnsType.TXT, bytes(rdata), ttl, cache_flush=flush)
+        return cls(name, DnsType.TXT, txt_rdata(entries), ttl, cache_flush=flush)
 
     @classmethod
     def srv(cls, name: str, target: str, port: int, ttl: int = 120, flush: bool = True) -> "DnsRecord":
-        rdata = struct.pack("!HHH", 0, 0, port) + encode_name(target)
-        return cls(name, DnsType.SRV, rdata, ttl, cache_flush=flush)
+        return cls(name, DnsType.SRV, srv_rdata(target, port), ttl, cache_flush=flush)
 
     def address(self) -> Optional[str]:
         import ipaddress

@@ -12,11 +12,26 @@ Connect ZeroConf URLs embedding MAC + device ID + session UUIDs).
 from __future__ import annotations
 
 import functools
+import ipaddress
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from repro.net.ipv4 import ipv4_packed
 from repro.net.mac import MacAddress
-from repro.protocols.dns import DnsMessage, DnsQuestion, DnsRecord, DnsType
+from repro.protocols.dns import (
+    _HEADER,
+    CLASS_IN,
+    MDNS_FLUSH_OR_QU,
+    DnsMessage,
+    DnsQuestion,
+    DnsRecord,
+    DnsType,
+    _write_name,
+    encode_name,
+    srv_rdata,
+    txt_rdata,
+)
 
 MDNS_PORT = 5353
 MDNS_GROUP_V4 = "224.0.0.251"
@@ -156,14 +171,67 @@ class ServiceAdvertisement:
         return advertisements
 
 
-def mdns_response(advertisements: List[ServiceAdvertisement]) -> DnsMessage:
-    """Merge several advertisements into one response message."""
-    message = DnsMessage(is_response=True, authoritative=True)
-    for advertisement in advertisements:
-        part = advertisement.to_response()
-        message.answers.extend(part.answers)
-        message.additionals.extend(part.additionals)
-    return message
+#: The type, class and TTL of each record ``to_response`` builds (the
+#: defaults of ``DnsRecord.ptr``, ``srv`` and ``txt``), and for A and AAAA
+#: also the rdata length.
+_PTR_FIELDS = struct.pack("!HHI", DnsType.PTR, CLASS_IN, 4500)
+_SRV_FIELDS = struct.pack("!HHI", DnsType.SRV, CLASS_IN | MDNS_FLUSH_OR_QU, 120)
+_TXT_FIELDS = struct.pack("!HHI", DnsType.TXT, CLASS_IN | MDNS_FLUSH_OR_QU, 4500)
+_A_FIELDS = struct.pack("!HHIH", DnsType.A, CLASS_IN | MDNS_FLUSH_OR_QU, 120, 4)
+_AAAA_FIELDS = struct.pack("!HHIH", DnsType.AAAA, CLASS_IN | MDNS_FLUSH_OR_QU, 120, 16)
+_RDLENGTH = struct.Struct("!H").pack
+#: QR and AA set: an authoritative response.
+_RESPONSE_FLAGS = 0x8400
+
+
+def encode_advertisements(advertisements: Sequence[ServiceAdvertisement],
+                          transaction_id: int = 0) -> bytes:
+    """One authoritative mDNS response carrying ``advertisements``.
+
+    The header, then each advertisement's PTR, SRV and TXT answers, then
+    each one's A (and AAAA) additionals, written into one buffer with one
+    compression map: the bytes ``DnsMessage.encode()`` gives for the
+    advertisements' :meth:`~ServiceAdvertisement.to_response` records
+    merged in order.  Addresses and rdata are packed first, in the order
+    ``to_response`` packs them, so bad input raises the same error.
+    """
+    parts = []
+    additionals = 0
+    for advert in advertisements:
+        instance = advert.full_instance
+        hostname = advert.hostname
+        address_v6 = advert.address_v6
+        parts.append((
+            advert.service_type, instance, hostname, ipv4_packed(advert.address),
+            ipaddress.IPv6Address(address_v6).packed if address_v6 else None,
+            encode_name(instance), srv_rdata(hostname, advert.port), txt_rdata(advert.txt),
+        ))
+        additionals += 2 if address_v6 else 1
+    out = bytearray(_HEADER.pack(transaction_id, _RESPONSE_FLAGS, 0, 3 * len(parts), 0,
+                                 additionals))
+    compression: Dict[str, int] = {}
+    for service_type, instance, _host, _v4, _v6, ptr, srv, txt in parts:
+        _write_name(out, service_type, compression, 0)
+        out += _PTR_FIELDS
+        out += _RDLENGTH(len(ptr))
+        out += ptr
+        _write_name(out, instance, compression, 0)
+        out += _SRV_FIELDS
+        out += _RDLENGTH(len(srv))
+        out += srv
+        _write_name(out, instance, compression, 0)
+        out += _TXT_FIELDS
+        out += _RDLENGTH(len(txt))
+        out += txt
+    for _type, _instance, hostname, packed, packed_v6, _ptr, _srv, _txt in parts:
+        _write_name(out, hostname, compression, 0)
+        out += _A_FIELDS
+        out += packed
+        if packed_v6 is not None:
+            _write_name(out, hostname, compression, 0)
+            out += _AAAA_FIELDS
+            out += packed_v6
+    return bytes(out)
 
 
 # -- paper-documented hostname construction schemes ---------------------------

@@ -1,8 +1,12 @@
 """Tests for the crowdsourced dataset: schema, generation, entropy, labels."""
 
+import hashlib
+import hmac
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.inspector.entropy import (
     analyze_dataset,
@@ -27,6 +31,16 @@ class TestSchema:
 
     def test_device_id_not_reversible_trivially(self):
         assert "d8:31:34" not in hashed_device_id("d8:31:34:01:02:03", b"s" * 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mac=st.text(), salt=st.binary(max_size=130))
+    @example(mac="D8:31:34:0A:0B:0C", salt=b"")
+    @example(mac="d8:31:34:0a:0B:0c", salt=bytes(range(64)))  # one SHA-256 block
+    @example(mac="İ-Σ-ß-ǅ", salt=b"\xff" * 65)  # longer than a block: the key is hashed
+    @example(mac="", salt=b"s" * 16)
+    def test_device_id_matches_hmac_new(self, mac, salt):
+        expected = hmac.new(salt, mac.lower().encode("utf-8"), hashlib.sha256).hexdigest()
+        assert hashed_device_id(mac, salt) == expected
 
 
 class TestExtraction:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.obs import MetricsRegistry, NullMetricsRegistry, parse_prometheus_text
+from repro.obs import metrics
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 
@@ -193,6 +194,42 @@ class TestLabelEscaping:
         registry.counter("c").inc(7, a='x",b="y')
         parsed = parse_prometheus_text(registry.to_prometheus_text())
         assert parsed["c"][(("a", 'x",b="y'),)] == 7.0
+
+
+def freeze_labels_before(labels):
+    """``_freeze_labels`` as it was before one label skipped the sort."""
+    if not labels:
+        return ()
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+LABEL_SETS = [{}, {"kind": "tcp"}, {"protocol": 7}, {"a": ""}, {"name": 'evil"\n\\'},
+              {"b": "2", "a": "1"}, {"z": "1", "y": 2, "x": None}]
+
+
+class TestFreezeLabels:
+    @pytest.mark.parametrize("labels", LABEL_SETS)
+    def test_keys_match_the_sorting_version(self, labels):
+        assert metrics._freeze_labels(labels) == freeze_labels_before(labels)
+
+    def test_lookups_and_exports_match(self, monkeypatch):
+        def populate():
+            registry = MetricsRegistry()
+            counter = registry.counter("c_total")
+            gauge = registry.gauge("g")
+            hist = registry.histogram("h", buckets=(0.1, 1.0))
+            for index, labels in enumerate(LABEL_SETS):
+                counter.inc(index + 1, **labels)
+                gauge.set(index, **labels)
+                hist.observe(index / 4, **labels)
+            lookups = [(counter.value(**labels), gauge.value(**labels), hist.count(**labels),
+                        hist.sum(**labels), hist.cumulative_buckets(**labels))
+                       for labels in LABEL_SETS + [{"kind": "udp"}]]
+            return registry.to_json(), registry.to_prometheus_text(), lookups
+
+        ours = populate()
+        monkeypatch.setattr(metrics, "_freeze_labels", freeze_labels_before)
+        assert populate() == ours
 
 
 class TestNullRegistry:

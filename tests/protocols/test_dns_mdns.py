@@ -15,13 +15,25 @@ from repro.protocols.dns import (
 )
 from repro.protocols.mdns import (
     ServiceAdvertisement,
+    encode_advertisements,
     hue_instance_name,
     mdns_query,
-    mdns_response,
     parse_mdns,
     reverse_v6_name,
     spotify_connect_path,
 )
+
+
+def merged_response(advertisements, transaction_id=0):
+    """Several advertisements in one response, merged as the responders
+    merged them before ``encode_advertisements``: every answer of each
+    ``to_response()`` in order, then every additional."""
+    message = DnsMessage(transaction_id=transaction_id, is_response=True, authoritative=True)
+    for advertisement in advertisements:
+        part = advertisement.to_response()
+        message.answers.extend(part.answers)
+        message.additionals.extend(part.additionals)
+    return message
 
 
 class TestNameCodec:
@@ -135,7 +147,7 @@ def _reference_messages():
     ]
     messages = [advert.to_response(transaction_id=index)
                 for index, advert in enumerate(adverts)]
-    messages.append(mdns_response(adverts))
+    messages.append(merged_response(adverts))
     mixed = mdns_query(["_roku._tcp.local", "_tcp.local", "local", "_roku._tcp.local."],
                        unicast_response=True, transaction_id=0xBEEF)
     mixed.answers.append(DnsRecord.ptr("_roku._tcp.local", "a.b._roku._tcp.local"))
@@ -323,8 +335,8 @@ class TestServiceAdvertisement:
     def test_merged_response(self):
         adverts = [self._advert(), ServiceAdvertisement(
             "_airplay._tcp.local", "Apple TV", "appletv.local", 7000, "192.168.10.13")]
-        message = mdns_response(adverts)
-        parsed = ServiceAdvertisement.from_response(DnsMessage.decode(message.encode()))
+        parsed = ServiceAdvertisement.from_response(
+            DnsMessage.decode(encode_advertisements(adverts)))
         assert {advert.service_type for advert in parsed} == {
             "_hue._tcp.local", "_airplay._tcp.local"
         }
