@@ -12,7 +12,7 @@ from repro.net.decode import DecodedPacket
 from repro.net.tcp import TcpFlags, TcpSegment
 from repro.protocols.dns import DnsMessage
 from repro.protocols.http import HttpRequest, HttpResponse
-from repro.protocols.mdns import mdns_query
+from repro.protocols.mdns import encode_advertisements, mdns_query
 from repro.protocols.ssdp import SSDP_GROUP_V4, SsdpMessage, SsdpMethod
 from repro.simnet.node import Node
 
@@ -72,6 +72,19 @@ class TestMdnsHoneypot:
         names = [record.name for record in responses[0].answers]
         assert any("_googlecast._tcp.local" == name for name in names)
         assert honeypot.log.events[-1].marker
+
+    def test_meta_query_answers_every_marked_advertisement(self, lan, prober):
+        node, inbox = prober
+        honeypot = MdnsHoneypot().attach_to(lan)
+        node.join_group("224.0.0.251")
+        node.send_udp("224.0.0.251", 5353,
+                      mdns_query(["_services._dns-sd._udp.local"]).encode(), src_port=5353)
+        (payload,) = [p.udp.payload for p in inbox if p.udp and p.udp.src_port == 5353
+                      and DnsMessage.decode(p.udp.payload).is_response]
+        marker = honeypot.log.events[-1].marker
+        adverts = honeypot.advertisements(marker)
+        assert len(adverts) == len(MdnsHoneypot.SERVED_TYPES) - 1
+        assert payload == encode_advertisements(adverts)
 
     def test_ignores_unserved_type_but_logs(self, lan, prober):
         node, inbox = prober

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.devices.behaviors import build_testbed
 from repro.devices.catalog import build_catalog
 from repro.honeypot.mdns import MdnsHoneypot
-from repro.protocols.dns import DnsMessage, _POINTER, _write_name
+from repro.protocols.dns import DnsMessage, _POINTER, _write_name, txt_rdata
 from repro.protocols.mdns import ServiceAdvertisement, encode_advertisements
 from repro.simnet.lan import Lan
 from repro.simnet.simulator import Simulator
@@ -189,6 +189,18 @@ def test_bad_advert_raises_the_reference_error(advert):
     for adverts in ([advert], [good, advert], [advert, good]):
         error = assert_same(adverts)
         assert isinstance(error, tuple), error
+
+
+@pytest.mark.parametrize("entries, rdata", [
+    ({}, b"\x00"),
+    ({"flag": None, "empty": ""}, b"\x04flag\x06empty="),
+    # One string is cut to 255 bytes, even inside a UTF-8 character.
+    ({"k": "\u00e9" * 200}, bytes([255]) + ("k=" + "\u00e9" * 200).encode("utf-8")[:255]),
+], ids=["no-entries", "none-and-empty", "over-255-bytes"])
+def test_txt_rdata(entries, rdata):
+    assert txt_rdata(entries) == rdata
+    advert = ServiceAdvertisement("_a._tcp.local", "i", "h.local", 1, "10.0.0.1", entries)
+    assert rdata in encode_advertisements([advert])
 
 
 # -- the uncompressed name writer ------------------------------------------------
