@@ -32,6 +32,10 @@ CLASS_IN = 1
 MDNS_FLUSH_OR_QU = 0x8000
 
 
+#: Header flag bits: QR (a response) and AA (authoritative).
+_QR = 0x8000
+_AA = 0x0400
+
 _POINTER = struct.Struct("!H").pack
 _QUESTION_TAIL = struct.Struct("!HH").pack
 _RECORD_TAIL = struct.Struct("!HHIH").pack
@@ -53,25 +57,17 @@ def _write_name(out: bytearray, name: str, compression: Optional[Dict[str, int]]
         out.append(0)
         return
     suffix = name.rstrip(".")
-    if compression is None:
-        for text in suffix.split("."):
-            label = text.encode("utf-8")
-            if len(label) > 63:
-                raise ValueError(f"DNS label too long: {text!r}")
-            out.append(len(label))
-            out += label
-        out.append(0)
-        return
     for text in suffix.split("."):
-        # ``suffix`` is this label and every label after it.
-        pointer = compression.get(suffix)
-        if pointer is not None:
-            out += _POINTER(0xC000 | pointer)
-            return
-        position = offset + len(out)
-        if position < 0x3FFF:
-            compression[suffix] = position
-        suffix = suffix[len(text) + 1:]
+        if compression is not None:
+            # ``suffix`` is this label and every label after it.
+            pointer = compression.get(suffix)
+            if pointer is not None:
+                out += _POINTER(0xC000 | pointer)
+                return
+            position = offset + len(out)
+            if position < 0x3FFF:
+                compression[suffix] = position
+            suffix = suffix[len(text) + 1:]
         label = text.encode("utf-8")
         if len(label) > 63:
             raise ValueError(f"DNS label too long: {text!r}")
@@ -253,9 +249,9 @@ class DnsMessage:
     def encode(self, compress: bool = True) -> bytes:
         flags = 0
         if self.is_response:
-            flags |= 0x8000
+            flags |= _QR
         if self.authoritative:
-            flags |= 0x0400
+            flags |= _AA
         out = bytearray(
             _HEADER.pack(
                 self.transaction_id,
@@ -284,8 +280,8 @@ class DnsMessage:
         txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
         message = cls(
             transaction_id=txid,
-            is_response=bool(flags & 0x8000),
-            authoritative=bool(flags & 0x0400),
+            is_response=bool(flags & _QR),
+            authoritative=bool(flags & _AA),
         )
         offset = _HEADER.size
         for _ in range(qdcount):

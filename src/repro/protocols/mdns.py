@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.net.ipv4 import ipv4_packed
 from repro.net.mac import MacAddress
 from repro.protocols.dns import (
+    _AA,
     _HEADER,
+    _QR,
+    _RECORD_TAIL,
     CLASS_IN,
     MDNS_FLUSH_OR_QU,
     DnsMessage,
@@ -171,29 +173,22 @@ class ServiceAdvertisement:
         return advertisements
 
 
-#: The type, class and TTL of each record ``to_response`` builds (the
-#: defaults of ``DnsRecord.ptr``, ``srv`` and ``txt``), and for A and AAAA
-#: also the rdata length.
-_PTR_FIELDS = struct.pack("!HHI", DnsType.PTR, CLASS_IN, 4500)
-_SRV_FIELDS = struct.pack("!HHI", DnsType.SRV, CLASS_IN | MDNS_FLUSH_OR_QU, 120)
-_TXT_FIELDS = struct.pack("!HHI", DnsType.TXT, CLASS_IN | MDNS_FLUSH_OR_QU, 4500)
-_A_FIELDS = struct.pack("!HHIH", DnsType.A, CLASS_IN | MDNS_FLUSH_OR_QU, 120, 4)
-_AAAA_FIELDS = struct.pack("!HHIH", DnsType.AAAA, CLASS_IN | MDNS_FLUSH_OR_QU, 120, 16)
-_RDLENGTH = struct.Struct("!H").pack
-#: QR and AA set: an authoritative response.
-_RESPONSE_FLAGS = 0x8400
+# The record types as plain ints: on CPython 3.11 a ``DnsType`` member
+# lookup costs about 0.13 µs, and the writer packs five records a device.
+_PTR, _SRV, _TXT, _A, _AAAA = (int(rtype) for rtype in (
+    DnsType.PTR, DnsType.SRV, DnsType.TXT, DnsType.A, DnsType.AAAA))
 
 
-def encode_advertisements(advertisements: Sequence[ServiceAdvertisement],
-                          transaction_id: int = 0) -> bytes:
+def encode_advertisements(advertisements: Sequence[ServiceAdvertisement]) -> bytes:
     """One authoritative mDNS response carrying ``advertisements``.
 
     The header, then each advertisement's PTR, SRV and TXT answers, then
     each one's A (and AAAA) additionals, written into one buffer with one
     compression map: the bytes ``DnsMessage.encode()`` gives for the
     advertisements' :meth:`~ServiceAdvertisement.to_response` records
-    merged in order.  Addresses and rdata are packed first, in the order
-    ``to_response`` packs them, so bad input raises the same error.
+    merged in order, with their TTLs and cache-flush bits.  Addresses and
+    rdata are packed first, in the order ``to_response`` packs them, so
+    bad input raises the same error.  The ID is 0 (RFC 6762 §18.1).
     """
     parts = []
     additionals = 0
@@ -207,29 +202,26 @@ def encode_advertisements(advertisements: Sequence[ServiceAdvertisement],
             encode_name(instance), srv_rdata(hostname, advert.port), txt_rdata(advert.txt),
         ))
         additionals += 2 if address_v6 else 1
-    out = bytearray(_HEADER.pack(transaction_id, _RESPONSE_FLAGS, 0, 3 * len(parts), 0,
-                                 additionals))
+    out = bytearray(_HEADER.pack(0, _QR | _AA, 0, 3 * len(parts), 0, additionals))
+    flush = CLASS_IN | MDNS_FLUSH_OR_QU
     compression: Dict[str, int] = {}
     for service_type, instance, _host, _v4, _v6, ptr, srv, txt in parts:
         _write_name(out, service_type, compression, 0)
-        out += _PTR_FIELDS
-        out += _RDLENGTH(len(ptr))
+        out += _RECORD_TAIL(_PTR, CLASS_IN, 4500, len(ptr))
         out += ptr
         _write_name(out, instance, compression, 0)
-        out += _SRV_FIELDS
-        out += _RDLENGTH(len(srv))
+        out += _RECORD_TAIL(_SRV, flush, 120, len(srv))
         out += srv
         _write_name(out, instance, compression, 0)
-        out += _TXT_FIELDS
-        out += _RDLENGTH(len(txt))
+        out += _RECORD_TAIL(_TXT, flush, 4500, len(txt))
         out += txt
     for _type, _instance, hostname, packed, packed_v6, _ptr, _srv, _txt in parts:
         _write_name(out, hostname, compression, 0)
-        out += _A_FIELDS
+        out += _RECORD_TAIL(_A, flush, 120, 4)
         out += packed
         if packed_v6 is not None:
             _write_name(out, hostname, compression, 0)
-            out += _AAAA_FIELDS
+            out += _RECORD_TAIL(_AAAA, flush, 120, 16)
             out += packed_v6
     return bytes(out)
 

@@ -24,11 +24,11 @@ from repro.protocols.mdns import (
 )
 
 
-def merged_response(advertisements, transaction_id=0):
+def merged_response(advertisements):
     """Several advertisements in one response, merged as the responders
     merged them before ``encode_advertisements``: every answer of each
     ``to_response()`` in order, then every additional."""
-    message = DnsMessage(transaction_id=transaction_id, is_response=True, authoritative=True)
+    message = DnsMessage(is_response=True, authoritative=True)
     for advertisement in advertisements:
         part = advertisement.to_response()
         message.answers.extend(part.answers)

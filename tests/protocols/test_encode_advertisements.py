@@ -1,6 +1,6 @@
 """``encode_advertisements`` against the records it replaced.
 
-The reference is ``merged_response(adverts, txid).encode()``: every
+The reference is ``merged_response(adverts).encode()``: every
 advertisement's ``to_response()`` answers and then its additionals,
 merged as the responders merged them, encoded by ``DnsMessage``.  The
 writer must give the same bytes, or raise the same error, for every
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.devices.behaviors import build_testbed
 from repro.devices.catalog import build_catalog
 from repro.honeypot.mdns import MdnsHoneypot
-from repro.protocols.dns import DnsMessage, _POINTER, _write_name, txt_rdata
+from repro.protocols.dns import DnsMessage, _POINTER, txt_rdata
 from repro.protocols.mdns import ServiceAdvertisement, encode_advertisements
 from repro.simnet.lan import Lan
 from repro.simnet.simulator import Simulator
@@ -29,20 +29,20 @@ from tests.protocols.test_dns_mdns import ENCODE_NAMES, merged_response
 META_QUERY = "_services._dns-sd._udp.local"
 
 
-def outcome(encoder, adverts, transaction_id=0):
+def outcome(encoder, adverts):
     try:
-        return encoder(adverts, transaction_id)
+        return encoder(adverts)
     except (ValueError, struct.error) as error:
         return type(error), str(error)
 
 
-def reference(adverts, transaction_id=0):
-    return merged_response(adverts, transaction_id).encode()
+def reference(adverts):
+    return merged_response(adverts).encode()
 
 
-def assert_same(adverts, transaction_id=0):
-    ours = outcome(encode_advertisements, adverts, transaction_id)
-    assert ours == outcome(reference, adverts, transaction_id)
+def assert_same(adverts):
+    ours = outcome(encode_advertisements, adverts)
+    assert ours == outcome(reference, adverts)
     return ours
 
 
@@ -66,10 +66,10 @@ def test_lab_answer_sets(lab):
     sets = merged = with_v6 = 0
     for node in lab.devices:
         adverts = node.mdns_advertisements()
-        for txid, asked in enumerate(QUERIED):
+        for asked in QUERIED:
             matching = _answering(adverts, {asked})
             if matching:
-                assert isinstance(assert_same(matching, txid), bytes)
+                assert isinstance(assert_same(matching), bytes)
                 sets += 1
                 merged += len(matching) > 1
                 with_v6 += any(advert.address_v6 for advert in matching)
@@ -148,16 +148,16 @@ def _padding(count):
 
 @settings(max_examples=400, deadline=None)
 @given(adverts=st.lists(ADVERT, max_size=5), padding=st.sampled_from([0, 0, 0, 13, 14, 15, 20]),
-       transaction_id=st.integers(0, 0xFFFF), tail=st.booleans())
+       tail=st.booleans())
 @example(adverts=[ServiceAdvertisement("_hue._tcp.local", "Hue.Bridge.1", "hue.local", 80,
                                        "10.0.0.1", {"flag": None, "empty": "", "long": "x" * 300})],
-         padding=0, transaction_id=7, tail=False)
+         padding=0, tail=False)
 @example(adverts=[ServiceAdvertisement("_a._tcp.local", "x" * 64, "h.local", 1, "10.0.0.1")],
-         padding=0, transaction_id=0, tail=False)
-def test_generated_adverts(adverts, padding, transaction_id, tail):
+         padding=0, tail=False)
+def test_generated_adverts(adverts, padding, tail):
     pads = _padding(padding)
     adverts = adverts + pads if tail else pads + adverts
-    assert_same(adverts, transaction_id)
+    assert_same(adverts)
 
 
 def test_long_message_passes_0x3fff():
@@ -166,7 +166,7 @@ def test_long_message_passes_0x3fff():
     adverts = _padding(20) + [ServiceAdvertisement(
         "_pad0._tcp.local", "Late", "late.local", 9, "10.0.0.9", {"k": "v"},
         address_v6="fe80::1")]
-    payload = assert_same(adverts, 0x1234)
+    payload = assert_same(adverts)
     assert len(payload) > 0x4000
     assert payload.index(b"\x04Late") > 0x3FFF
     # The SRV and TXT owners both spell the instance's first label out,
@@ -201,54 +201,3 @@ def test_txt_rdata(entries, rdata):
     assert txt_rdata(entries) == rdata
     advert = ServiceAdvertisement("_a._tcp.local", "i", "h.local", 1, "10.0.0.1", entries)
     assert rdata in encode_advertisements([advert])
-
-
-# -- the uncompressed name writer ------------------------------------------------
-
-
-def write_name_before(out, name, compression, offset):
-    """``_write_name`` as it was before its uncompressed path."""
-    if name in ("", "."):
-        out.append(0)
-        return
-    suffix = name.rstrip(".")
-    for text in suffix.split("."):
-        if compression is not None:
-            pointer = compression.get(suffix)
-            if pointer is not None:
-                out += _POINTER(0xC000 | pointer)
-                return
-            position = offset + len(out)
-            if position < 0x3FFF:
-                compression[suffix] = position
-            suffix = suffix[len(text) + 1:]
-        label = text.encode("utf-8")
-        if len(label) > 63:
-            raise ValueError(f"DNS label too long: {text!r}")
-        out.append(len(label))
-        out += label
-    out.append(0)
-
-
-def _write_outcome(writer, name, prefix, offset):
-    out = bytearray(prefix)
-    try:
-        writer(out, name, None, offset)
-    except ValueError as error:
-        return type(error), str(error), bytes(out)
-    return bytes(out)
-
-
-@pytest.mark.parametrize("offset", [0, 0x3FFF, 0x4000])
-def test_uncompressed_write_name_matches_before(offset):
-    for name in ENCODE_NAMES + ["a\ud800b.local", "x" * 64 + ".\ud800"]:
-        for prefix in (b"", b"\x01\x02"):
-            assert (_write_outcome(_write_name, name, prefix, offset)
-                    == _write_outcome(write_name_before, name, prefix, offset))
-
-
-@settings(max_examples=300, deadline=None)
-@given(name=NAME, prefix=st.binary(max_size=3))
-def test_uncompressed_write_name_property(name, prefix):
-    assert (_write_outcome(_write_name, name, prefix, 0)
-            == _write_outcome(write_name_before, name, prefix, 0))
